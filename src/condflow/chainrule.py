@@ -7,6 +7,15 @@ reports the per-repetition residuals.  The residual is the accounting
 identity LHS - sum(terms) by construction, so a failure localizes to a
 term, not to bookkeeping.
 
+A repetition is swept in time windows of about 2^16 particle-steps
+(:meth:`EnsembleSpec.windows`), so memory is O(N) rather than O(n N).
+Every right-side term is a sum over cells of a left-endpoint quantity
+times the cell increment: each window fills its cells of per-cell term
+vectors (length n) and its rows of per-time vectors (length n+1), and
+the terms are reduced from those vectors after the sweep.  Particle
+averages reduce each row on its own, so the vectors, and with them every
+report, are the same bytes however the sweep is split.
+
 Bracket increments default to the analytic form implied by the known
 coefficients (sigma^2 + sigma0^2) dt; realized squared increments and
 pairwise increment products are available as estimator cross-checks.
@@ -26,7 +35,7 @@ from .measures import (
     linear_combination,
 )
 from .particle import ParticleEnsemble, simulate_ensemble
-from .paths import Partition, RngStream, SdeCoefficients, make_uniform_partition
+from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
 
 __all__ = [
     "EnsembleSpec",
@@ -52,6 +61,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # configuration and report containers
 
+# particle-steps per window: each (cells, N) float64 window array is 512 KiB
+_WINDOW_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -69,6 +81,7 @@ class EnsembleSpec:
         return make_uniform_partition(self.horizon, self.num_cells)
 
     def build(self, rng: RngStream) -> ParticleEnsemble:
+        """The whole run as one ensemble."""
         return simulate_ensemble(
             self.coeffs,
             self.initial,
@@ -78,6 +91,25 @@ class EnsembleSpec:
             control=self.control,
             y0=self.y0,
         )
+
+    def windows(self, rng: RngStream):
+        """Yield the same run as :meth:`build`, as consecutive windows of
+        max(1, 2^16 // N) cells (the last one may be shorter)."""
+        part = self.partition()
+        step = max(1, _WINDOW_ELEMENTS // self.num_particles)
+        ens = self.initial
+        for _ in range(0, self.num_cells, step):
+            ens = simulate_ensemble(
+                self.coeffs,
+                ens,
+                self.num_particles,
+                part,
+                rng,
+                control=self.control,
+                y0=self.y0,
+                num_cells=step,
+            )
+            yield ens
 
     def resized(self, num_cells: int | None = None, num_particles: int | None = None):
         return replace(
@@ -275,15 +307,14 @@ class _FunctionalTables(_TestTables):
 
 
 def _bracket_increments(ens: ParticleEnsemble, cfg: VerifyConfig, dx: np.ndarray) -> np.ndarray:
-    dt = ens.partition.deltas[:, None]
     if cfg.bracket == "analytic":
-        return (ens.sigma_values**2 + ens.sigma0_values**2) * dt
+        return (ens.sigma_values**2 + ens.sigma0_values**2) * ens.deltas[:, None]
     return dx * dx
 
 
 def _cross_cell_terms(tab, ens: ParticleEnsemble, cfg: VerifyConfig, dx: np.ndarray) -> np.ndarray:
     if cfg.cross == "analytic":
-        return tab.cross_term(ens.sigma0_values) * ens.partition.deltas
+        return tab.cross_term(ens.sigma0_values) * ens.deltas
     return tab.cross_term(dx)
 
 
@@ -303,15 +334,22 @@ def verify_ito(
     """
     if spec.num_particles < 2:
         raise InvalidArgumentError("need at least two particles")
+    n = spec.num_cells
     rows = []
     for r in range(cfg.outer_paths):
-        ens = spec.build(cfg.rng.child(r))
-        tab = _FunctionalTables(u, ens.states)
-        dx = ens.state_increments()
-        s1 = float(tab.drift_term(dx).sum())
-        s2 = 0.5 * float(tab.second_term(_bracket_increments(ens, cfg, dx)).sum())
-        s3 = 0.5 * float(_cross_cell_terms(tab, ens, cfg, dx).sum())
-        lhs = float(tab.values[-1] - tab.values[0])
+        values = np.empty(n + 1)
+        drift, second, cross = np.empty(n), np.empty(n), np.empty(n)
+        for ens in spec.windows(cfg.rng.child(r)):
+            tab = _FunctionalTables(u, ens.states)
+            dx = ens.state_increments()
+            values[ens.time_points] = tab.values
+            drift[ens.cells] = tab.drift_term(dx)
+            second[ens.cells] = tab.second_term(_bracket_increments(ens, cfg, dx))
+            cross[ens.cells] = _cross_cell_terms(tab, ens, cfg, dx)
+        s1 = float(drift.sum())
+        s2 = 0.5 * float(second.sum())
+        s3 = 0.5 * float(cross.sum())
+        lhs = float(values[-1] - values[0])
         terms = {"stochastic_integral": s1, "second_order": s2, "cross": s3}
         rows.append(PathRow(lhs, terms, lhs - s1 - s2 - s3))
     params = {
@@ -401,39 +439,50 @@ class RandomField:
 
         return _dl(self.as_functional(index), m, x)
 
-    def bracket_with_state(self, comp_index: int, ens: ParticleEnsemble) -> np.ndarray:
-        """Analytic per-particle increments of <N_c, M^i> on each cell."""
-        comp = self.spec.components[comp_index]
-        n, big_n = ens.idio_increments.shape
-        out = np.zeros((n, big_n))
-        dt = ens.partition.deltas
-        if comp.driver != "martingale" or comp.tag == "independent":
-            return out
-        if comp.tag == "common":
-            out[:] = comp.scale * ens.sigma0_values * dt[:, None]
-        else:  # idiosyncratic: only the tagged particle shares the noise
-            out[:, 0] = comp.scale * ens.sigma_values[:, 0] * dt
+
+def _bracket_with_state(comp: FieldComponent, ens: ParticleEnsemble) -> np.ndarray:
+    """Analytic per-particle increments of <N_c, M^i> on each cell of the window."""
+    out = np.zeros(ens.idio_increments.shape)
+    dt = ens.deltas
+    if comp.driver != "martingale" or comp.tag == "independent":
         return out
+    if comp.tag == "common":
+        out[:] = comp.scale * ens.sigma0_values * dt[:, None]
+    else:  # idiosyncratic: only the tagged particle shares the noise
+        out[:, 0] = comp.scale * ens.sigma_values[:, 0] * dt
+    return out
 
 
-def build_random_field(
-    spec: RandomFieldSpec, ensemble: ParticleEnsemble, rng: RngStream
-) -> RandomField:
-    """Realize the field's driver paths on the ensemble's grid."""
-    part = ensemble.partition
+def _field_drivers(
+    spec: RandomFieldSpec,
+    part: Partition,
+    common: SamplePath,
+    tagged_increments: np.ndarray,
+    rng: RngStream,
+) -> list[np.ndarray]:
+    # ``tagged_increments`` are particle 0's own dW on every cell
     drivers = []
     for idx, comp in enumerate(spec.components):
         if comp.driver == "fv":
             drivers.append(comp.scale * part.times)
         elif comp.tag == "common":
-            drivers.append(comp.scale * ensemble.common.values)
+            drivers.append(comp.scale * common.values)
         elif comp.tag == "idiosyncratic":
-            path = np.concatenate([[0.0], np.cumsum(ensemble.idio_increments[:, 0])])
+            path = np.concatenate([[0.0], np.cumsum(tagged_increments)])
             drivers.append(comp.scale * path)
         else:
             gen = rng.child(1000 + idx).generator()
             inc = gen.normal(size=part.num_cells) * np.sqrt(part.deltas)
             drivers.append(comp.scale * np.concatenate([[0.0], np.cumsum(inc)]))
+    return drivers
+
+
+def build_random_field(
+    spec: RandomFieldSpec, ensemble: ParticleEnsemble, rng: RngStream
+) -> RandomField:
+    """Realize the field's driver paths on a whole-run ensemble's grid."""
+    part = ensemble.partition
+    drivers = _field_drivers(spec, part, ensemble.common, ensemble.idio_increments[:, 0], rng)
     return RandomField(spec, part, drivers)
 
 
@@ -451,46 +500,57 @@ def verify_ito_wentzell(
     the ablation residual computed with the correction deleted, so the
     necessity of that term is observable.
     """
+    n = espec.num_cells
+    # the initial functional (weight 1) first, then one per component
+    funcs = [c.coeff for c in spec.components]
+    offset = 0
+    if spec.initial is not None:
+        funcs.insert(0, spec.initial)
+        offset = 1
+    k = len(funcs)
     rows = []
-    dt_cells = espec.partition().deltas
     for r in range(cfg.outer_paths):
-        ens = espec.build(cfg.rng.child(r))
-        field = build_random_field(spec, ens, cfg.rng.child(r, 1))
-        dx = ens.state_increments()
-        qv = _bracket_increments(ens, cfg, dx)
-
-        tabs = []
-        weights = []
-        if spec.initial is not None:
-            tabs.append(_FunctionalTables(spec.initial, ens.states))
-            weights.append(np.ones(ens.num_cells + 1))
-        for comp, drv in zip(spec.components, field.drivers):
-            tabs.append(_FunctionalTables(comp.coeff, ens.states))
-            weights.append(drv)
+        values = np.empty((k, n + 1))
+        drift, second, cross = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
+        corrections = np.empty((k, n))
+        tagged = np.empty(n)
+        for ens in espec.windows(cfg.rng.child(r)):
+            cells = ens.cells
+            dx = ens.state_increments()
+            qv = _bracket_increments(ens, cfg, dx)
+            tagged[cells] = ens.idio_increments[:, 0]
+            for j, f in enumerate(funcs):
+                tab = _FunctionalTables(f, ens.states)
+                values[j, ens.time_points] = tab.values
+                drift[j, cells] = tab.drift_term(dx)
+                second[j, cells] = tab.second_term(qv)
+                cross[j, cells] = _cross_cell_terms(tab, ens, cfg, dx)
+                if j >= offset and spec.components[j - offset].driver == "martingale":
+                    bracket = _bracket_with_state(spec.components[j - offset], ens)
+                    corrections[j, cells] = tab.drift_term(bracket)
+        part = ens.partition
+        drivers = _field_drivers(spec, part, ens.common, tagged, cfg.rng.child(r, 1))
+        weights = [np.ones(n + 1)] * offset + drivers
 
         s1 = s2 = s3 = 0.0
-        for tab, w in zip(tabs, weights):
-            s1 += float((w[:-1] * tab.drift_term(dx)).sum())
-            s2 += 0.5 * float((w[:-1] * tab.second_term(qv)).sum())
-            s3 += 0.5 * float((w[:-1] * _cross_cell_terms(tab, ens, cfg, dx)).sum())
+        for j, w in enumerate(weights):
+            s1 += float((w[:-1] * drift[j]).sum())
+            s2 += 0.5 * float((w[:-1] * second[j]).sum())
+            s3 += 0.5 * float((w[:-1] * cross[j]).sum())
 
-        offset = 0 if spec.initial is None else 1
         field_fv = field_mart = correction = 0.0
         for idx, comp in enumerate(spec.components):
-            tab = tabs[offset + idx]
-            d_driver = np.diff(field.drivers[idx])
-            contribution = float((tab.values[:-1] * d_driver).sum())
+            j = offset + idx
+            contribution = float((values[j, :-1] * np.diff(drivers[idx])).sum())
             if comp.driver == "fv":
                 field_fv += contribution
             else:
                 field_mart += contribution
-                bracket = field.bracket_with_state(idx, ens)
-                correction += float(tab.drift_term(bracket).sum())
+                correction += float(corrections[j].sum())
 
         lhs = 0.0
-        for tab, w in zip(tabs, weights):
-            lhs += float(w[-1] * tab.values[-1] - w[0] * tab.values[0])
-
+        for j, w in enumerate(weights):
+            lhs += float(w[-1] * values[j, -1] - w[0] * values[j, 0])
         terms = {
             "stochastic_integral": s1,
             "second_order": s2,
@@ -548,58 +608,67 @@ def verify_brownian_corollary(
     driver with sigma0, and the pair-average cross term against
     sigma0 sigma0-hat dt.
     """
+    named = [("initial", spec.initial), ("phi", spec.phi), ("psi", spec.psi), ("psi0", spec.psi0)]
+    named = [(key, f) for key, f in named if f is not None]
+    if not named:
+        raise InvalidArgumentError("empty field specification")
+    at = {key: j for j, (key, _) in enumerate(named)}
+    n = espec.num_cells
+    k = len(named)
     rows = []
     for r in range(cfg.outer_paths):
-        ens = espec.build(cfg.rng.child(r))
+        values = np.empty((k, n + 1))
+        drift, common, second, cross = (np.empty((k, n)) for _ in range(4))
+        correction = np.empty(n)
+        for ens in espec.windows(cfg.rng.child(r)):
+            cells = ens.cells
+            dt = ens.deltas
+            dw0 = np.diff(ens.common.values[ens.time_points])
+            drift_w = ens.drift_values * dt[:, None]
+            common_w = ens.sigma0_values * dw0[:, None]
+            second_w = (ens.sigma_values**2 + ens.sigma0_values**2) * dt[:, None]
+            for j, (key, f) in enumerate(named):
+                tab = _FunctionalTables(f, ens.states)
+                values[j, ens.time_points] = tab.values
+                drift[j, cells] = tab.drift_term(drift_w)
+                common[j, cells] = tab.drift_term(common_w)
+                second[j, cells] = tab.second_term(second_w)
+                cross[j, cells] = tab.cross_term(ens.sigma0_values)
+                if key == "psi0":
+                    correction[cells] = tab.drift_term(ens.sigma0_values * dt[:, None])
         part = ens.partition
         dt = part.deltas
         dw0 = np.diff(ens.common.values)
         gen = cfg.rng.child(r, 1).generator()
         dwu = gen.normal(size=part.num_cells) * np.sqrt(dt)
+        drivers = {
+            "initial": np.ones(part.times.size),
+            "phi": part.times.copy(),
+            "psi": np.concatenate([[0.0], np.cumsum(dwu)]),
+            "psi0": ens.common.values.copy(),
+        }
 
-        comps = []  # (tables, cumulative driver)
-        if spec.initial is not None:
-            comps.append((_FunctionalTables(spec.initial, ens.states), np.ones(part.times.size)))
-        tab_phi = tab_psi = tab_psi0 = None
-        if spec.phi is not None:
-            tab_phi = _FunctionalTables(spec.phi, ens.states)
-            comps.append((tab_phi, part.times.copy()))
-        if spec.psi is not None:
-            tab_psi = _FunctionalTables(spec.psi, ens.states)
-            comps.append((tab_psi, np.concatenate([[0.0], np.cumsum(dwu)])))
-        if spec.psi0 is not None:
-            tab_psi0 = _FunctionalTables(spec.psi0, ens.states)
-            comps.append((tab_psi0, ens.common.values.copy()))
-        if not comps:
-            raise InvalidArgumentError("empty field specification")
-
-        drift_w = ens.drift_values * dt[:, None]
-        common_w = ens.sigma0_values * dw0[:, None]
-        second_w = (ens.sigma_values**2 + ens.sigma0_values**2) * dt[:, None]
+        def field_integral(key, increments):
+            return float((values[at[key], :-1] * increments).sum()) if key in at else 0.0
 
         terms = {
-            "field_dt": float((tab_phi.values[:-1] * dt).sum()) if tab_phi else 0.0,
-            "field_idio": float((tab_psi.values[:-1] * dwu).sum()) if tab_psi else 0.0,
-            "field_common": float((tab_psi0.values[:-1] * dw0).sum()) if tab_psi0 else 0.0,
+            "field_dt": field_integral("phi", dt),
+            "field_idio": field_integral("psi", dwu),
+            "field_common": field_integral("psi0", dw0),
             "drift": 0.0,
             "common_integral": 0.0,
             "second_order": 0.0,
-            "bracket_correction": (
-                float(tab_psi0.drift_term(ens.sigma0_values * dt[:, None]).sum())
-                if tab_psi0
-                else 0.0
-            ),
+            "bracket_correction": float(correction.sum()) if "psi0" in at else 0.0,
             "cross": 0.0,
         }
-        for tab, w in comps:
-            terms["drift"] += float((w[:-1] * tab.drift_term(drift_w)).sum())
-            terms["common_integral"] += float((w[:-1] * tab.drift_term(common_w)).sum())
-            terms["second_order"] += 0.5 * float((w[:-1] * tab.second_term(second_w)).sum())
-            terms["cross"] += 0.5 * float(
-                (w[:-1] * tab.cross_term(ens.sigma0_values) * dt).sum()
-            )
-
-        lhs = sum(float(w[-1] * tab.values[-1] - w[0] * tab.values[0]) for tab, w in comps)
+        lhs = 0.0
+        for j, (key, _) in enumerate(named):
+            w = drivers[key]
+            terms["drift"] += float((w[:-1] * drift[j]).sum())
+            terms["common_integral"] += float((w[:-1] * common[j]).sum())
+            terms["second_order"] += 0.5 * float((w[:-1] * second[j]).sum())
+            terms["cross"] += 0.5 * float((w[:-1] * cross[j] * dt).sum())
+            lhs += float(w[-1] * values[j, -1] - w[0] * values[j, 0])
         residual = lhs - sum(terms.values())
         rows.append(PathRow(lhs, terms, residual))
     params = {
@@ -624,7 +693,8 @@ class FactorFunctional:
 
     Outer callables are vectorized over a leading time axis and take
     (t, v, y) with v of trailing shape (k,); ``dv``/``dvy`` return
-    trailing (k,), ``dvv`` trailing (k, k).
+    trailing (k,), ``dvv`` trailing (k, k).  Each output row may depend
+    only on its own time row: the verifier passes one window at a time.
     """
 
     name: str
@@ -652,42 +722,50 @@ def verify_factor_model(
     """
     if espec.y0 is None:
         raise InvalidArgumentError("factor verification needs y0 in the ensemble spec")
+    n = espec.num_cells
     rows = []
     for r in range(cfg.outer_paths):
-        ens = espec.build(cfg.rng.child(r))
+        moments = np.empty((n + 1, len(fu.tests)))
+        gam, gam0 = np.empty(n), np.empty(n)
+        stoch, second, mixed, cross = (np.empty(n) for _ in range(4))
+        for ens in espec.windows(cfg.rng.child(r)):
+            cells = ens.cells
+            dt = ens.deltas
+            times = ens.partition.times[ens.time_points]
+            y = ens.factor.values[ens.time_points]
+            tab = _TestTables(fu.tests, ens.states)
+            v = tab.moments
+            moments[ens.time_points] = v
+            d_v = np.asarray(fu.dv(times, v, y), dtype=float)
+            d_vv = np.asarray(fu.dvv(times, v, y), dtype=float)
+            d_vy = np.asarray(fu.dvy(times, v, y), dtype=float)
+            gam[cells] = [ens.coeffs.gamma(float(t), float(yy)) for t, yy in zip(times[:-1], y[:-1])]
+            gam0[cells] = [ens.coeffs.gamma0(float(t), float(yy)) for t, yy in zip(times[:-1], y[:-1])]
+            qv_x = (ens.sigma_values**2 + ens.sigma0_values**2) * dt[:, None]
+            bracket_xy = ens.sigma0_values * (gam0[cells] * dt)[:, None]
+            stoch[cells] = tab.grad_mean(d_v, ens.state_increments())
+            second[cells] = tab.hess_mean(d_v, qv_x)
+            mixed[cells] = tab.grad_mean(d_vy, bracket_xy)
+            cross[cells] = tab.cross_ustat(d_vv, ens.sigma0_values) * dt
+
         part = ens.partition
         dt = part.deltas
         times = part.times
         y = ens.factor.values
-        dy_path = np.diff(y)
-        dx = ens.state_increments()
-
-        tab = _TestTables(fu.tests, ens.states)
-        v = tab.moments
-        val = np.asarray(fu.value(times, v, y), dtype=float)
-        d_t = np.asarray(fu.dt(times, v, y), dtype=float)
-        d_v = np.asarray(fu.dv(times, v, y), dtype=float)
-        d_vv = np.asarray(fu.dvv(times, v, y), dtype=float)
-        d_y = np.asarray(fu.dy(times, v, y), dtype=float)
-        d_yy = np.asarray(fu.dyy(times, v, y), dtype=float)
-        d_vy = np.asarray(fu.dvy(times, v, y), dtype=float)
-
-        gam = np.array([ens.coeffs.gamma(float(t), float(yy)) for t, yy in zip(times[:-1], y[:-1])])
-        gam0 = np.array(
-            [ens.coeffs.gamma0(float(t), float(yy)) for t, yy in zip(times[:-1], y[:-1])]
-        )
+        val = np.asarray(fu.value(times, moments, y), dtype=float)
+        d_t = np.asarray(fu.dt(times, moments, y), dtype=float)
+        d_y = np.asarray(fu.dy(times, moments, y), dtype=float)
+        d_yy = np.asarray(fu.dyy(times, moments, y), dtype=float)
         qv_y = (gam**2 + gam0**2) * dt
-        qv_x = (ens.sigma_values**2 + ens.sigma0_values**2) * dt[:, None]
-        bracket_xy = ens.sigma0_values * (gam0 * dt)[:, None]
 
         terms = {
             "time": float((d_t[:-1] * dt).sum()),
-            "factor_first": float((d_y[:-1] * dy_path).sum()),
+            "factor_first": float((d_y[:-1] * np.diff(y)).sum()),
             "factor_second": 0.5 * float((d_yy[:-1] * qv_y).sum()),
-            "stochastic_integral": float(tab.grad_mean(d_v, dx).sum()),
-            "second_order": 0.5 * float(tab.hess_mean(d_v, qv_x).sum()),
-            "mixed_bracket": float(tab.grad_mean(d_vy, bracket_xy).sum()),
-            "cross": 0.5 * float((tab.cross_ustat(d_vv, ens.sigma0_values) * dt).sum()),
+            "stochastic_integral": float(stoch.sum()),
+            "second_order": 0.5 * float(second.sum()),
+            "mixed_bracket": float(mixed.sum()),
+            "cross": 0.5 * float(cross.sum()),
         }
         lhs = float(val[-1] - val[0])
         rows.append(PathRow(lhs, terms, lhs - sum(terms.values())))

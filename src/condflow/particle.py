@@ -9,7 +9,7 @@ the conditional law of the tagged particle, so the estimators below are
 not merely large-N approximations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,15 +41,40 @@ class ConditionalEstimate:
     num_particles: int
 
 
+class _Sweep:
+    """Live state of an unfinished Euler sweep, shared by its windows.
+
+    ``next_cell`` is where the sweep continues; only the window ending
+    there can be resumed, so a window cannot be resumed twice.
+    """
+
+    __slots__ = ("gen", "dw0", "x0", "fv", "mart", "next_cell")
+
+    def __init__(self, gen, dw0, x0, num_particles):
+        self.gen = gen
+        self.dw0 = dw0
+        self.x0 = x0
+        self.fv = np.zeros(num_particles)
+        self.mart = np.zeros(num_particles)
+        self.next_cell = 0
+
+
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """N scalar particle paths on one grid with one common-noise path.
 
-    ``states`` has shape (n+1, N); ``idio_increments`` (n, N) are the
-    particles' own Brownian increments and ``common`` carries the shared
-    path.  ``drift_values``/``sigma_values``/``sigma0_values`` cache the
+    An ensemble is one time window of an Euler sweep: cells
+    ``first_cell`` to ``first_cell + num_cells - 1`` of ``partition``.
+    ``states`` has shape (num_cells+1, N), its rows the grid times
+    ``first_cell`` to ``first_cell + num_cells``; ``idio_increments``
+    (num_cells, N) are the particles' own Brownian increments on those
+    cells and ``common`` carries the whole shared path.
+    ``drift_values``/``sigma_values``/``sigma0_values`` cache the
     coefficient evaluations made during the Euler sweep (left endpoints),
-    which later feed analytic bracket increments.
+    which later feed analytic bracket increments.  A whole run is the one
+    window with ``first_cell == 0`` that covers every cell; a window that
+    ends before the last cell can be passed back to
+    :func:`simulate_ensemble` to continue the sweep.
     """
 
     partition: Partition
@@ -62,6 +87,8 @@ class ParticleEnsemble:
     coeffs: SdeCoefficients
     factor: SamplePath | None = None
     control_values: np.ndarray | None = None
+    first_cell: int = 0
+    _sweep: _Sweep | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_particles(self) -> int:
@@ -71,6 +98,21 @@ class ParticleEnsemble:
     def num_cells(self) -> int:
         return self.states.shape[0] - 1
 
+    @property
+    def cells(self) -> slice:
+        """Grid indices of this window's cells."""
+        return slice(self.first_cell, self.first_cell + self.num_cells)
+
+    @property
+    def time_points(self) -> slice:
+        """Grid indices of this window's ``states`` rows."""
+        return slice(self.first_cell, self.first_cell + self.num_cells + 1)
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """Widths of this window's cells."""
+        return self.partition.deltas[self.cells]
+
     def empirical_at(self, index: int) -> EmpiricalMeasure:
         return empirical(self.states[index])
 
@@ -78,8 +120,7 @@ class ParticleEnsemble:
         return np.diff(self.states, axis=0)
 
     def particle_path(self, i: int) -> SamplePath:
-        dt = self.partition.deltas
-        fv = np.concatenate([[0.0], np.cumsum(self.drift_values[:, i] * dt)])
+        fv = np.concatenate([[0.0], np.cumsum(self.drift_values[:, i] * self.deltas)])
         values = self.states[:, i].copy()
         mart = values - values[0] - fv
         mart[0] = 0.0
@@ -135,6 +176,7 @@ def simulate_ensemble(
     rng: RngStream,
     control: Callable | None = None,
     y0: float | None = None,
+    num_cells: int | None = None,
 ) -> ParticleEnsemble:
     """Euler sweep of the interacting system with shared common noise.
 
@@ -143,49 +185,73 @@ def simulate_ensemble(
     ``control(t, x, m)``) is the ensemble's empirical measure at the left
     endpoint.  ``initial`` may be an EmpiricalMeasure (atom count 1 or
     N), a sampler ``(rng, N) -> atoms``, or a number (Dirac).
+
+    With ``num_cells`` the sweep stops after that many cells and returns
+    that window (see :class:`ParticleEnsemble`); passing the window back
+    as ``initial``, with the same ``partition`` and particle count,
+    continues the sweep, and ``rng`` and ``y0`` then go unused.  The
+    stream is drawn in one order however the sweep is split: all of dW0
+    first, then the dW rows window by window, so the windows of a split
+    sweep hold exactly the rows of the whole run.  By default one call
+    runs every remaining cell.
     """
     if num_particles < 2:
         raise InvalidArgumentError("need at least two particles")
-    gen = rng.generator()
+    if num_cells is not None and num_cells < 1:
+        raise InvalidArgumentError("a window needs at least one cell")
     dt = partition.deltas
     n = dt.size
     sqdt = np.sqrt(dt)
-    dw0 = gen.normal(size=n) * sqdt
-    dw = gen.normal(size=(n, num_particles)) * sqdt[:, None]
 
-    common_mart = np.concatenate([[0.0], np.cumsum(dw0)])
-    common = SamplePath(partition, common_mart.copy(), np.zeros(n + 1), common_mart)
+    if isinstance(initial, ParticleEnsemble):
+        sweep = initial._sweep
+        start = initial.first_cell + initial.num_cells
+        if sweep is None or sweep.next_cell != start:
+            raise InvalidArgumentError("only the latest window of an unfinished sweep can be resumed")
+        if initial.partition is not partition or initial.num_particles != num_particles:
+            raise InvalidArgumentError("a resumed sweep keeps its partition and particle count")
+        common, factor, x_start = initial.common, initial.factor, initial.states[-1]
+    else:
+        gen = rng.generator()
+        dw0 = gen.normal(size=n) * sqdt
+        common_mart = np.concatenate([[0.0], np.cumsum(dw0)])
+        common = SamplePath(partition, common_mart.copy(), np.zeros(n + 1), common_mart)
+        factor = None
+        if y0 is not None:
+            factor = simulate_factor(coeffs, y0, partition, common, rng.child(1))
+        x_start = _initial_atoms(initial, rng.child(2), num_particles)
+        sweep = _Sweep(gen, dw0, x_start, num_particles)
+        start = 0
 
-    factor = None
-    if y0 is not None:
-        factor = simulate_factor(coeffs, y0, partition, common, rng.child(1))
+    stop = n if num_cells is None else min(n, start + num_cells)
+    cells = stop - start
+    dw = sweep.gen.normal(size=(cells, num_particles)) * sqdt[start:stop, None]
+    dw0, x0 = sweep.dw0, sweep.x0
+    states = np.empty((cells + 1, num_particles))
+    states[0] = x_start
+    bvals = np.empty((cells, num_particles))
+    svals = np.empty((cells, num_particles))
+    s0vals = np.empty((cells, num_particles))
+    avals = np.empty((cells, num_particles)) if control is not None else None
 
-    x0 = _initial_atoms(initial, rng.child(2), num_particles)
-    states = np.empty((n + 1, num_particles))
-    states[0] = x0
-    bvals = np.empty((n, num_particles))
-    svals = np.empty((n, num_particles))
-    s0vals = np.empty((n, num_particles))
-    avals = np.empty((n, num_particles)) if control is not None else None
-
-    fv = np.zeros(num_particles)
-    mart = np.zeros(num_particles)
-    for k in range(n):
+    fv, mart = sweep.fv, sweep.mart
+    for j, k in enumerate(range(start, stop)):
         t = float(partition.times[k])
-        x = states[k]
+        x = states[j]
         y = float(factor.values[k]) if factor is not None else None
         m = empirical(x)
         a = control(t, x, m) if control is not None else None
         if avals is not None:
-            avals[k] = a
-        bvals[k] = coeffs.drift(t, x, y, m, a)
-        svals[k] = coeffs.sigma(t, x, y, m, a)
-        s0vals[k] = coeffs.sigma0(t, x, y, m, a)
-        fv = fv + bvals[k] * dt[k]
-        mart = mart + svals[k] * dw[k] + s0vals[k] * dw0[k]
-        states[k + 1] = x0 + fv + mart
-        if not np.all(np.isfinite(states[k + 1])):
+            avals[j] = a
+        bvals[j] = coeffs.drift(t, x, y, m, a)
+        svals[j] = coeffs.sigma(t, x, y, m, a)
+        s0vals[j] = coeffs.sigma0(t, x, y, m, a)
+        fv = fv + bvals[j] * dt[k]
+        mart = mart + svals[j] * dw[j] + s0vals[j] * dw0[k]
+        states[j + 1] = x0 + fv + mart
+        if not np.all(np.isfinite(states[j + 1])):
             raise BlowUpError(k + 1)
+    sweep.fv, sweep.mart, sweep.next_cell = fv, mart, stop
 
     return ParticleEnsemble(
         partition=partition,
@@ -198,6 +264,8 @@ def simulate_ensemble(
         coeffs=coeffs,
         factor=factor,
         control_values=avals,
+        first_cell=start,
+        _sweep=sweep if stop < n else None,
     )
 
 
@@ -272,16 +340,20 @@ def measure_flow_modulus(
 
     Per ensemble the synchronous (same-particle) coupling gives the upper
     bound sqrt(mean_i (X_t - X_s)^2) >= W2(mu_s, mu_t); the estimate
-    averages it over the supplied ensembles and is compared against
+    averages it over the supplied ensembles and is compared against the
+    largest over the ensembles of
     ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s) from the
-    recorded coefficient bounds, with a 3-stderr allowance.
+    recorded coefficient bounds, with a 3-stderr allowance.  Ensembles
+    must be whole runs, so that grid times index their ``states`` rows.
     """
     if isinstance(ensembles, ParticleEnsemble):
         ensembles = [ensembles]
+    if not ensembles:
+        raise InvalidArgumentError("need at least one ensemble")
     if s >= t:
         raise InvalidArgumentError("need s < t")
     values = []
-    bound = None
+    bound = 0.0
     for e in ensembles:
         i_s = int(np.argmin(np.abs(e.partition.times - s)))
         i_t = int(np.argmin(np.abs(e.partition.times - t)))
@@ -292,7 +364,7 @@ def measure_flow_modulus(
         b = e.coeffs.bounds.get("b", 0.0)
         sig = e.coeffs.bounds.get("sigma", 0.0)
         sig0 = e.coeffs.bounds.get("sigma0", 0.0)
-        bound = b * (t - s) + np.sqrt(sig**2 + sig0**2) * np.sqrt(t - s)
+        bound = max(bound, b * (t - s) + np.sqrt(sig**2 + sig0**2) * np.sqrt(t - s))
     arr = np.asarray(values)
     estimate = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0

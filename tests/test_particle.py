@@ -230,3 +230,61 @@ def test_chaos_rate_against_refined_reference():
         devs.append(gaps.mean())
     slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
     assert -0.7 <= slope <= -0.3
+
+
+def test_non_finite_initial_atoms_are_rejected():
+    part = make_uniform_partition(1.0, 4)
+    coeffs = constant_coefficients(sigma=1.0)
+    for initial in (np.inf, dirac_initial(np.nan), lambda rng, n: np.r_[np.zeros(n - 1), -np.inf]):
+        with pytest.raises(InvalidArgumentError):
+            simulate_ensemble(coeffs, initial, 4, part, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("window", [None, 1, 3])
+def test_blow_up_step_and_coefficients_see_finite_rows(window):
+    # b(x) = 1e100 x from x0 = 1 overflows after a few cells; the scalar
+    # recursion below gives the first non-finite step independently
+    n_cells, dt = 16, 1.0 / 16
+    seen = []
+
+    def drift(t, x, y, m, a):
+        seen.append(bool(np.all(np.isfinite(x)) and np.all(np.isfinite(m.atoms))))
+        return 1e100 * x
+
+    coeffs = SdeCoefficients(
+        drift=drift,
+        sigma=lambda t, x, y, m, a: np.zeros_like(x),
+        sigma0=lambda t, x, y, m, a: np.zeros_like(x),
+        k=lambda t, y: 0.0,
+        gamma=lambda t, y: 0.0,
+        gamma0=lambda t, y: 0.0,
+    )
+    x, fv, expected = 1.0, 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_cells):
+            fv = fv + 1e100 * x * dt
+            x = 1.0 + fv
+            if not np.isfinite(x):
+                expected = k + 1
+                break
+        assert expected is not None and expected < n_cells
+        part = make_uniform_partition(1.0, n_cells)
+        with pytest.raises(BlowUpError) as err:
+            ens = simulate_ensemble(coeffs, 1.0, 4, part, RngStream(0, 0), num_cells=window)
+            while ens.first_cell + ens.num_cells < n_cells:
+                ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
+    assert err.value.step == expected
+    assert len(seen) == expected and all(seen)
+
+
+def test_modulus_bound_is_the_largest_over_ensembles():
+    part = make_uniform_partition(1.0, 8)
+    still = simulate_ensemble(constant_coefficients(), 0.0, 4, part, RngStream(0, 0))
+    moving = simulate_ensemble(constant_coefficients(b=1.0), 0.0, 4, part, RngStream(0, 1))
+    for ensembles in ([moving, still], [still, moving]):
+        res = measure_flow_modulus(ensembles, 0.25, 0.75)
+        assert res.bound == pytest.approx(0.5)
+        assert res.estimate == pytest.approx(0.25)
+        assert res.passed
+    with pytest.raises(InvalidArgumentError):
+        measure_flow_modulus([], 0.25, 0.75)
