@@ -17,7 +17,6 @@ from .chainrule import (
     RandomFieldSpec,
     VerificationReport,
     VerifyConfig,
-    build_random_field,
     convergence_sweep,
     verify_brownian_corollary,
     verify_factor_model,
@@ -50,14 +49,10 @@ from .measures import (
     w2_squared,
 )
 from .particle import (
-    ConditionalEstimate,
     ParticleEnsemble,
-    cond_expect,
-    cond_expect_pair,
     dirac_initial,
     gaussian_quantile_initial,
     measure_flow_modulus,
-    pair_product_expect,
     simulate_ensemble,
 )
 from .paths import (
@@ -71,10 +66,8 @@ from .paths import (
     simulate_factor,
 )
 from .quadvar import (
-    IncrementTable,
     WeightProcess,
     constant_weight,
-    increments,
     lemma_convergence_study,
     realized_qv,
     sampled_weight,

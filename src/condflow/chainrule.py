@@ -1,39 +1,37 @@
 """Discrete assembly of both sides of the measure-flow chain rules.
 
-Each verifier simulates M independent common-noise repetitions, builds
-the left side u(mu_T) - u(mu_0) from the empirical conditional-law flow,
-assembles every right-side term with left-endpoint evaluation, and
-reports the per-repetition residuals.  The residual is the accounting
-identity LHS - sum(terms) by construction, so a failure localizes to a
-term, not to bookkeeping.
-
-A repetition is swept in time windows of about 2^16 particle-steps
-(:meth:`EnsembleSpec.windows`), so memory is O(N) rather than O(n N).
-Every right-side term is a sum over cells of a left-endpoint quantity
-times the cell increment: each window fills its cells of per-cell term
-vectors (length n) and its rows of per-time vectors (length n+1), and
-the terms are reduced from those vectors after the sweep.  Particle
-averages reduce each row on its own, so the vectors, and with them every
-report, are the same bytes however the sweep is split.
+The Ito rule, the Ito-Wentzell rule for random fields and its Brownian
+and factor-model corollaries are one identity with different driver
+terms, so one private kernel, ``_verify``, runs all four.  It simulates
+M independent common-noise repetitions, sweeps each in time windows of
+about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so memory is
+O(N) rather than O(n N)), and fills per-time buffers (length n+1) and
+per-cell term vectors (length n) from each window's test-function
+tables.  Every right-side term is a sum over cells of a left-endpoint
+quantity times the cell increment, and particle averages reduce each
+row on its own, so every report is the same bytes however the sweep is
+split.  Each public verifier is a view: it names its functionals and
+the integrands it needs against the gradient, the Hessian and the pair
+U-statistic, and turns the buffers and its driver paths into named
+terms and the residual LHS - sum(terms).  That residual is an
+accounting identity, so a failure localizes to a term, not to
+bookkeeping.
 
 Bracket increments default to the analytic form implied by the known
 coefficients (sigma^2 + sigma0^2) dt; realized squared increments and
 pairwise increment products are available as estimator cross-checks.
 """
 
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .measures import (
-    CylindricalFunctional,
-    EmpiricalMeasure,
-    TestFunction,
-    linear_combination,
-)
+from .measures import CylindricalFunctional, TestFunction
 from .particle import ParticleEnsemble, simulate_ensemble
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
 
@@ -44,10 +42,8 @@ __all__ = [
     "VerificationReport",
     "FieldComponent",
     "RandomFieldSpec",
-    "RandomField",
     "BrownianFieldSpec",
     "FactorFunctional",
-    "build_random_field",
     "verify_ito",
     "verify_ito_wentzell",
     "verify_brownian_corollary",
@@ -139,14 +135,15 @@ class VerifyConfig:
     expected_correction: float | None = None
 
     def __post_init__(self):
-        if self.outer_paths < 1:
-            raise InvalidArgumentError("need at least one outer repetition")
         if self.bracket not in ("analytic", "realized"):
             raise InvalidArgumentError("bracket must be 'analytic' or 'realized'")
         if self.cross not in ("analytic", "pairwise"):
             raise InvalidArgumentError("cross must be 'analytic' or 'pairwise'")
         if self.rule not in ("exact", "mc", "dt"):
             raise InvalidArgumentError("rule must be 'exact', 'mc' or 'dt'")
+        need = 1 if self.rule == "exact" else 2  # one repetition has no standard error
+        if self.outer_paths < need:
+            raise InvalidArgumentError(f"the {self.rule!r} rule needs at least {need} outer repetitions")
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ def _finalize(
 
 
 # ---------------------------------------------------------------------------
-# vectorized derivative tables
+# the chain-rule kernel
 
 
 def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,8 +246,9 @@ def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.sum(axis=1) * b.sum(axis=1) - (a * b).sum(axis=1)) / (n_p * (n_p - 1))
 
 
-class _TestTables:
-    """Values/gradients/Hessians of the test functions along the ensemble."""
+class _Tables:
+    """Values/gradients/Hessians of the test functions along one window; each
+    method is one per-cell integrand, contracted with outer-derivative rows."""
 
     def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):
         self.vals = [np.asarray(t.value(states), dtype=float) for t in tests]
@@ -271,7 +269,7 @@ class _TestTables:
             out = out + d_outer[:-1, a] * (h[:-1] * weights).mean(axis=1)
         return out
 
-    def cross_ustat(self, d2_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def pair_mean(self, d2_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per-cell pair average of the mixed second-derivative kernel."""
         k = len(self.vals)
         out = 0.0
@@ -286,36 +284,102 @@ class _TestTables:
         return out
 
 
-class _FunctionalTables(_TestTables):
-    """Test tables plus the outer map's value/gradient/Hessian rows."""
+def _verify(
+    name: str,
+    espec: EnsembleSpec,
+    cfg: VerifyConfig,
+    funcs: Sequence,
+    coefficients: Callable,
+    window: Callable,
+    assemble: Callable,
+    **params,
+) -> VerificationReport:
+    """Sweep every repetition window by window, then finalize the report.
 
-    def __init__(self, u: CylindricalFunctional, states: np.ndarray):
-        super().__init__(u.tests, states)
-        self.u = u
-        self.values = np.asarray(u.outer.value(self.moments), dtype=float)  # (n+1,)
-        self.d_outer = np.asarray(u.outer.grad(self.moments), dtype=float)  # (n+1, k)
-        self.d2_outer = np.asarray(u.outer.hess(self.moments), dtype=float)  # (n+1, k, k)
+    ``coefficients(f, ens, v)`` maps functional ``f``'s moment rows ``v``
+    on window ``ens`` to its "value" row and the derivative rows that the
+    integrands name.  ``window(ens)`` returns the integrands, each (key,
+    _Tables method, derivative, weights, functional index or None for
+    all), and named per-cell vectors.  ``assemble(rep)`` turns one
+    repetition into its row; ``rep`` has the index ``r``, the final
+    window ``last``, per-time ``values`` (k, n+1) and ``moments``
+    (n+1, k_j), and per-cell ``cells`` (k, n) and ``extras`` (n,).
+    """
+    n, k = espec.num_cells, len(funcs)
+    rows = []
+    for r in range(cfg.outer_paths):
+        rep = SimpleNamespace(r=r, values=np.empty((k, n + 1)), cells=defaultdict(lambda: np.empty((k, n))))
+        rep.moments = [np.empty((n + 1, len(f.tests))) for f in funcs]
+        rep.extras = defaultdict(lambda: np.empty(n))
+        for ens in espec.windows(cfg.rng.child(r)):
+            integrands, vectors = window(ens)
+            for key, vec in vectors.items():
+                rep.extras[key][ens.cells] = vec
+            for j, f in enumerate(funcs):
+                tab = _Tables(f.tests, ens.states)
+                coef = {c: np.asarray(v, dtype=float) for c, v in coefficients(f, ens, tab.moments).items()}
+                rep.values[j, ens.time_points] = coef["value"]
+                rep.moments[j][ens.time_points] = tab.moments
+                for key, mean, c, weights, only in integrands:
+                    if only is None or only == j:
+                        rep.cells[key][j, ens.cells] = mean(tab, coef[c], weights)
+        rep.last = ens
+        rows.append(assemble(rep))
+    params = {
+        "n": espec.num_cells,
+        "N": espec.num_particles,
+        "M": cfg.outer_paths,
+        "horizon": espec.horizon,
+        "bracket": cfg.bracket,
+        "cross": cfg.cross,
+        "seed": cfg.rng.key(),
+        **params,
+    }
+    return _finalize(name, rows, params, cfg)
 
-    def drift_term(self, weights: np.ndarray) -> np.ndarray:
-        return self.grad_mean(self.d_outer, weights)
 
-    def second_term(self, weights: np.ndarray) -> np.ndarray:
-        return self.hess_mean(self.d_outer, weights)
-
-    def cross_term(self, weights: np.ndarray) -> np.ndarray:
-        return self.cross_ustat(self.d2_outer, weights)
+def _cylindrical(u: CylindricalFunctional, ens: ParticleEnsemble, v: np.ndarray) -> dict:
+    return {"value": u.outer.value(v), "d1": u.outer.grad(v), "d2": u.outer.hess(v)}
 
 
-def _bracket_increments(ens: ParticleEnsemble, cfg: VerifyConfig, dx: np.ndarray) -> np.ndarray:
-    if cfg.bracket == "analytic":
-        return (ens.sigma_values**2 + ens.sigma0_values**2) * ens.deltas[:, None]
-    return dx * dx
+def _analytic_bracket(ens: ParticleEnsemble) -> np.ndarray:
+    return (ens.sigma_values**2 + ens.sigma0_values**2) * ens.deltas[:, None]
 
 
-def _cross_cell_terms(tab, ens: ParticleEnsemble, cfg: VerifyConfig, dx: np.ndarray) -> np.ndarray:
-    if cfg.cross == "analytic":
-        return tab.cross_term(ens.sigma0_values) * ens.deltas
-    return tab.cross_term(dx)
+def _state_integrands(ens: ParticleEnsemble, cfg: VerifyConfig) -> list:
+    """dX, the state bracket and the cross bracket, by cfg's estimators."""
+    dx = ens.state_increments()
+    qv = _analytic_bracket(ens) if cfg.bracket == "analytic" else dx * dx
+    pair = ens.sigma0_values if cfg.cross == "analytic" else dx
+    return [
+        ("drift", _Tables.grad_mean, "d1", dx, None),
+        ("second", _Tables.hess_mean, "d1", qv, None),
+        ("cross", _Tables.pair_mean, "d2", pair, None),
+    ]
+
+
+def _weighted(weights: Sequence[np.ndarray], rows: np.ndarray) -> float:
+    """sum over functionals j and cells i of w_j(t_{i-1}) rows[j, i]."""
+    total = 0.0
+    for w, row in zip(weights, rows):
+        total += float((w[:-1] * row).sum())
+    return total
+
+
+def _state_terms(rep, cfg: VerifyConfig, weights: Sequence[np.ndarray]) -> tuple[float, float, float]:
+    """The stochastic integral, second-order and cross terms."""
+    cross = rep.cells["cross"]
+    if cfg.cross == "analytic":  # sigma0 sigma0-hat dt, scaled before weighting
+        cross = cross * rep.last.partition.deltas
+    drift, second = rep.cells["drift"], rep.cells["second"]
+    return _weighted(weights, drift), 0.5 * _weighted(weights, second), 0.5 * _weighted(weights, cross)
+
+
+def _weighted_lhs(weights: Sequence[np.ndarray], values: np.ndarray) -> float:
+    lhs = 0.0
+    for w, v in zip(weights, values):
+        lhs += float(w[-1] * v[-1] - w[0] * v[0])
+    return lhs
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +396,17 @@ def verify_ito(
     bracket, and half the pair average of the mixed second functional
     derivative against the cross bracket of two distinct particles.
     """
-    if spec.num_particles < 2:
-        raise InvalidArgumentError("need at least two particles")
-    n = spec.num_cells
-    rows = []
-    for r in range(cfg.outer_paths):
-        values = np.empty(n + 1)
-        drift, second, cross = np.empty(n), np.empty(n), np.empty(n)
-        for ens in spec.windows(cfg.rng.child(r)):
-            tab = _FunctionalTables(u, ens.states)
-            dx = ens.state_increments()
-            values[ens.time_points] = tab.values
-            drift[ens.cells] = tab.drift_term(dx)
-            second[ens.cells] = tab.second_term(_bracket_increments(ens, cfg, dx))
-            cross[ens.cells] = _cross_cell_terms(tab, ens, cfg, dx)
-        s1 = float(drift.sum())
-        s2 = 0.5 * float(second.sum())
-        s3 = 0.5 * float(cross.sum())
-        lhs = float(values[-1] - values[0])
+
+    def assemble(rep):
+        s1, s2, s3 = _state_terms(rep, cfg, [np.ones(spec.num_cells + 1)])
+        lhs = float(rep.values[0, -1] - rep.values[0, 0])
         terms = {"stochastic_integral": s1, "second_order": s2, "cross": s3}
-        rows.append(PathRow(lhs, terms, lhs - s1 - s2 - s3))
-    params = {
-        "n": spec.num_cells,
-        "N": spec.num_particles,
-        "M": cfg.outer_paths,
-        "horizon": spec.horizon,
-        "functional": u.name,
-        "bracket": cfg.bracket,
-        "cross": cfg.cross,
-        "seed": cfg.rng.key(),
-    }
-    return _finalize(name, rows, params, cfg)
+        return PathRow(lhs, terms, lhs - s1 - s2 - s3)
+
+    def window(ens):
+        return _state_integrands(ens, cfg), {}
+
+    return _verify(name, spec, cfg, [u], _cylindrical, window, assemble, functional=u.name)
 
 
 # ---------------------------------------------------------------------------
@@ -398,46 +442,10 @@ class FieldComponent:
 
 @dataclass(frozen=True)
 class RandomFieldSpec:
+    """U_t(m) = U_0(m) + sum_c coeff_c(m) D_c(t); ``initial`` is U_0 or None."""
+
     initial: CylindricalFunctional | None
     components: tuple[FieldComponent, ...] = ()
-
-    def martingale_components(self):
-        return [c for c in self.components if c.driver == "martingale"]
-
-
-class RandomField:
-    """A field realized on one ensemble: U_t(m) = U_0(m) + sum_c coeff_c(m) D_c(t).
-
-    Driver paths are accumulated with the same grid increments used by
-    every verifier term, so the derivative decompositions hold exactly at
-    grid level by linearity.
-    """
-
-    def __init__(self, spec: RandomFieldSpec, partition: Partition, drivers: list[np.ndarray]):
-        self.spec = spec
-        self.partition = partition
-        self.drivers = drivers  # one (n+1,) cumulative path per component
-
-    def as_functional(self, index: int) -> CylindricalFunctional:
-        """Materialize U_{t_index} as a cylindrical functional."""
-        terms = []
-        if self.spec.initial is not None:
-            terms.append((1.0, self.spec.initial))
-        for comp, path in zip(self.spec.components, self.drivers):
-            terms.append((float(path[index]), comp.coeff))
-        if not terms:
-            raise InvalidArgumentError("empty field")
-        return linear_combination(terms, name=f"field@{index}")
-
-    def value(self, index: int, m: EmpiricalMeasure) -> float:
-        from .measures import evaluate
-
-        return evaluate(self.as_functional(index), m)
-
-    def d_lions(self, index: int, m: EmpiricalMeasure, x):
-        from .measures import d_lions as _dl
-
-        return _dl(self.as_functional(index), m, x)
 
 
 def _bracket_with_state(comp: FieldComponent, ens: ParticleEnsemble) -> np.ndarray:
@@ -477,15 +485,6 @@ def _field_drivers(
     return drivers
 
 
-def build_random_field(
-    spec: RandomFieldSpec, ensemble: ParticleEnsemble, rng: RngStream
-) -> RandomField:
-    """Realize the field's driver paths on a whole-run ensemble's grid."""
-    part = ensemble.partition
-    drivers = _field_drivers(spec, part, ensemble.common, ensemble.idio_increments[:, 0], rng)
-    return RandomField(spec, part, drivers)
-
-
 def verify_ito_wentzell(
     spec: RandomFieldSpec,
     espec: EnsembleSpec,
@@ -500,57 +499,34 @@ def verify_ito_wentzell(
     the ablation residual computed with the correction deleted, so the
     necessity of that term is observable.
     """
-    n = espec.num_cells
     # the initial functional (weight 1) first, then one per component
-    funcs = [c.coeff for c in spec.components]
-    offset = 0
-    if spec.initial is not None:
-        funcs.insert(0, spec.initial)
-        offset = 1
-    k = len(funcs)
-    rows = []
-    for r in range(cfg.outer_paths):
-        values = np.empty((k, n + 1))
-        drift, second, cross = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
-        corrections = np.empty((k, n))
-        tagged = np.empty(n)
-        for ens in espec.windows(cfg.rng.child(r)):
-            cells = ens.cells
-            dx = ens.state_increments()
-            qv = _bracket_increments(ens, cfg, dx)
-            tagged[cells] = ens.idio_increments[:, 0]
-            for j, f in enumerate(funcs):
-                tab = _FunctionalTables(f, ens.states)
-                values[j, ens.time_points] = tab.values
-                drift[j, cells] = tab.drift_term(dx)
-                second[j, cells] = tab.second_term(qv)
-                cross[j, cells] = _cross_cell_terms(tab, ens, cfg, dx)
-                if j >= offset and spec.components[j - offset].driver == "martingale":
-                    bracket = _bracket_with_state(spec.components[j - offset], ens)
-                    corrections[j, cells] = tab.drift_term(bracket)
-        part = ens.partition
-        drivers = _field_drivers(spec, part, ens.common, tagged, cfg.rng.child(r, 1))
-        weights = [np.ones(n + 1)] * offset + drivers
+    initial = [] if spec.initial is None else [spec.initial]
+    funcs = initial + [c.coeff for c in spec.components]
+    offset = len(initial)
 
-        s1 = s2 = s3 = 0.0
-        for j, w in enumerate(weights):
-            s1 += float((w[:-1] * drift[j]).sum())
-            s2 += 0.5 * float((w[:-1] * second[j]).sum())
-            s3 += 0.5 * float((w[:-1] * cross[j]).sum())
+    def window(ens):
+        integrands = _state_integrands(ens, cfg)
+        for idx, comp in enumerate(spec.components):
+            if comp.driver == "martingale":
+                bracket = _bracket_with_state(comp, ens)
+                integrands.append(("correction", _Tables.grad_mean, "d1", bracket, offset + idx))
+        return integrands, {"tagged": ens.idio_increments[:, 0]}
 
+    def assemble(rep):
+        ens = rep.last
+        drivers = _field_drivers(spec, ens.partition, ens.common, rep.extras["tagged"], cfg.rng.child(rep.r, 1))
+        weights = [np.ones(espec.num_cells + 1)] * offset + drivers
+        s1, s2, s3 = _state_terms(rep, cfg, weights)
         field_fv = field_mart = correction = 0.0
         for idx, comp in enumerate(spec.components):
             j = offset + idx
-            contribution = float((values[j, :-1] * np.diff(drivers[idx])).sum())
+            contribution = float((rep.values[j, :-1] * np.diff(drivers[idx])).sum())
             if comp.driver == "fv":
                 field_fv += contribution
             else:
                 field_mart += contribution
-                correction += float(corrections[j].sum())
-
-        lhs = 0.0
-        for j, w in enumerate(weights):
-            lhs += float(w[-1] * values[j, -1] - w[0] * values[j, 0])
+                correction += float(rep.cells["correction"][j].sum())
+        lhs = _weighted_lhs(weights, rep.values)
         terms = {
             "stochastic_integral": s1,
             "second_order": s2,
@@ -560,18 +536,10 @@ def verify_ito_wentzell(
             "bracket_correction": correction,
         }
         residual = lhs - sum(terms.values())
-        rows.append(PathRow(lhs, terms, residual, ablation_residual=residual + correction))
-    params = {
-        "n": espec.num_cells,
-        "N": espec.num_particles,
-        "M": cfg.outer_paths,
-        "horizon": espec.horizon,
-        "field_components": [f"{c.driver}:{c.tag or 'time'}" for c in spec.components],
-        "bracket": cfg.bracket,
-        "cross": cfg.cross,
-        "seed": cfg.rng.key(),
-    }
-    return _finalize(name, rows, params, cfg)
+        return PathRow(lhs, terms, residual, ablation_residual=residual + correction)
+
+    components = [f"{c.driver}:{c.tag or 'time'}" for c in spec.components]
+    return _verify(name, espec, cfg, funcs, _cylindrical, window, assemble, field_components=components)
 
 
 # ---------------------------------------------------------------------------
@@ -613,74 +581,55 @@ def verify_brownian_corollary(
     if not named:
         raise InvalidArgumentError("empty field specification")
     at = {key: j for j, (key, _) in enumerate(named)}
-    n = espec.num_cells
-    k = len(named)
-    rows = []
-    for r in range(cfg.outer_paths):
-        values = np.empty((k, n + 1))
-        drift, common, second, cross = (np.empty((k, n)) for _ in range(4))
-        correction = np.empty(n)
-        for ens in espec.windows(cfg.rng.child(r)):
-            cells = ens.cells
-            dt = ens.deltas
-            dw0 = np.diff(ens.common.values[ens.time_points])
-            drift_w = ens.drift_values * dt[:, None]
-            common_w = ens.sigma0_values * dw0[:, None]
-            second_w = (ens.sigma_values**2 + ens.sigma0_values**2) * dt[:, None]
-            for j, (key, f) in enumerate(named):
-                tab = _FunctionalTables(f, ens.states)
-                values[j, ens.time_points] = tab.values
-                drift[j, cells] = tab.drift_term(drift_w)
-                common[j, cells] = tab.drift_term(common_w)
-                second[j, cells] = tab.second_term(second_w)
-                cross[j, cells] = tab.cross_term(ens.sigma0_values)
-                if key == "psi0":
-                    correction[cells] = tab.drift_term(ens.sigma0_values * dt[:, None])
-        part = ens.partition
+
+    def window(ens):
+        dt = ens.deltas
+        dw0 = np.diff(ens.common.values[ens.time_points])
+        integrands = [
+            ("drift", _Tables.grad_mean, "d1", ens.drift_values * dt[:, None], None),
+            ("common", _Tables.grad_mean, "d1", ens.sigma0_values * dw0[:, None], None),
+            ("second", _Tables.hess_mean, "d1", _analytic_bracket(ens), None),
+            ("cross", _Tables.pair_mean, "d2", ens.sigma0_values, None),
+        ]
+        if "psi0" in at:
+            correction = ens.sigma0_values * dt[:, None]
+            integrands.append(("correction", _Tables.grad_mean, "d1", correction, at["psi0"]))
+        return integrands, {}
+
+    def assemble(rep):
+        part, common = rep.last.partition, rep.last.common
         dt = part.deltas
-        dw0 = np.diff(ens.common.values)
-        gen = cfg.rng.child(r, 1).generator()
-        dwu = gen.normal(size=part.num_cells) * np.sqrt(dt)
+        dw0 = np.diff(common.values)
+        dwu = cfg.rng.child(rep.r, 1).generator().normal(size=part.num_cells) * np.sqrt(dt)
         drivers = {
             "initial": np.ones(part.times.size),
-            "phi": part.times.copy(),
+            "phi": part.times,
             "psi": np.concatenate([[0.0], np.cumsum(dwu)]),
-            "psi0": ens.common.values.copy(),
+            "psi0": common.values,
         }
+        weights = [drivers[key] for key, _ in named]
 
         def field_integral(key, increments):
-            return float((values[at[key], :-1] * increments).sum()) if key in at else 0.0
+            return float((rep.values[at[key], :-1] * increments).sum()) if key in at else 0.0
 
+        cross = 0.0  # sigma0 sigma0-hat dt, scaled after weighting
+        for w, row in zip(weights, rep.cells["cross"]):
+            cross += 0.5 * float((w[:-1] * row * dt).sum())
         terms = {
             "field_dt": field_integral("phi", dt),
             "field_idio": field_integral("psi", dwu),
             "field_common": field_integral("psi0", dw0),
-            "drift": 0.0,
-            "common_integral": 0.0,
-            "second_order": 0.0,
-            "bracket_correction": float(correction.sum()) if "psi0" in at else 0.0,
-            "cross": 0.0,
+            "drift": _weighted(weights, rep.cells["drift"]),
+            "common_integral": _weighted(weights, rep.cells["common"]),
+            "second_order": 0.5 * _weighted(weights, rep.cells["second"]),
+            "bracket_correction": float(rep.cells["correction"][at["psi0"]].sum()) if "psi0" in at else 0.0,
+            "cross": cross,
         }
-        lhs = 0.0
-        for j, (key, _) in enumerate(named):
-            w = drivers[key]
-            terms["drift"] += float((w[:-1] * drift[j]).sum())
-            terms["common_integral"] += float((w[:-1] * common[j]).sum())
-            terms["second_order"] += 0.5 * float((w[:-1] * second[j]).sum())
-            terms["cross"] += 0.5 * float((w[:-1] * cross[j] * dt).sum())
-            lhs += float(w[-1] * values[j, -1] - w[0] * values[j, 0])
-        residual = lhs - sum(terms.values())
-        rows.append(PathRow(lhs, terms, residual))
-    params = {
-        "n": espec.num_cells,
-        "N": espec.num_particles,
-        "M": cfg.outer_paths,
-        "horizon": espec.horizon,
-        "bracket": "analytic",
-        "cross": "analytic",
-        "seed": cfg.rng.key(),
-    }
-    return _finalize(name, rows, params, cfg)
+        lhs = _weighted_lhs(weights, rep.values)
+        return PathRow(lhs, terms, lhs - sum(terms.values()))
+
+    funcs = [f for _, f in named]
+    return _verify(name, espec, cfg, funcs, _cylindrical, window, assemble, bracket="analytic", cross="analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +657,12 @@ class FactorFunctional:
     dvy: Callable
 
 
+def _factor(fu: FactorFunctional, ens: ParticleEnsemble, v: np.ndarray) -> dict:
+    times, y = ens.partition.times[ens.time_points], ens.factor.values[ens.time_points]
+    rows = {"value": fu.value, "d1": fu.dv, "d2": fu.dvv, "d1y": fu.dvy}
+    return {key: row(times, v, y) for key, row in rows.items()}
+
+
 def verify_factor_model(
     fu: FactorFunctional,
     espec: EnsembleSpec,
@@ -722,64 +677,40 @@ def verify_factor_model(
     """
     if espec.y0 is None:
         raise InvalidArgumentError("factor verification needs y0 in the ensemble spec")
-    n = espec.num_cells
-    rows = []
-    for r in range(cfg.outer_paths):
-        moments = np.empty((n + 1, len(fu.tests)))
-        gam, gam0 = np.empty(n), np.empty(n)
-        stoch, second, mixed, cross = (np.empty(n) for _ in range(4))
-        for ens in espec.windows(cfg.rng.child(r)):
-            cells = ens.cells
-            dt = ens.deltas
-            times = ens.partition.times[ens.time_points]
-            y = ens.factor.values[ens.time_points]
-            tab = _TestTables(fu.tests, ens.states)
-            v = tab.moments
-            moments[ens.time_points] = v
-            d_v = np.asarray(fu.dv(times, v, y), dtype=float)
-            d_vv = np.asarray(fu.dvv(times, v, y), dtype=float)
-            d_vy = np.asarray(fu.dvy(times, v, y), dtype=float)
-            gam[cells] = [ens.coeffs.gamma(float(t), float(yy)) for t, yy in zip(times[:-1], y[:-1])]
-            gam0[cells] = [ens.coeffs.gamma0(float(t), float(yy)) for t, yy in zip(times[:-1], y[:-1])]
-            qv_x = (ens.sigma_values**2 + ens.sigma0_values**2) * dt[:, None]
-            bracket_xy = ens.sigma0_values * (gam0[cells] * dt)[:, None]
-            stoch[cells] = tab.grad_mean(d_v, ens.state_increments())
-            second[cells] = tab.hess_mean(d_v, qv_x)
-            mixed[cells] = tab.grad_mean(d_vy, bracket_xy)
-            cross[cells] = tab.cross_ustat(d_vv, ens.sigma0_values) * dt
 
-        part = ens.partition
-        dt = part.deltas
-        times = part.times
-        y = ens.factor.values
-        val = np.asarray(fu.value(times, moments, y), dtype=float)
+    def window(ens):
+        left = list(zip(ens.partition.times[ens.cells], ens.factor.values[ens.cells]))
+        gam = np.array([ens.coeffs.gamma(float(t), float(y)) for t, y in left], dtype=float)
+        gam0 = np.array([ens.coeffs.gamma0(float(t), float(y)) for t, y in left], dtype=float)
+        integrands = [
+            ("stoch", _Tables.grad_mean, "d1", ens.state_increments(), None),
+            ("second", _Tables.hess_mean, "d1", _analytic_bracket(ens), None),
+            ("mixed", _Tables.grad_mean, "d1y", ens.sigma0_values * (gam0 * ens.deltas)[:, None], None),
+            ("cross", _Tables.pair_mean, "d2", ens.sigma0_values, None),
+        ]
+        return integrands, {"gamma": gam, "gamma0": gam0}
+
+    def assemble(rep):
+        part, moments = rep.last.partition, rep.moments[0]
+        dt, times, y = part.deltas, part.times, rep.last.factor.values
         d_t = np.asarray(fu.dt(times, moments, y), dtype=float)
         d_y = np.asarray(fu.dy(times, moments, y), dtype=float)
         d_yy = np.asarray(fu.dyy(times, moments, y), dtype=float)
-        qv_y = (gam**2 + gam0**2) * dt
-
+        qv_y = (rep.extras["gamma"] ** 2 + rep.extras["gamma0"] ** 2) * dt
         terms = {
             "time": float((d_t[:-1] * dt).sum()),
             "factor_first": float((d_y[:-1] * np.diff(y)).sum()),
             "factor_second": 0.5 * float((d_yy[:-1] * qv_y).sum()),
-            "stochastic_integral": float(stoch.sum()),
-            "second_order": 0.5 * float(second.sum()),
-            "mixed_bracket": float(mixed.sum()),
-            "cross": 0.5 * float(cross.sum()),
+            "stochastic_integral": float(rep.cells["stoch"][0].sum()),
+            "second_order": 0.5 * float(rep.cells["second"][0].sum()),
+            "mixed_bracket": float(rep.cells["mixed"][0].sum()),
+            "cross": 0.5 * float((rep.cells["cross"][0] * dt).sum()),
         }
-        lhs = float(val[-1] - val[0])
-        rows.append(PathRow(lhs, terms, lhs - sum(terms.values())))
-    params = {
-        "n": espec.num_cells,
-        "N": espec.num_particles,
-        "M": cfg.outer_paths,
-        "horizon": espec.horizon,
-        "functional": fu.name,
-        "bracket": "analytic",
-        "cross": "analytic",
-        "seed": cfg.rng.key(),
-    }
-    return _finalize(name, rows, params, cfg)
+        lhs = float(rep.values[0, -1] - rep.values[0, 0])
+        return PathRow(lhs, terms, lhs - sum(terms.values()))
+
+    params = {"functional": fu.name, "bracket": "analytic", "cross": "analytic"}
+    return _verify(name, espec, cfg, [fu], _factor, window, assemble, **params)
 
 
 # ---------------------------------------------------------------------------

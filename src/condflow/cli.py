@@ -8,6 +8,7 @@ errors (nothing is written).
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,6 +41,8 @@ _SUBCOMMAND_DEFAULTS = {
 
 _TOLERANCE_KEYS = {"C", "tol_hjb", "tol_exact", "perturbation_floor", "quadrature_tol", "l1_threshold"}
 _TOP_KEYS = {"experiment", "seed", "out", "n", "N", "M", "horizon", "tolerance", "coefficients", "functional", "control", "grid", "threads"}
+# least value of each integer parameter; pair terms need two particles
+_INT_MINIMUM = {"seed": 0, "n": 1, "N": 2, "M": 1}
 
 
 class UsageError(Exception):
@@ -65,7 +68,8 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     """Validate a config against its experiment's parameter set.
 
     Returns (experiment name, seed, resolved params, extras) where extras
-    carries out/grid/threads.  Unknown keys anywhere are usage errors.
+    carries out/grid/threads.  Unknown keys anywhere, and a seed, n, N, M
+    or horizon of the wrong type or out of range, are usage errors.
     """
     unknown = set(config) - _TOP_KEYS
     if unknown:
@@ -101,12 +105,19 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
         raise UsageError("coefficients must be a mapping")
     for key, value in coeffs.items():
         apply(key, value)
+    for key, least in _INT_MINIMUM.items():
+        value = config["seed"] if key == "seed" else params.get(key, least)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
+    horizon = params.get("horizon", 1.0)
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) or not 0 < horizon < math.inf:
+        raise UsageError(f"horizon must be a positive finite number, got {horizon!r}")
     extras = {
         "out": config.get("out"),
         "grid": config.get("grid"),
         "threads": int(config.get("threads", 1)),
     }
-    return name, int(config["seed"]), params, extras
+    return name, config["seed"], params, extras
 
 
 def _run_sweep(name: str, params: dict, seed: int, grid: dict, threads: int):
@@ -215,7 +226,7 @@ def main(argv=None) -> int:
             raise UsageError("sweep requires a grid in the config")
         code, _ = run(config)
         return code
-    except UsageError as exc:
+    except (UsageError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -12,7 +12,8 @@ dc/dt = -(P sigma^2 + R sigma0^2), solved backward by fixed-step RK4
 with step halving.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "ControlProblem",
     "make_lq_problem",
     "LqValue",
-    "PerturbedValue",
     "zero_value",
     "solve_lq_value",
     "AffineFeedback",
@@ -110,12 +110,13 @@ def make_lq_problem(
     sigma0: float = 0.3,
     horizon: float = 1.0,
     a_max: float | None = None,
-) -> ControlProblem:
-    """The scalar linear-quadratic instance with common noise.
+) -> tuple[ControlProblem, "LqValue"]:
+    """The scalar linear-quadratic instance with common noise, and its
+    value candidate from one Riccati solve.
 
     When ``a_max`` is omitted it is set to twice the sup of the optimal
     feedback over the default residual lattice, so the clamp never binds
-    there.
+    there; the solve does not depend on ``a_max``.
     """
     constants = {
         "q": q,
@@ -143,23 +144,31 @@ def make_lq_problem(
     def terminal_reward(y, m):
         return -0.5 * c_g * measure_variance(m) - 0.5 * c_m * measure_mean(m) ** 2
 
+    bound = 1.0 if a_max is None else float(a_max)
+    problem = ControlProblem(coeffs, running_reward, terminal_reward, horizon, bound, constants)
+    value = solve_lq_value(problem)
     if a_max is None:
-        probe = ControlProblem(coeffs, running_reward, terminal_reward, horizon, 1.0, constants)
-        value = solve_lq_value(probe)
-        a_max = suggest_control_bound(value)
-    return ControlProblem(coeffs, running_reward, terminal_reward, horizon, float(a_max), constants)
+        problem = replace(problem, a_max=float(suggest_control_bound(value)))
+    return problem, value
 
 
+@dataclass(frozen=True, eq=False)
 class LqValue:
-    """Quadratic-in-moments value candidate backed by solved trajectories."""
+    """Quadratic-in-moments value candidate backed by solved trajectories.
 
-    def __init__(self, ts: np.ndarray, p: np.ndarray, r_coef: np.ndarray, c: np.ndarray, constants: Mapping[str, float], ode_error: float):
-        self.ts = ts
-        self.p = p
-        self.r_coef = r_coef
-        self.c = c
-        self.constants = dict(constants)
-        self.ode_error = ode_error
+    ``p_offset`` is added to P after its time derivative is taken, so
+    ``replace(value, p_offset=eps)`` is the candidate V + eps Var(m) with
+    the base's time derivative: a wrong candidate that the residual test
+    must reject.
+    """
+
+    ts: np.ndarray
+    p: np.ndarray
+    r_coef: np.ndarray
+    c: np.ndarray
+    constants: Mapping[str, float]
+    ode_error: float
+    p_offset: float = 0.0
 
     def quad_coeffs(self, t: float) -> dict[str, float]:
         q = self.constants["q"]
@@ -170,7 +179,7 @@ class LqValue:
         rr = float(np.interp(t, self.ts, self.r_coef))
         cc = float(np.interp(t, self.ts, self.c))
         return {
-            "P": p,
+            "P": p + self.p_offset,
             "R": rr,
             "c": cc,
             "dP": 0.5 * q - 2.0 * p * p,
@@ -198,55 +207,6 @@ class LqValue:
     def cross(self, t: float, m, x=None, xh=None):
         qc = self.quad_coeffs(t)
         return 2.0 * (qc["R"] - qc["P"])
-
-    def dy(self, t, m):
-        return 0.0
-
-    def dyy(self, t, m):
-        return 0.0
-
-    def d_lions_dy(self, t, m, x):
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-
-
-class PerturbedValue:
-    """Base candidate plus eps * Var(m); used to confirm the residual test
-    can fail."""
-
-    def __init__(self, base: LqValue, eps: float):
-        self.base = base
-        self.eps = float(eps)
-        self.constants = base.constants
-
-    def quad_coeffs(self, t: float) -> dict[str, float]:
-        qc = dict(self.base.quad_coeffs(t))
-        qc["P"] = qc["P"] + self.eps
-        return qc
-
-    def value(self, t, m):
-        return self.base.value(t, m) + self.eps * measure_variance(m)
-
-    def time_derivative(self, t, m):
-        return self.base.time_derivative(t, m)
-
-    def d_lions(self, t, m, x):
-        mu = measure_mean(m)
-        return self.base.d_lions(t, m, x) + 2.0 * self.eps * (np.asarray(x) - mu)
-
-    def d2x(self, t, m, x):
-        return self.base.d2x(t, m, x) + 2.0 * self.eps
-
-    def cross(self, t, m, x=None, xh=None):
-        return self.base.cross(t, m) - 2.0 * self.eps
-
-    def dy(self, t, m):
-        return 0.0
-
-    def dyy(self, t, m):
-        return 0.0
-
-    def d_lions_dy(self, t, m, x):
-        return self.base.d_lions_dy(t, m, x)
 
 
 def zero_value(constants: Mapping[str, float] | None = None) -> LqValue:
@@ -429,7 +389,9 @@ def generator(problem: ControlProblem, value, t: float, y: float, m, control) ->
 
     Empirical measures evaluate every integral as an atom average (the
     double integral as a full double average); Gaussian surrogates use
-    exact censored-Gaussian moments and require an affine feedback.
+    exact censored-Gaussian moments and require an affine feedback.  The
+    control instance has no factor (k = gamma = gamma0 = 0), so the
+    factor terms are absent.
     """
     if isinstance(m, GaussianMoments):
         if not isinstance(control, AffineFeedback):
@@ -449,16 +411,10 @@ def generator(problem: ControlProblem, value, t: float, y: float, m, control) ->
     dl = np.asarray(value.d_lions(t, m, x), dtype=float)
     d2 = np.broadcast_to(np.asarray(value.d2x(t, m, x), dtype=float), x.shape)
     cr = value.cross(t, m)
-    gamma = coeffs.gamma(t, y)
-    gamma0 = coeffs.gamma0(t, y)
-    k_t = coeffs.k(t, y)
-    dly = np.broadcast_to(np.asarray(value.d_lions_dy(t, m, x), dtype=float), x.shape)
     total = value.time_derivative(t, m)
-    total += k_t * value.dy(t, m) + 0.5 * (gamma**2 + gamma0**2) * value.dyy(t, m)
     total += m.average(f_vals)
     total += m.average(b * dl)
     total += 0.5 * m.average((s**2 + s0**2) * d2)
-    total += gamma0 * m.average(s0 * dly)
     if np.ndim(cr) == 0:
         total += 0.5 * float(cr) * m.average(s0) ** 2
     else:
@@ -498,7 +454,9 @@ def default_lattice(horizon: float = 1.0):
     )
 
 
-def _refined_sup(problem, value, t, mean, var, c0_span, c1_span):
+def _refined_sup(objective: Callable, c0_span: float, c1_span: float):
+    """(sup, c0, c1) of ``objective(c0s, c1s)`` over a 41-point grid on
+    [-span, span]^2, refined twice on 21-point grids around the best point."""
     c0_lo, c0_hi = -c0_span, c0_span
     c1_lo, c1_hi = -c1_span, c1_span
     best = (-np.inf, 0.0, 0.0)
@@ -506,7 +464,7 @@ def _refined_sup(problem, value, t, mean, var, c0_span, c1_span):
         c0s = np.linspace(c0_lo, c0_hi, pts)
         c1s = np.linspace(c1_lo, c1_hi, pts)
         grid0, grid1 = np.meshgrid(c0s, c1s, indexing="ij")
-        vals = _lq_generator_grid(problem, value, t, mean, var, grid0.ravel(), grid1.ravel())
+        vals = objective(grid0.ravel(), grid1.ravel())
         idx = int(np.argmax(vals))
         b0, b1 = grid0.ravel()[idx], grid1.ravel()[idx]
         if vals[idx] > best[0]:
@@ -548,7 +506,8 @@ def hjb_residual(
     for t in t_nodes:
         for mu in mean_nodes:
             for var in var_nodes:
-                sup, b0, b1 = _refined_sup(problem, value, float(t), float(mu), float(var), c0_span, c1_span)
+                grid = partial(_lq_generator_grid, problem, value, float(t), float(mu), float(var))
+                sup, b0, b1 = _refined_sup(grid, c0_span, c1_span)
                 nodes.append(HjbNode(float(t), float(mu), float(var), -sup, b0, b1))
     terminal_gap = 0.0
     for mu in mean_nodes:
@@ -585,28 +544,17 @@ def nonparametric_gap(
         a_bin = float(np.clip(dl[idx].mean(), -problem.a_max, problem.a_max))
         binned += float(a_part(a_bin)[idx].sum())
     binned /= x.size
-    best = -np.inf
     mu = measure_mean(cloud)
-    span0 = span1 = problem.a_max
-    lo0, hi0, lo1, hi1 = -span0, span0, -span1, span1
-    for pts in (41, 21, 21):
-        c0s = np.linspace(lo0, hi0, pts)
-        c1s = np.linspace(lo1, hi1, pts)
-        g0, g1 = np.meshgrid(c0s, c1s, indexing="ij")
+
+    def affine(c0, c1):
         a_grid = np.clip(
-            g0.ravel()[:, None] + g1.ravel()[:, None] * (x - mu)[None, :],
+            c0[:, None] + c1[:, None] * (x - mu)[None, :],
             -problem.a_max,
             problem.a_max,
         )
-        vals = (-0.5 * a_grid**2 + a_grid * dl[None, :]).mean(axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-        b0, b1 = g0.ravel()[i], g1.ravel()[i]
-        s0 = (hi0 - lo0) / (pts - 1)
-        s1 = (hi1 - lo1) / (pts - 1)
-        lo0, hi0 = b0 - 1.5 * s0, b0 + 1.5 * s0
-        lo1, hi1 = b1 - 1.5 * s1, b1 + 1.5 * s1
+        return (-0.5 * a_grid**2 + a_grid * dl[None, :]).mean(axis=1)
+
+    best, _, _ = _refined_sup(affine, problem.a_max, problem.a_max)
     return {
         "pointwise_sup": pointwise,
         "affine_sup": best,

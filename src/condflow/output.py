@@ -5,11 +5,10 @@ payloads round-trip losslessly and repeated runs compare byte-for-byte.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_number", "csv_text", "write_csv", "json_text", "write_json"]
+__all__ = ["format_number", "csv_text", "json_text"]
 
 
 def format_number(x) -> str:
@@ -25,10 +24,6 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.write_text(csv_text(header, rows))
 
 
 def _sanitize(obj):
@@ -49,7 +44,3 @@ def _sanitize(obj):
 
 def json_text(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
-
-
-def write_json(path: Path, obj) -> None:
-    path.write_text(json_text(obj))

@@ -5,7 +5,7 @@ measure of N particles driven by their own idiosyncratic Brownians plus
 a single shared one.  Particle averages are exact conditional
 expectations for the finite system: conditioning on every driver and
 drawing a uniformly random particle index makes the empirical measure
-the conditional law of the tagged particle, so the estimators below are
+the conditional law of the tagged particle, so these averages are
 not merely large-N approximations.
 """
 
@@ -20,25 +20,12 @@ from .paths import Partition, RngStream, SamplePath, SdeCoefficients, simulate_f
 
 __all__ = [
     "ParticleEnsemble",
-    "ConditionalEstimate",
     "dirac_initial",
     "gaussian_quantile_initial",
     "simulate_ensemble",
-    "cond_expect",
-    "cond_expect_pair",
-    "pair_product_expect",
     "ModulusResult",
     "measure_flow_modulus",
 ]
-
-
-@dataclass(frozen=True)
-class ConditionalEstimate:
-    """Estimate of a conditional expectation given the shared drivers."""
-
-    value: float
-    stderr: float
-    num_particles: int
 
 
 class _Sweep:
@@ -118,16 +105,6 @@ class ParticleEnsemble:
 
     def state_increments(self) -> np.ndarray:
         return np.diff(self.states, axis=0)
-
-    def particle_path(self, i: int) -> SamplePath:
-        fv = np.concatenate([[0.0], np.cumsum(self.drift_values[:, i] * self.deltas)])
-        values = self.states[:, i].copy()
-        mart = values - values[0] - fv
-        mart[0] = 0.0
-        return SamplePath(self.partition, values, fv, mart)
-
-    def factor_value(self, index: int) -> float:
-        return float(self.factor.values[index]) if self.factor is not None else 0.0
 
 
 def dirac_initial(x0: float) -> Callable:
@@ -267,62 +244,6 @@ def simulate_ensemble(
         first_cell=start,
         _sweep=sweep if stop < n else None,
     )
-
-
-def cond_expect(ensemble: ParticleEnsemble, statistic: Callable) -> ConditionalEstimate:
-    """Particle average of a per-path statistic (conditional on the
-    shared drivers by construction)."""
-    n = ensemble.num_particles
-    values = np.array([float(statistic(ensemble.particle_path(i))) for i in range(n)])
-    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return ConditionalEstimate(float(values.mean()), se, n)
-
-
-def cond_expect_pair(ensemble: ParticleEnsemble, statistic: Callable) -> ConditionalEstimate:
-    """Average of a pair statistic over ordered distinct particle indices.
-
-    The standard error uses the first-order projection of the pair
-    average onto single particles.  Quadratic in N; intended for modest
-    ensemble sizes (use :func:`pair_product_expect` for product
-    statistics).
-    """
-    n = ensemble.num_particles
-    if n < 2:
-        raise InvalidArgumentError("pair statistics need at least two particles")
-    paths = [ensemble.particle_path(i) for i in range(n)]
-    table = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                table[i, j] = float(statistic(paths[i], paths[j]))
-    total = table.sum()
-    value = total / (n * (n - 1))
-    # symmetric per-particle projection
-    proj = (table.sum(axis=0) + table.sum(axis=1)) / (2.0 * (n - 1))
-    se = float(2.0 * proj.std(ddof=1) / np.sqrt(n))
-    return ConditionalEstimate(float(value), se, n)
-
-
-def pair_product_expect(
-    ensemble: ParticleEnsemble, f_values: np.ndarray, g_values: np.ndarray
-) -> ConditionalEstimate:
-    """Pair average for product statistics f(X) g(Xhat), in O(N).
-
-    Uses sum_i f_i sum_j g_j - sum_i f_i g_i over N (N - 1), the exact
-    ordered-pair identity.
-    """
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    n = f.size
-    if n != ensemble.num_particles or g.size != n:
-        raise InvalidArgumentError("need one value per particle")
-    if n < 2:
-        raise InvalidArgumentError("pair statistics need at least two particles")
-    sf, sg, sfg = f.sum(), g.sum(), float(f @ g)
-    value = (sf * sg - sfg) / (n * (n - 1))
-    proj = (f * (sg - g) + g * (sf - f)) / (2.0 * (n - 1))
-    se = float(2.0 * proj.std(ddof=1) / np.sqrt(n))
-    return ConditionalEstimate(float(value), se, n)
 
 
 @dataclass(frozen=True)

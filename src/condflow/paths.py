@@ -58,13 +58,6 @@ class Partition:
     def mesh(self) -> float:
         return float(np.max(self.deltas))
 
-    def cell_of(self, s: float) -> int:
-        """Index i with s in (t_{i-1}, t_i]; 0 maps to the first cell."""
-        if s < self.times[0] or s > self.times[-1]:
-            raise InvalidArgumentError(f"time {s} outside [0, {self.horizon}]")
-        i = int(np.searchsorted(self.times, s, side="left"))
-        return max(i, 1)
-
     def indices_in(self, finer: "Partition") -> np.ndarray:
         """Positions of this grid's points inside a finer grid.
 

@@ -1,4 +1,4 @@
-"""Increment tables, variation estimators, and weighted quadratic-variation sums.
+"""Variation estimators and weighted quadratic-variation sums.
 
 The central statistic is sum_i H_{t_{i-1}} : (dX_i)(dXhat_i)^T for a
 weight process H held constant on each grid cell.  For a path with a
@@ -16,9 +16,7 @@ from .errors import InvalidArgumentError
 from .paths import Partition, RngStream, SamplePath
 
 __all__ = [
-    "IncrementTable",
     "WeightProcess",
-    "increments",
     "total_variation",
     "realized_qv",
     "weighted_qv_sum",
@@ -28,37 +26,6 @@ __all__ = [
     "LemmaStudy",
     "lemma_convergence_study",
 ]
-
-
-@dataclass(frozen=True)
-class IncrementTable:
-    """Per-cell increments of a path along a partition, cut at time s.
-
-    ``times`` are the realized cell edges 0 = e_0 < ... < e_k = s; the
-    last cell may be a partial one when s falls inside a grid cell.
-    """
-
-    partition: Partition
-    s: float
-    times: np.ndarray
-    values: np.ndarray
-
-    def total(self) -> np.ndarray | float:
-        return self.values.sum(axis=0) if self.values.size else 0.0
-
-
-def increments(path: SamplePath, partition: Partition, s: float) -> IncrementTable:
-    """Increment table of ``path`` along ``partition``, restricted to [0, s]."""
-    t = partition.times
-    if s < 0.0 or s > t[-1]:
-        raise InvalidArgumentError(f"time {s} outside [0, {t[-1]}]")
-    partition.indices_in(path.partition)  # subordination check
-    edges = t[t < s]
-    edges = np.concatenate([edges, [s]])
-    if edges.size < 2:
-        edges = np.array([0.0, s]) if s > 0 else np.array([0.0])
-    vals = np.array([path.value_at(e) for e in edges])
-    return IncrementTable(partition, float(s), edges, np.diff(vals, axis=0))
 
 
 def total_variation(path: SamplePath) -> float:
@@ -98,10 +65,6 @@ class WeightProcess:
             raise InvalidArgumentError("one weight per cell required")
         if not np.all(np.isfinite(v)):
             raise InvalidArgumentError("weights must be finite")
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def constant_weight(partition: Partition, value: float = 1.0) -> WeightProcess:

@@ -6,7 +6,7 @@ coefficient instance, default sizes, and the pass rule, so the command
 line (and the acceptance suite) can run them by name.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "identity_test",
     "square_test",
     "get_functional",
-    "get_factor_functional",
     "get_experiment",
     "list_registry",
     "RunOutput",
@@ -193,12 +192,6 @@ def get_functional(name: str) -> CylindricalFunctional:
     if name not in _FUNCTIONALS:
         raise InvalidArgumentError(f"unknown functional {name!r}")
     return _FUNCTIONALS[name]()
-
-
-def get_factor_functional(name: str) -> FactorFunctional:
-    if name not in _FACTOR_FUNCTIONALS:
-        raise InvalidArgumentError(f"unknown factor functional {name!r}")
-    return _FACTOR_FUNCTIONALS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +407,17 @@ def _deriv_battery(params: dict, rng: RngStream) -> RunOutput:
     return RunOutput(passed, report, {"battery.csv": (header, rows)})
 
 
+def _lq_problem(params: dict):
+    """The LQ instance of an experiment's parameters and its solved value."""
+    keys = ("q", "r", "c_g", "c_m", "sigma", "sigma0", "horizon")
+    return mfc.make_lq_problem(**{key: params[key] for key in keys})
+
+
 def _hjb_lq(params: dict, rng: RngStream) -> RunOutput:
-    problem = mfc.make_lq_problem(
-        q=params["q"],
-        r=params["r"],
-        c_g=params["c_g"],
-        c_m=params["c_m"],
-        sigma=params["sigma"],
-        sigma0=params["sigma0"],
-        horizon=params["horizon"],
-    )
-    value = mfc.solve_lq_value(problem)
+    problem, value = _lq_problem(params)
     hjb = mfc.hjb_residual(problem, value, tol=params["tol_hjb"])
     perturbed = mfc.hjb_residual(
-        problem, mfc.PerturbedValue(value, params["perturbation"]), tol=params["tol_hjb"]
+        problem, replace(value, p_offset=params["perturbation"]), tol=params["tol_hjb"]
     )
     discriminative = perturbed.max_abs_residual >= params["perturbation_floor"]
 
@@ -493,16 +483,7 @@ def _hjb_lq(params: dict, rng: RngStream) -> RunOutput:
 
 
 def _dpp_lq(params: dict, rng: RngStream) -> RunOutput:
-    problem = mfc.make_lq_problem(
-        q=params["q"],
-        r=params["r"],
-        c_g=params["c_g"],
-        c_m=params["c_m"],
-        sigma=params["sigma"],
-        sigma0=params["sigma0"],
-        horizon=params["horizon"],
-    )
-    value = mfc.solve_lq_value(problem)
+    problem, value = _lq_problem(params)
     which = params["control"]
     if which == "optimal":
         control = mfc.optimal_feedback(value, problem.a_max)

@@ -30,6 +30,17 @@ def w2_squared_replicated(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((xs - ys) ** 2))
 
 
+def pair_average_bruteforce(f: np.ndarray, g: np.ndarray) -> float:
+    """Average of f_i g_j over ordered pairs of distinct indices, by double loop."""
+    n = len(f)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += float(f[i]) * float(g[j])
+    return total / (n * (n - 1))
+
+
 def riccati_closed_form(q: float, terminal: float, horizon: float, ts: np.ndarray) -> np.ndarray:
     """tanh solution of dP/dt = q/2 - 2 P^2 with P(horizon) = terminal.
 

@@ -9,12 +9,9 @@ from condflow import (
     RandomFieldSpec,
     RngStream,
     VerifyConfig,
-    build_random_field,
     constant_coefficients,
     convergence_sweep,
-    d_lions,
     dirac_initial,
-    empirical,
     gaussian_quantile_initial,
     linear_combination,
     verify_brownian_corollary,
@@ -22,6 +19,7 @@ from condflow import (
     verify_ito,
     verify_ito_wentzell,
 )
+from condflow import chainrule
 from condflow.measures import CylindricalFunctional, OuterFunction
 from condflow.registry import (
     factor_linear_functional,
@@ -30,6 +28,7 @@ from condflow.registry import (
     mean_functional,
     mean_squared_functional,
     second_moment_functional,
+    variance_functional,
 )
 
 RNG = RngStream(101, 0)
@@ -149,56 +148,39 @@ def test_verify_ito_rejects_bad_config():
         VerifyConfig(RNG, bracket="nope")
     bad_spec = common_noise_spec(particles=1)
     with pytest.raises(InvalidArgumentError):
-        verify_ito(mean_functional(), bad_spec, VerifyConfig(RNG, outer_paths=1))
+        verify_ito(mean_functional(), bad_spec, VerifyConfig(RNG, outer_paths=2))
+
+
+def test_single_repetition_needs_the_exact_rule():
+    # one repetition has no standard error, so mc and dt would pass by default
+    for rule in ("mc", "dt"):
+        with pytest.raises(InvalidArgumentError):
+            VerifyConfig(RNG, outer_paths=1, rule=rule)
+    cfg = VerifyConfig(RNG.child(5), outer_paths=1, cross="pairwise", rule="exact")
+    report = verify_ito(mean_squared_functional(), common_noise_spec(n=8, particles=8), cfg)
+    assert len(report.rows) == 1 and report.passed
 
 
 # ---------------------------------------------------------------------------
 # random fields
 
 
-def test_field_without_drivers_is_static():
-    spec = common_noise_spec(n=16, particles=8)
-    ens = spec.build(RNG.child(10))
-    fspec = RandomFieldSpec(mean_squared_functional(), ())
-    field = build_random_field(fspec, ens, RNG.child(10, 1))
-    m = empirical(np.array([0.4, 1.2, -0.3]))
-    vals = [field.value(k, m) for k in (0, 7, 16)]
-    assert vals[0] == vals[1] == vals[2]
-
-
-def test_field_deterministic_driver_quadrature():
-    # U_0 = 0, dU = mean(m) dB with B_t = t gives U_t(m) = t mean(m)
-    spec = common_noise_spec(n=10, particles=8)
-    ens = spec.build(RNG.child(11))
-    fspec = RandomFieldSpec(None, (FieldComponent(mean_functional(), "fv", "time"),))
-    field = build_random_field(fspec, ens, RNG.child(11, 1))
-    m = empirical(np.array([2.0, 4.0]))
-    assert field.value(5, m) == pytest.approx(0.5 * 3.0)
-    assert field.value(10, m) == pytest.approx(3.0)
-
-
-def test_field_derivative_decomposition_two_ways():
-    # differentiate-then-integrate vs integrate-then-differentiate
-    spec = common_noise_spec(n=24, particles=8, sigma=0.5)
-    ens = spec.build(RNG.child(12))
-    fspec = RandomFieldSpec(
-        mean_squared_functional(),
-        (
-            FieldComponent(second_moment_functional(), "fv", "time", scale=0.7),
-            FieldComponent(mean_functional(), "martingale", "common", scale=1.3),
-        ),
-    )
-    field = build_random_field(fspec, ens, RNG.child(12, 1))
-    m = empirical(np.array([0.3, -0.8, 1.4]))
-    xs = np.array([-0.5, 0.1, 2.0])
-    for k in (0, 11, 24):
-        via_functional = d_lions(field.as_functional(k), m, xs)
-        manual = (
-            d_lions(mean_squared_functional(), m, xs)
-            + field.drivers[0][k] * d_lions(second_moment_functional(), m, xs)
-            + field.drivers[1][k] * d_lions(mean_functional(), m, xs)
-        )
-        np.testing.assert_allclose(via_functional, manual, atol=1e-14)
+@pytest.mark.parametrize("bracket, cross", [("analytic", "analytic"), ("realized", "pairwise")])
+def test_wentzell_without_components_is_plain_ito(monkeypatch, bracket, cross):
+    # a field with no drivers is a deterministic functional: the Wentzell
+    # rule reduces to the Ito rule term for term, across several windows
+    monkeypatch.setattr(chainrule, "_WINDOW_ELEMENTS", 5 * 16)
+    spec = common_noise_spec(n=32, particles=16, sigma=0.6, sigma0=0.8)
+    u = variance_functional()  # nonzero gradient, Hessian and pair kernel
+    cfg = VerifyConfig(RNG.child(40), outer_paths=3, bracket=bracket, cross=cross)
+    plain = verify_ito(u, spec, cfg)
+    field = verify_ito_wentzell(RandomFieldSpec(u, ()), spec, cfg)
+    for a, b in zip(plain.rows, field.rows):
+        assert a.lhs == b.lhs
+        for name in ("stochastic_integral", "second_order", "cross"):
+            assert a.terms[name] == b.terms[name]
+        for name in ("field_fv", "field_martingale", "bracket_correction"):
+            assert b.terms[name] == 0.0
 
 
 def test_wentzell_deterministic_field_reduction():
@@ -367,7 +349,7 @@ def test_factor_reduces_to_plain_ito_when_y_independent():
 def test_factor_requires_y0():
     espec = common_noise_spec()
     with pytest.raises(InvalidArgumentError):
-        verify_factor_model(factor_linear_functional(), espec, VerifyConfig(RNG, outer_paths=1))
+        verify_factor_model(factor_linear_functional(), espec, VerifyConfig(RNG, outer_paths=2))
 
 
 # ---------------------------------------------------------------------------

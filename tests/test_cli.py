@@ -143,3 +143,25 @@ def test_cli_list(capsys):
 def test_cli_default_experiment_requires_seed(tmp_path):
     assert main(["verify-ito", "--out", str(tmp_path)]) == 2
     assert main(["deriv-check", "--seed", "9", "--out", str(tmp_path / "d")]) == 0
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": -1},
+        {"seed": True},
+        {"n": 0},
+        {"N": 1},
+        {"horizon": -1},
+        {"n": "abc"},
+        {"experiment": "ito-second-moment", "M": 1},
+        {"experiment": "wentzell-ablation", "M": 1},
+    ],
+)
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):
+    out = tmp_path / "out"
+    cfg = small_config(out=str(out), **override)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert main([get_experiment(cfg["experiment"]).kind, "--config", str(cfg_path)]) == 2
+    assert not out.exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from condflow.errors import InvalidArgumentError
 from condflow.mfc import (
     AffineFeedback,
     GaussianMoments,
-    PerturbedValue,
     constant_control_gap,
     constant_feedback,
     dpp_check,
@@ -18,15 +19,13 @@ from condflow.mfc import (
     measure_variance,
     nonparametric_gap,
     optimal_feedback,
-    solve_lq_value,
     zero_value,
     _lq_generator_grid,
 )
 
 from helpers import constant_gap_closed_form, riccati_closed_form
 
-PROBLEM = make_lq_problem()
-VALUE = solve_lq_value(PROBLEM)
+PROBLEM, VALUE = make_lq_problem()
 
 
 def test_riccati_against_tanh_closed_form():
@@ -78,7 +77,7 @@ def test_value_derivative_fields_consistent():
 
 
 def test_generator_zero_everything():
-    problem = make_lq_problem(q=0.0, r=0.0, c_g=0.0, c_m=0.0, sigma=0.0, sigma0=0.0, a_max=2.0)
+    problem, _ = make_lq_problem(q=0.0, r=0.0, c_g=0.0, c_m=0.0, sigma=0.0, sigma0=0.0, a_max=2.0)
     v0 = zero_value()
     m = GaussianMoments(0.5, 1.0)
     for a in (-1.0, 0.0, 0.8):
@@ -89,7 +88,7 @@ def test_generator_zero_everything():
 
 
 def test_degenerate_problem_zero_residual():
-    problem = make_lq_problem(q=0.0, r=0.0, c_g=0.0, c_m=0.0, sigma=0.3, sigma0=0.2, a_max=2.0)
+    problem, _ = make_lq_problem(q=0.0, r=0.0, c_g=0.0, c_m=0.0, sigma=0.3, sigma0=0.2, a_max=2.0)
     report = hjb_residual(
         problem,
         zero_value(),
@@ -183,7 +182,7 @@ def test_hjb_residual_full_lattice():
 
 
 def test_hjb_perturbed_candidate_fails_visibly():
-    report = hjb_residual(PROBLEM, PerturbedValue(VALUE, 0.1), tol=1e-4)
+    report = hjb_residual(PROBLEM, replace(VALUE, p_offset=0.1), tol=1e-4)
     assert report.max_abs_residual >= 0.05
     assert not report.passed
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,18 +7,18 @@ from condflow import (
     BlowUpError,
     InvalidArgumentError,
     RngStream,
-    cond_expect,
-    cond_expect_pair,
     constant_coefficients,
     dirac_initial,
     empirical,
     gaussian_quantile_initial,
     make_uniform_partition,
     measure_flow_modulus,
-    pair_product_expect,
     simulate_ensemble,
 )
+from condflow.chainrule import _ustat_rows
 from condflow.paths import SdeCoefficients
+
+from helpers import pair_average_bruteforce
 
 
 def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, control=None):
@@ -38,10 +37,6 @@ def test_pure_common_noise_moving_dirac():
     expected = 0.7 + ens.common.values
     for i in range(8):
         np.testing.assert_array_equal(ens.states[:, i], expected)
-    # conditional expectation of the terminal value is exact with zero stderr
-    est = cond_expect(ens, lambda path: path.values[-1])
-    assert est.value == pytest.approx(0.7 + ens.common.values[-1])
-    assert est.stderr == 0.0
 
 
 def test_idio_noise_empirical_variance():
@@ -57,50 +52,12 @@ def test_idio_noise_empirical_variance():
     assert abs(vals.mean() - 1.0) < 3.0 * se
 
 
-def test_cond_expect_constant_statistic():
-    ens = build(constant_coefficients(sigma=1.0), dirac_initial(0.0))
-    est = cond_expect(ens, lambda path: 3.25)
-    assert est.value == 3.25
-    assert est.stderr == 0.0
-
-
-def test_cond_expect_clt_scale():
-    ens = build(constant_coefficients(sigma=1.0), dirac_initial(0.2), n_particles=512, seed=9)
-    est = cond_expect(ens, lambda path: path.values[-1])
-    assert abs(est.value - 0.2) < 3.0 / np.sqrt(512)
-    assert est.stderr > 0
-
-
-def test_pair_statistic_constant():
-    ens = build(constant_coefficients(sigma=1.0), dirac_initial(0.0), n_particles=8)
-    est = cond_expect_pair(ens, lambda a, b: 1.0)
-    assert est.value == 1.0
-    assert est.stderr == 0.0
-
-
 def test_pair_product_identity_vs_double_loop():
     ens = build(constant_coefficients(sigma=1.0), dirac_initial(0.0), n_particles=12, seed=3)
-    f = ens.states[-1]
-    g = ens.states[-1] ** 2
-    direct = cond_expect_pair(ens, lambda a, b: a.values[-1] * b.values[-1] ** 2)
-    fast = pair_product_expect(ens, f, g)
-    assert fast.value == pytest.approx(direct.value, rel=1e-12)
-    assert fast.stderr == pytest.approx(direct.stderr, rel=1e-9)
-
-
-def test_pair_product_independence_centered():
-    ens = build(constant_coefficients(sigma=1.0), dirac_initial(0.0), n_particles=512, seed=21)
-    term = ens.states[-1]
-    est = pair_product_expect(ens, term, term)
-    assert abs(est.value) < 3.0 * est.stderr + 1e-3
-
-
-def test_pair_product_identical_particles():
-    ens = build(constant_coefficients(sigma0=1.0), dirac_initial(0.0), n_particles=16)
-    w0_t = ens.common.values[-1]
-    est = pair_product_expect(ens, ens.states[-1], ens.states[-1])
-    assert est.value == pytest.approx(w0_t**2)
-    assert est.stderr == pytest.approx(0.0, abs=1e-14)
+    f, g = ens.states, ens.states**2
+    fast = _ustat_rows(f, g)
+    for k in range(f.shape[0]):
+        assert fast[k] == pytest.approx(pair_average_bruteforce(f[k], g[k]), rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -111,20 +68,10 @@ def test_exchangeability(seed):
         n_particles=16, n_cells=8, seed=seed,
     )
     perm = np.random.default_rng(seed).permutation(16)
-    permuted = replace(
-        ens,
-        states=ens.states[:, perm],
-        idio_increments=ens.idio_increments[:, perm],
-        drift_values=ens.drift_values[:, perm],
-        sigma_values=ens.sigma_values[:, perm],
-        sigma0_values=ens.sigma0_values[:, perm],
-    )
-    est = cond_expect(ens, lambda p: p.values[-1] ** 2)
-    est_p = cond_expect(permuted, lambda p: p.values[-1] ** 2)
-    assert est.value == pytest.approx(est_p.value, rel=1e-12)
-    pair = pair_product_expect(ens, ens.states[-1], ens.states[-1])
-    pair_p = pair_product_expect(permuted, permuted.states[-1], permuted.states[-1])
-    assert pair.value == pytest.approx(pair_p.value, rel=1e-12)
+    states, permuted = ens.states, ens.states[:, perm]
+    np.testing.assert_allclose(permuted.mean(axis=1), states.mean(axis=1), rtol=1e-12, atol=1e-15)
+    pair = _ustat_rows(states, states**2)
+    np.testing.assert_allclose(_ustat_rows(permuted, permuted**2), pair, rtol=1e-12, atol=1e-15)
 
 
 def test_mckean_vlasov_coupling_sees_running_mean():
@@ -167,14 +114,6 @@ def test_invalid_particle_counts_and_initials():
     # single-atom measures tile; exact-count measures pass through
     ens = simulate_ensemble(constant_coefficients(), empirical([1.5]), 4, part, RngStream(0, 0))
     np.testing.assert_array_equal(ens.states[0], np.full(4, 1.5))
-
-
-def test_particle_path_decomposition():
-    ens = build(constant_coefficients(b=0.5, sigma=0.3), dirac_initial(0.1), n_particles=4)
-    path = ens.particle_path(2)
-    fv, mart = path.decomposition
-    np.testing.assert_allclose(fv[-1], 0.5, atol=1e-12)
-    np.testing.assert_allclose(path.values[0] + fv + mart, path.values, rtol=0, atol=1e-13)
 
 
 def test_modulus_frozen_and_translation():

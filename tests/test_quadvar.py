@@ -8,7 +8,6 @@ from condflow import (
     RngStream,
     SamplePath,
     constant_weight,
-    increments,
     lemma_convergence_study,
     make_uniform_partition,
     realized_qv,
@@ -23,30 +22,6 @@ from condflow.quadvar import WeightProcess
 def linear_path(n=2, horizon=1.0):
     p = make_uniform_partition(horizon, n)
     return SamplePath(p, p.times.copy())
-
-
-def test_increments_partial_cell():
-    path = linear_path(2)
-    table = increments(path, path.partition, 0.75)
-    np.testing.assert_allclose(table.times, [0.0, 0.5, 0.75])
-    assert table.values[-1] == pytest.approx(0.25)
-    assert table.total() == pytest.approx(0.75)
-
-
-def test_increments_constant_path():
-    p = make_uniform_partition(1.0, 4)
-    path = SamplePath(p, np.full(5, 3.0))
-    table = increments(path, p, 0.6)
-    assert np.all(table.values == 0.0)
-
-
-def test_increments_boundary_time():
-    path = linear_path(4)
-    table = increments(path, path.partition, 0.5)
-    np.testing.assert_allclose(table.times, [0.0, 0.25, 0.5])
-    np.testing.assert_allclose(table.values, [0.25, 0.25])
-    with pytest.raises(InvalidArgumentError):
-        increments(path, path.partition, 1.5)
 
 
 def test_total_variation():
