@@ -27,7 +27,6 @@ from .errors import (
     BlowUpError,
     InvalidArgumentError,
     NumericOverflowError,
-    UnsupportedError,
 )
 from .measures import (
     CylindricalFunctional,
@@ -35,18 +34,13 @@ from .measures import (
     MeasurePair,
     OuterFunction,
     TestFunction,
-    d2x_dm,
-    d_lions,
     delta_m,
-    dm2,
-    dm2_cross,
     empirical,
     evaluate,
     fd_check_dm,
     fd_check_dm2,
     integral_identity_gap,
     linear_combination,
-    w2_squared,
 )
 from .particle import (
     ParticleEnsemble,
@@ -71,7 +65,6 @@ from .quadvar import (
     lemma_convergence_study,
     realized_qv,
     sampled_weight,
-    total_variation,
     weighted_qv_sum,
 )
-from .registry import get_experiment, get_functional, list_registry
+from .registry import get_experiment, list_registry

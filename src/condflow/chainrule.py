@@ -7,15 +7,15 @@ M independent common-noise repetitions, sweeps each in time windows of
 about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so memory is
 O(N) rather than O(n N)), and fills per-time buffers (length n+1) and
 per-cell term vectors (length n) from each window's test-function
-tables.  Every right-side term is a sum over cells of a left-endpoint
-quantity times the cell increment, and particle averages reduce each
-row on its own, so every report is the same bytes however the sweep is
-split.  Each public verifier is a view: it names its functionals and
-the integrands it needs against the gradient, the Hessian and the pair
-U-statistic, and turns the buffers and its driver paths into named
-terms and the residual LHS - sum(terms).  That residual is an
-accounting identity, so a failure localizes to a term, not to
-bookkeeping.
+tables (``measures._Tables``, the windowed derivative calculus).  Every
+right-side term is a sum over cells of a left-endpoint quantity times
+the cell increment, and particle averages reduce each row on its own,
+so every report is the same bytes however the sweep is split.  Each
+public verifier is a view: it names its functionals and the integrands
+it needs against the gradient, the Hessian and the pair U-statistic,
+and turns the buffers and its driver paths into named terms and the
+residual LHS - sum(terms).  That residual is an accounting identity, so
+a failure localizes to a term, not to bookkeeping.
 
 Bracket increments default to the analytic form implied by the known
 coefficients (sigma^2 + sigma0^2) dt; realized squared increments and
@@ -24,14 +24,14 @@ pairwise increment products are available as estimator cross-checks.
 
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .measures import CylindricalFunctional, TestFunction
+from .measures import CylindricalFunctional, TestFunction, _Tables
 from .particle import ParticleEnsemble, simulate_ensemble
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
 
@@ -76,21 +76,10 @@ class EnsembleSpec:
     def partition(self) -> Partition:
         return make_uniform_partition(self.horizon, self.num_cells)
 
-    def build(self, rng: RngStream) -> ParticleEnsemble:
-        """The whole run as one ensemble."""
-        return simulate_ensemble(
-            self.coeffs,
-            self.initial,
-            self.num_particles,
-            self.partition(),
-            rng,
-            control=self.control,
-            y0=self.y0,
-        )
-
     def windows(self, rng: RngStream):
-        """Yield the same run as :meth:`build`, as consecutive windows of
-        max(1, 2^16 // N) cells (the last one may be shorter)."""
+        """Yield one run of :func:`simulate_ensemble` on this recipe, as
+        consecutive windows of max(1, 2^16 // N) cells (the last one may be
+        shorter)."""
         part = self.partition()
         step = max(1, _WINDOW_ELEMENTS // self.num_particles)
         ens = self.initial
@@ -106,13 +95,6 @@ class EnsembleSpec:
                 num_cells=step,
             )
             yield ens
-
-    def resized(self, num_cells: int | None = None, num_particles: int | None = None):
-        return replace(
-            self,
-            num_cells=num_cells or self.num_cells,
-            num_particles=num_particles or self.num_particles,
-        )
 
 
 @dataclass(frozen=True)
@@ -238,50 +220,6 @@ def _finalize(
 
 # ---------------------------------------------------------------------------
 # the chain-rule kernel
-
-
-def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # ordered-pair average per row of two (n, N) arrays
-    n_p = a.shape[1]
-    return (a.sum(axis=1) * b.sum(axis=1) - (a * b).sum(axis=1)) / (n_p * (n_p - 1))
-
-
-class _Tables:
-    """Values/gradients/Hessians of the test functions along one window; each
-    method is one per-cell integrand, contracted with outer-derivative rows."""
-
-    def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):
-        self.vals = [np.asarray(t.value(states), dtype=float) for t in tests]
-        self.grads = [np.asarray(t.grad(states), dtype=float) for t in tests]
-        self.hesses = [np.asarray(t.hess(states), dtype=float) for t in tests]
-        self.moments = np.stack([p.mean(axis=1) for p in self.vals], axis=-1)  # (n+1, k)
-
-    def grad_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-cell particle mean of sum_a dF_a grad(phi_a) * weights."""
-        out = 0.0
-        for a, g in enumerate(self.grads):
-            out = out + d_outer[:-1, a] * (g[:-1] * weights).mean(axis=1)
-        return out
-
-    def hess_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        out = 0.0
-        for a, h in enumerate(self.hesses):
-            out = out + d_outer[:-1, a] * (h[:-1] * weights).mean(axis=1)
-        return out
-
-    def pair_mean(self, d2_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-cell pair average of the mixed second-derivative kernel."""
-        k = len(self.vals)
-        out = 0.0
-        for a in range(k):
-            wa = self.grads[a][:-1] * weights
-            for b in range(k):
-                col = d2_outer[:-1, a, b]
-                if not np.any(col):
-                    continue
-                wb = self.grads[b][:-1] * weights
-                out = out + col * _ustat_rows(wa, wb)
-        return out
 
 
 def _verify(

@@ -40,13 +40,28 @@ _SUBCOMMAND_DEFAULTS = {
 }
 
 _TOLERANCE_KEYS = {"C", "tol_hjb", "tol_exact", "perturbation_floor", "quadrature_tol", "l1_threshold"}
-_TOP_KEYS = {"experiment", "seed", "out", "n", "N", "M", "horizon", "tolerance", "coefficients", "functional", "control", "grid", "threads"}
+_TOP_KEYS = {"experiment", "seed", "out", "n", "N", "M", "horizon", "tolerance", "coefficients", "control", "grid", "threads"}
 # least value of each integer parameter; pair terms need two particles
-_INT_MINIMUM = {"seed": 0, "n": 1, "N": 2, "M": 1}
+_INT_MINIMUM = {"seed": 0, "n": 1, "N": 2, "M": 1, "threads": 1}
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_int(key: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of a registry default: a bool is not a
+    number, an int stands for a float, and a list matches element by element."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
 
 
 def load_config(path: str | Path) -> dict:
@@ -68,8 +83,9 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     """Validate a config against its experiment's parameter set.
 
     Returns (experiment name, seed, resolved params, extras) where extras
-    carries out/grid/threads.  Unknown keys anywhere, and a seed, n, N, M
-    or horizon of the wrong type or out of range, are usage errors.
+    carries out/grid/threads.  Unknown keys anywhere, a value whose type
+    differs from its registry default, and a seed, n, N, M, threads or
+    horizon out of range are usage errors.
     """
     unknown = set(config) - _TOP_KEYS
     if unknown:
@@ -79,6 +95,8 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     if "seed" not in config:
         raise UsageError("config must carry a seed (no wall-clock default)")
     name = config["experiment"]
+    if not isinstance(name, str):
+        raise UsageError(f"experiment must be a name, got {name!r}")
     try:
         exp = get_experiment(name)
     except InvalidArgumentError as exc:
@@ -88,9 +106,11 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     def apply(key, value):
         if key not in params:
             raise UsageError(f"experiment {name!r} does not accept parameter {key!r}")
+        if not _fits(value, exp.defaults[key]):
+            raise UsageError(f"{key} must have the type of its default {exp.defaults[key]!r}, got {value!r}")
         params[key] = value
 
-    for key in ("n", "N", "M", "horizon", "functional", "control"):
+    for key in ("n", "N", "M", "horizon", "control"):
         if key in config:
             apply(key, config[key])
     tol = config.get("tolerance", {})
@@ -105,17 +125,16 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
         raise UsageError("coefficients must be a mapping")
     for key, value in coeffs.items():
         apply(key, value)
+    checked = {**params, "seed": config["seed"], "threads": config.get("threads", 1)}
     for key, least in _INT_MINIMUM.items():
-        value = config["seed"] if key == "seed" else params.get(key, least)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
+        _check_int(key, checked.get(key, least), least)
     horizon = params.get("horizon", 1.0)
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) or not 0 < horizon < math.inf:
+    if not 0 < horizon < math.inf:  # its type was checked against the default
         raise UsageError(f"horizon must be a positive finite number, got {horizon!r}")
     extras = {
         "out": config.get("out"),
         "grid": config.get("grid"),
-        "threads": int(config.get("threads", 1)),
+        "threads": checked["threads"],
     }
     return name, config["seed"], params, extras
 
@@ -129,9 +148,13 @@ def _run_sweep(name: str, params: dict, seed: int, grid: dict, threads: int):
     unknown = set(grid) - {"n", "N", "M"}
     if unknown:
         raise UsageError(f"unknown grid keys: {sorted(unknown)}")
-    ns = [int(v) for v in grid.get("n", [params["n"]])]
-    big_ns = [int(v) for v in grid.get("N", [params["N"]])]
-    ms = [int(v) for v in grid.get("M", [params["M"]])]
+    axes = {key: grid.get(key, [params[key]]) for key in ("n", "N", "M")}
+    for key, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise UsageError(f"grid {key} must be a nonempty list")
+        for value in values:
+            _check_int(f"grid {key}", value, _INT_MINIMUM[key])
+    ns, big_ns, ms = axes["n"], axes["N"], axes["M"]
     cells = [(n, bn, m) for bn in big_ns for m in ms for n in ns]
 
     def run_cell(n, bn, m, rng):

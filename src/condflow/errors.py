@@ -5,10 +5,6 @@ class InvalidArgumentError(ValueError):
     """Raised when an operation receives arguments outside its contract."""
 
 
-class UnsupportedError(ValueError):
-    """Raised for inputs that are valid in principle but not handled here."""
-
-
 class NumericOverflowError(FloatingPointError):
     """Raised when an evaluation produces non-finite values."""
 

@@ -1,23 +1,32 @@
-"""Empirical measures, quadratic Wasserstein cost, and exact derivative
-calculus for cylindrical functionals u(m) = F(<phi_1, m>, ..., <phi_k, m>).
+"""Empirical measures and the exact derivative calculus of cylindrical
+functionals u(m) = F(<phi_1, m>, ..., <phi_k, m>).
 
 The functional linear derivative of a cylindrical u has the closed form
 
     delta_m u(m, x)        = sum_a  dF_a(v(m)) phi_a(x)
     delta_m^2 u(m, x, xh)  = sum_ab d2F_ab(v(m)) phi_a(x) phi_b(xh)
 
-with v_a(m) = <phi_a, m>; the measure derivative in the Lions sense is
-the x-gradient of the first expression.  Finite-difference checks below
-validate these forms directly against the defining directional limits.
+with v_a(m) = <phi_a, m>.  The chain rules need three more fields: the
+x-gradient of the first expression (the measure derivative in the Lions
+sense), that gradient's own x-derivative, and the mixed x, xh gradient
+of the second.  The calculus exists in two forms.  :func:`delta_m`
+evaluates the first derivative pointwise; the finite-difference and
+quadrature checks below validate it against the defining directional
+limits.  :class:`_Tables` evaluates the test functions and their x-
+derivatives once along a window of particle states, and contracts them
+with rows of outer derivatives dF, d2F into the per-cell particle means
+(gradient and Hessian fields) and ordered-pair averages (mixed field)
+that the chain-rule verifiers integrate.
+
+Atoms are scalar: every measure here is a (N,) atom array.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidArgumentError, NumericOverflowError, UnsupportedError
+from .errors import InvalidArgumentError, NumericOverflowError
 
 __all__ = [
     "EmpiricalMeasure",
@@ -26,13 +35,8 @@ __all__ = [
     "CylindricalFunctional",
     "MeasurePair",
     "empirical",
-    "w2_squared",
     "evaluate",
     "delta_m",
-    "d_lions",
-    "d2x_dm",
-    "dm2",
-    "dm2_cross",
     "FdRow",
     "fd_check_dm",
     "fd_check_dm2",
@@ -48,17 +52,13 @@ _GL_W01 = 0.5 * _GL_WEIGHTS
 
 
 class EmpiricalMeasure:
-    """Finitely supported measure with uniform (or explicit) weights.
-
-    Atoms are a (N,) array for scalar state or (N, d) for vector state.
-    The calculus below requires scalar atoms; the transport cost accepts
-    both.
-    """
+    """Finitely supported measure on scalar atoms (a (N,) array) with
+    uniform (or explicit) weights."""
 
     def __init__(self, atoms: np.ndarray, weights: np.ndarray | None = None):
         atoms = np.asarray(atoms, dtype=float)
-        if atoms.ndim not in (1, 2) or atoms.shape[0] == 0:
-            raise InvalidArgumentError("need a nonempty (N,) or (N, d) atom array")
+        if atoms.ndim != 1 or atoms.shape[0] == 0:
+            raise InvalidArgumentError("need a nonempty (N,) atom array")
         if not np.all(np.isfinite(atoms)):
             raise InvalidArgumentError("atoms must be finite")
         self.atoms = atoms
@@ -69,19 +69,10 @@ class EmpiricalMeasure:
             if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
                 raise InvalidArgumentError("weights must be nonnegative and sum to 1")
         self.weights = weights
-        self._sorted = None
 
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.atoms.ndim == 1 else self.atoms.shape[1]
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.weights is None
 
     def average(self, values: np.ndarray) -> float:
         if self.weights is None:
@@ -93,65 +84,10 @@ class EmpiricalMeasure:
             return self.atoms.mean(axis=0)
         return np.tensordot(self.weights, self.atoms, axes=1)
 
-    def sorted_atoms(self) -> np.ndarray:
-        """Cached sorted view; scalar atoms only."""
-        if self.dim != 1:
-            raise UnsupportedError("sorted view is defined for scalar atoms")
-        if self._sorted is None:
-            order = np.argsort(self.atoms, kind="stable")
-            self._sorted = (self.atoms[order], order)
-        return self._sorted[0]
-
 
 def empirical(atoms) -> EmpiricalMeasure:
     """Uniform-weight measure on the given atoms (duplicates allowed)."""
     return EmpiricalMeasure(np.asarray(atoms, dtype=float))
-
-
-def _quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray) -> float:
-    # exact squared cost of the monotone (quantile) coupling in d = 1
-    cx = np.cumsum(wx)
-    cy = np.cumsum(wy)
-    edges = np.unique(np.concatenate([[0.0], cx, cy]))
-    edges[-1] = 1.0
-    lengths = np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    ix = np.minimum(np.searchsorted(cx, mids), x.size - 1)
-    iy = np.minimum(np.searchsorted(cy, mids), y.size - 1)
-    return float(np.sum(lengths * (x[ix] - y[iy]) ** 2))
-
-
-def w2_squared(m: EmpiricalMeasure, m_prime: EmpiricalMeasure) -> float:
-    """Squared quadratic transport cost between two empirical measures.
-
-    Scalar atoms use the quantile coupling (exact, any atom counts);
-    vector atoms use an exact assignment solve and require uniform
-    weights with equal atom counts.
-    """
-    if m.dim != m_prime.dim:
-        raise InvalidArgumentError("measures must share the atom dimension")
-    if m.dim == 1:
-        x = m.sorted_atoms()
-        y = m_prime.sorted_atoms()
-        if m.is_uniform:
-            wx = np.full(m.num_atoms, 1.0 / m.num_atoms)
-        else:
-            wx = m.weights[np.argsort(m.atoms, kind="stable")]
-        if m_prime.is_uniform:
-            wy = np.full(m_prime.num_atoms, 1.0 / m_prime.num_atoms)
-        else:
-            wy = m_prime.weights[np.argsort(m_prime.atoms, kind="stable")]
-        return _quantile_cost(x, wx, y, wy)
-    if not (m.is_uniform and m_prime.is_uniform):
-        raise UnsupportedError("vector transport implemented for uniform weights only")
-    if m.num_atoms != m_prime.num_atoms:
-        raise UnsupportedError("vector transport needs equal atom counts")
-    if m.num_atoms > 4096:
-        raise UnsupportedError("assignment solve capped at 4096 atoms")
-    diff = m.atoms[:, None, :] - m_prime.atoms[None, :, :]
-    cost = np.sum(diff * diff, axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
 
 
 @dataclass(frozen=True)
@@ -162,7 +98,6 @@ class TestFunction:
     value: Callable
     grad: Callable
     hess: Callable
-    hess_bound: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -195,10 +130,6 @@ class CylindricalFunctional:
     def k(self) -> int:
         return len(self.tests)
 
-    @property
-    def second_derivative_bounds(self) -> tuple[float, ...]:
-        return tuple(t.hess_bound for t in self.tests)
-
 
 def moments(u: CylindricalFunctional, m: EmpiricalMeasure) -> np.ndarray:
     v = np.array([m.average(t.value(m.atoms)) for t in u.tests])
@@ -221,36 +152,48 @@ def delta_m(u: CylindricalFunctional, m: EmpiricalMeasure, x) -> np.ndarray | fl
     return sum(g[a] * u.tests[a].value(x) for a in range(u.k))
 
 
-def d_lions(u: CylindricalFunctional, m: EmpiricalMeasure, x):
-    """x-gradient of delta_m u (the measure derivative in the Lions sense)."""
-    g = u.outer.grad(moments(u, m))
-    return sum(g[a] * u.tests[a].grad(x) for a in range(u.k))
+def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # ordered-pair average per row of two (n, N) arrays
+    n_p = a.shape[1]
+    return (a.sum(axis=1) * b.sum(axis=1) - (a * b).sum(axis=1)) / (n_p * (n_p - 1))
 
 
-def d2x_dm(u: CylindricalFunctional, m: EmpiricalMeasure, x):
-    g = u.outer.grad(moments(u, m))
-    return sum(g[a] * u.tests[a].hess(x) for a in range(u.k))
+class _Tables:
+    """Values/gradients/Hessians of the test functions along one window; each
+    method is one per-cell integrand, contracted with outer-derivative rows."""
 
+    def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):
+        self.vals = [np.asarray(t.value(states), dtype=float) for t in tests]
+        self.grads = [np.asarray(t.grad(states), dtype=float) for t in tests]
+        self.hesses = [np.asarray(t.hess(states), dtype=float) for t in tests]
+        self.moments = np.stack([p.mean(axis=1) for p in self.vals], axis=-1)  # (n+1, k)
 
-def dm2(u: CylindricalFunctional, m: EmpiricalMeasure, x, xh):
-    h = u.outer.hess(moments(u, m))
-    out = 0.0
-    for a in range(u.k):
-        for b in range(u.k):
-            if np.any(h[a, b] != 0.0):
-                out = out + h[a, b] * u.tests[a].value(x) * u.tests[b].value(xh)
-    return out
+    def grad_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-cell particle mean of sum_a dF_a grad(phi_a) * weights."""
+        out = 0.0
+        for a, g in enumerate(self.grads):
+            out = out + d_outer[:-1, a] * (g[:-1] * weights).mean(axis=1)
+        return out
 
+    def hess_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        out = 0.0
+        for a, h in enumerate(self.hesses):
+            out = out + d_outer[:-1, a] * (h[:-1] * weights).mean(axis=1)
+        return out
 
-def dm2_cross(u: CylindricalFunctional, m: EmpiricalMeasure, x, xh):
-    """Mixed x, xh gradient of the second functional derivative."""
-    h = u.outer.hess(moments(u, m))
-    out = 0.0
-    for a in range(u.k):
-        for b in range(u.k):
-            if np.any(h[a, b] != 0.0):
-                out = out + h[a, b] * u.tests[a].grad(x) * u.tests[b].grad(xh)
-    return out
+    def pair_mean(self, d2_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-cell pair average of the mixed second-derivative kernel."""
+        k = len(self.vals)
+        out = 0.0
+        for a in range(k):
+            wa = self.grads[a][:-1] * weights
+            for b in range(k):
+                col = d2_outer[:-1, a, b]
+                if not np.any(col):
+                    continue
+                wb = self.grads[b][:-1] * weights
+                out = out + col * _ustat_rows(wa, wb)
+        return out
 
 
 @dataclass(frozen=True)

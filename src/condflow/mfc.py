@@ -1,7 +1,6 @@
 """Mean-field control with common noise on a solvable linear-quadratic
 instance: value-function generator, residuals of the dynamic-programming
-equation, Monte Carlo checks of the dynamic programming principle, and a
-Lipschitz audit of the generator in the measure argument.
+equation, and Monte Carlo checks of the dynamic programming principle.
 
 The concrete instance is scalar with dX = a dt + sigma dW + sigma0 dW0,
 running reward -a^2/2 - (q/2)(x - mean)^2 - (r/2) mean^2 and terminal
@@ -14,13 +13,13 @@ with step halving.
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import InvalidArgumentError
-from .measures import EmpiricalMeasure, w2_squared
+from .measures import EmpiricalMeasure
 from .particle import gaussian_quantile_initial, simulate_ensemble
 from .paths import RngStream, SdeCoefficients, make_uniform_partition
 
@@ -31,7 +30,6 @@ __all__ = [
     "ControlProblem",
     "make_lq_problem",
     "LqValue",
-    "zero_value",
     "solve_lq_value",
     "AffineFeedback",
     "RiccatiFeedback",
@@ -46,8 +44,6 @@ __all__ = [
     "DppResult",
     "dpp_check",
     "constant_control_gap",
-    "AuditRow",
-    "lipschitz_audit",
     "default_lattice",
 ]
 
@@ -207,15 +203,6 @@ class LqValue:
     def cross(self, t: float, m, x=None, xh=None):
         qc = self.quad_coeffs(t)
         return 2.0 * (qc["R"] - qc["P"])
-
-
-def zero_value(constants: Mapping[str, float] | None = None) -> LqValue:
-    ts = np.array([0.0, 1.0])
-    zero = np.zeros(2)
-    consts = {"q": 0.0, "r": 0.0, "sigma": 0.0, "sigma0": 0.0}
-    if constants:
-        consts.update(constants)
-    return LqValue(ts, zero, zero.copy(), zero.copy(), consts, 0.0)
 
 
 def _rk4_backward(rhs: Callable, terminal: np.ndarray, t1: float, t0: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,16 +397,11 @@ def generator(problem: ControlProblem, value, t: float, y: float, m, control) ->
     s0 = np.asarray(coeffs.sigma0(t, x, y, m, a), dtype=float)
     dl = np.asarray(value.d_lions(t, m, x), dtype=float)
     d2 = np.broadcast_to(np.asarray(value.d2x(t, m, x), dtype=float), x.shape)
-    cr = value.cross(t, m)
     total = value.time_derivative(t, m)
     total += m.average(f_vals)
     total += m.average(b * dl)
     total += 0.5 * m.average((s**2 + s0**2) * d2)
-    if np.ndim(cr) == 0:
-        total += 0.5 * float(cr) * m.average(s0) ** 2
-    else:
-        w = np.full(x.size, 1.0 / x.size) if m.weights is None else m.weights
-        total += 0.5 * float((w * s0) @ np.asarray(cr) @ (w * s0))
+    total += 0.5 * float(value.cross(t, m)) * m.average(s0) ** 2
     return float(total)
 
 
@@ -519,14 +501,11 @@ def hjb_residual(
     return HjbReport(tuple(nodes), max_abs, terminal_gap, tol, max_abs <= tol and terminal_gap == 0.0)
 
 
-def nonparametric_gap(
-    problem: ControlProblem, value, t: float, m: EmpiricalMeasure, num_bins: int = 33
-) -> dict[str, float]:
+def nonparametric_gap(problem: ControlProblem, value, t: float, m: EmpiricalMeasure) -> dict[str, float]:
     """Spot-check of the affine-family restriction at one node.
 
-    Compares the affine-family sup against the sup over piecewise-constant
-    -in-x controls (per-bin pointwise maximization) and the exact
-    pointwise optimizer, all evaluated on the same atom cloud.
+    Compares the affine-family sup against the exact pointwise optimizer,
+    both evaluated on the same atom cloud.
     """
     x = np.sort(m.atoms)
     cloud = EmpiricalMeasure(x)
@@ -536,14 +515,6 @@ def nonparametric_gap(
         return -0.5 * a**2 + a * dl
 
     pointwise = float(np.mean(a_part(np.clip(dl, -problem.a_max, problem.a_max))))
-    bins = np.array_split(np.arange(x.size), num_bins)
-    binned = 0.0
-    for idx in bins:
-        if idx.size == 0:
-            continue
-        a_bin = float(np.clip(dl[idx].mean(), -problem.a_max, problem.a_max))
-        binned += float(a_part(a_bin)[idx].sum())
-    binned /= x.size
     mu = measure_mean(cloud)
 
     def affine(c0, c1):
@@ -558,7 +529,6 @@ def nonparametric_gap(
     return {
         "pointwise_sup": pointwise,
         "affine_sup": best,
-        "binned_sup": binned,
         "family_gap": pointwise - best,
     }
 
@@ -610,6 +580,8 @@ def dpp_check(
     """
     if theta <= t0:
         raise InvalidArgumentError("need theta > t0")
+    if outer_paths < 2:  # one repetition has no standard error
+        raise InvalidArgumentError("the DPP check needs at least 2 outer repetitions")
     part = make_uniform_partition(theta - t0, num_cells)
     dt = part.deltas
     coeffs = _shift_coeffs(problem.coeffs, t0)
@@ -633,7 +605,7 @@ def dpp_check(
         m_start = ens.empirical_at(0)
         gaps[rep] = reward + value.value(theta, m_end) - value.value(t0, m_start)
     estimate = float(gaps.mean())
-    se = float(gaps.std(ddof=1) / np.sqrt(outer_paths)) if outer_paths > 1 else 0.0
+    se = float(gaps.std(ddof=1) / np.sqrt(outer_paths))
     tol = 3.0 * se + tolerance_c * float(dt.max())
     if abs(estimate) <= tol:
         verdict = "optimal-consistent"
@@ -683,64 +655,3 @@ def constant_control_gap(
     return float(
         (p_w - qc0["P"]) * var + (r_w - qc0["R"]) * mean**2 + s_w * mean + (c_w - qc0["c"])
     )
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz audit of the generator in the measure argument
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    kind: str
-    delta: float
-    w2: float
-    dphi: float
-    ratio: float
-
-
-def lipschitz_audit(
-    problem: ControlProblem,
-    value,
-    t: float = 0.0,
-    a0: float = 0.5,
-    num_atoms: int = 512,
-    deltas: Sequence[float] = (0.4, 0.2, 0.1, 0.05),
-) -> dict:
-    """Empirical Lipschitz ratios of m -> generator(m) under a fixed control.
-
-    Translation pairs shift every atom by delta; scaling pairs dilate the
-    atoms around their mean.  Ratios use the exact transport distance of
-    the atom clouds and should stabilize as delta shrinks.
-    """
-    control = constant_feedback(a0, problem.a_max)
-    base_atoms = gaussian_quantile_initial(0.3, 1.0)(None, num_atoms)
-    base = EmpiricalMeasure(base_atoms)
-    phi0 = generator(problem, value, t, 0.0, base, control)
-    rows: list[AuditRow] = []
-    for delta in deltas:
-        shifted = EmpiricalMeasure(base_atoms + delta)
-        w2 = float(np.sqrt(w2_squared(base, shifted)))
-        if w2 == 0.0:
-            continue
-        dphi = abs(generator(problem, value, t, 0.0, shifted, control) - phi0)
-        rows.append(AuditRow("translation", delta, w2, dphi, dphi / w2))
-    mu = base_atoms.mean()
-    for delta in deltas:
-        scaled = EmpiricalMeasure(mu + (1.0 + delta) * (base_atoms - mu))
-        w2 = float(np.sqrt(w2_squared(base, scaled)))
-        if w2 == 0.0:
-            continue
-        dphi = abs(generator(problem, value, t, 0.0, scaled, control) - phi0)
-        rows.append(AuditRow("scaling", delta, w2, dphi, dphi / w2))
-    ratios = [r.ratio for r in rows]
-    by_kind = {}
-    for kind in ("translation", "scaling"):
-        ks = [r.ratio for r in rows if r.kind == kind]
-        stable = len(ks) >= 2 and abs(ks[-1] - ks[-2]) <= 0.1 * max(abs(ks[-1]), 1e-12)
-        by_kind[kind] = {"ratios": ks, "stable": stable}
-    return {
-        "rows": rows,
-        "max_ratio": max(ratios) if ratios else 0.0,
-        "kinds": by_kind,
-        "finite": all(np.isfinite(ratios)),
-    }

@@ -128,8 +128,6 @@ def gaussian_quantile_initial(mean: float, var: float) -> Callable:
 
 def _initial_atoms(initial, rng: RngStream, num_particles: int) -> np.ndarray:
     if isinstance(initial, EmpiricalMeasure):
-        if initial.dim != 1:
-            raise InvalidArgumentError("ensembles are scalar; need scalar atoms")
         if initial.num_atoms == num_particles:
             return initial.atoms.copy()
         if initial.num_atoms == 1:

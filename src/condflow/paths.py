@@ -1,8 +1,8 @@
 """Time grids, sample paths, and simulators for the driving processes.
 
-Paths are stored dense on their grid and treated as piecewise linear
-between grid points.  Every simulator is a pure function of its inputs
-and an :class:`RngStream`, so runs are reproducible bit-for-bit.
+Paths are scalar and stored dense on their grid: one value per grid
+time.  Every simulator is a pure function of its inputs and an
+:class:`RngStream`, so runs are reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -43,35 +43,12 @@ class Partition:
             raise InvalidArgumentError("partition times must be strictly increasing")
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def num_cells(self) -> int:
         return self.times.size - 1
 
     @property
     def deltas(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(self.deltas))
-
-    def indices_in(self, finer: "Partition") -> np.ndarray:
-        """Positions of this grid's points inside a finer grid.
-
-        Raises if this partition is not subordinate to ``finer``.
-        """
-        idx = np.searchsorted(finer.times, self.times)
-        idx = np.clip(idx, 0, finer.times.size - 1)
-        # searchsorted can land one slot right of the matching float
-        left = np.clip(idx - 1, 0, finer.times.size - 1)
-        use_left = np.abs(finer.times[left] - self.times) < np.abs(finer.times[idx] - self.times)
-        idx = np.where(use_left, left, idx)
-        if not np.allclose(finer.times[idx], self.times, rtol=0.0, atol=1e-12):
-            raise InvalidArgumentError("partition is not subordinate to the finer grid")
-        return idx
 
 
 def make_uniform_partition(horizon: float, num_cells: int) -> Partition:
@@ -85,7 +62,7 @@ def make_uniform_partition(horizon: float, num_cells: int) -> Partition:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization of a process on a grid.
+    """One realization of a scalar process on a grid.
 
     ``finite_variation`` and ``martingale`` (both started at 0) are an
     optional decomposition with values = values[0] + A + M on every grid
@@ -101,8 +78,8 @@ class SamplePath:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape[0] != self.partition.times.size:
-            raise InvalidArgumentError("values length must match the partition")
+        if v.ndim != 1 or v.shape[0] != self.partition.times.size:
+            raise InvalidArgumentError("need one scalar value per grid time")
         if (self.finite_variation is None) != (self.martingale is None):
             raise InvalidArgumentError("decomposition needs both parts")
         if self.finite_variation is not None:
@@ -119,23 +96,9 @@ class SamplePath:
                 raise InvalidArgumentError("decomposition does not reconstruct the path")
 
     @property
-    def decomposition(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.finite_variation is None:
-            return None
-        return self.finite_variation, self.martingale
-
-    @property
     def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
-    def value_at(self, s: float) -> np.ndarray | float:
-        """Piecewise-linear evaluation at an arbitrary time in [0, T]."""
-        t = self.partition.times
-        if s < t[0] or s > t[-1]:
-            raise InvalidArgumentError(f"time {s} outside [0, {t[-1]}]")
-        if self.values.ndim == 1:
-            return float(np.interp(s, t, self.values))
-        return np.array([np.interp(s, t, self.values[:, j]) for j in range(self.values.shape[1])])
+        """State dimension; paths are scalar."""
+        return 1
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
@@ -215,22 +178,16 @@ class RngStream:
         return [self.seed, self.stream, *self.path]
 
 
-def simulate_brownian(partition: Partition, dim: int, rng: RngStream) -> SamplePath:
+def simulate_brownian(partition: Partition, rng: RngStream) -> SamplePath:
     """Standard Brownian path on the grid, started at 0.
 
-    Increments over the cells are independent N(0, dt * I) draws; the
+    Increments over the cells are independent N(0, dt) draws; the
     decomposition is (A = 0, M = path).
     """
-    if dim < 1:
-        raise InvalidArgumentError("dim must be >= 1")
     gen = rng.generator()
     dt = partition.deltas
-    if dim == 1:
-        inc = gen.normal(size=dt.size) * np.sqrt(dt)
-        mart = np.concatenate([[0.0], np.cumsum(inc)])
-    else:
-        inc = gen.normal(size=(dt.size, dim)) * np.sqrt(dt)[:, None]
-        mart = np.vstack([np.zeros(dim), np.cumsum(inc, axis=0)])
+    inc = gen.normal(size=dt.size) * np.sqrt(dt)
+    mart = np.concatenate([[0.0], np.cumsum(inc)])
     return SamplePath(partition, mart.copy(), np.zeros_like(mart), mart)
 
 

@@ -1,10 +1,11 @@
-"""Variation estimators and weighted quadratic-variation sums.
+"""Weighted quadratic-variation sums of scalar paths.
 
-The central statistic is sum_i H_{t_{i-1}} : (dX_i)(dXhat_i)^T for a
-weight process H held constant on each grid cell.  For a path with a
-known bracket the statistic converges (in L1, as the mesh shrinks) to
-the bracket integral; ``lemma_convergence_study`` measures that error
-empirically over independent paths.
+The central statistic is sum_i H_{t_{i-1}} dX_i dXhat_i for a scalar
+weight process H held constant on each grid cell, with both paths on
+the weights' grid.  For a path with a known bracket the statistic
+converges (in L1, as the mesh shrinks) to the bracket integral;
+``lemma_convergence_study`` measures that error empirically over
+independent paths.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .paths import Partition, RngStream, SamplePath
 
 __all__ = [
     "WeightProcess",
-    "total_variation",
     "realized_qv",
     "weighted_qv_sum",
     "constant_weight",
@@ -28,32 +28,15 @@ __all__ = [
 ]
 
 
-def total_variation(path: SamplePath) -> float:
-    """Total variation over the path's own grid (exact for grid paths)."""
+def realized_qv(path: SamplePath) -> float:
+    """Sum of squared increments along the path's own grid."""
     inc = path.increments()
-    if inc.ndim == 1:
-        return float(np.sum(np.abs(inc)))
-    return float(np.sum(np.linalg.norm(inc, axis=1)))
-
-
-def realized_qv(path: SamplePath, partition: Partition | None = None):
-    """Sum of outer products of increments along ``partition``.
-
-    Returns a float for scalar paths and a (d, d) matrix otherwise.
-    """
-    if partition is None:
-        inc = path.increments()
-    else:
-        idx = partition.indices_in(path.partition)
-        inc = np.diff(path.values[idx], axis=0)
-    if inc.ndim == 1:
-        return float(np.sum(inc * inc))
-    return inc.T @ inc
+    return float(np.sum(inc * inc))
 
 
 @dataclass(frozen=True)
 class WeightProcess:
-    """Weights held constant on each cell (value at the left endpoint)."""
+    """Scalar weights held constant on each cell (value at the left endpoint)."""
 
     partition: Partition
     values: np.ndarray
@@ -61,8 +44,8 @@ class WeightProcess:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape[0] != self.partition.num_cells:
-            raise InvalidArgumentError("one weight per cell required")
+        if v.ndim != 1 or v.shape[0] != self.partition.num_cells:
+            raise InvalidArgumentError("one scalar weight per cell required")
         if not np.all(np.isfinite(v)):
             raise InvalidArgumentError("weights must be finite")
 
@@ -76,38 +59,18 @@ def sampled_weight(partition: Partition, fn: Callable[[float], float]) -> Weight
     return WeightProcess(partition, np.array([fn(t) for t in partition.times[:-1]]))
 
 
-def weighted_qv_sum(
-    weights: WeightProcess,
-    path: SamplePath,
-    other: SamplePath | None = None,
-    partition: Partition | None = None,
-) -> float:
-    """sum_i H_{t_{i-1}} : (dX_i)(dXhat_i)^T along the grid.
+def weighted_qv_sum(weights: WeightProcess, path: SamplePath, other: SamplePath | None = None) -> float:
+    """sum_i H_{t_{i-1}} dX_i dXhat_i along the weights' grid.
 
     With ``other`` omitted this is the weighted realized quadratic
     variation; with an independent second path it estimates the cross
-    variation.
+    variation.  Both paths must lie on the weights' grid.
     """
-    p = partition or weights.partition
-    if p.times.shape != weights.partition.times.shape or not np.array_equal(
-        p.times, weights.partition.times
-    ):
-        raise InvalidArgumentError("weights must be piecewise constant along the partition")
     xhat = other if other is not None else path
-    idx = p.indices_in(path.partition)
-    idx_hat = p.indices_in(xhat.partition)
-    dx = np.diff(path.values[idx], axis=0)
-    dxh = np.diff(xhat.values[idx_hat], axis=0)
-    h = weights.values
-    if dx.ndim == 1 and dxh.ndim == 1:
-        if h.ndim != 1:
-            raise InvalidArgumentError("scalar paths need scalar weights")
-        return float(np.sum(h * dx * dxh))
-    dx = np.atleast_2d(dx.T).T
-    dxh = np.atleast_2d(dxh.T).T
-    if h.ndim == 1:
-        h = h[:, None, None] * np.eye(dx.shape[1])[None]
-    return float(np.einsum("iab,ia,ib->", h, dx, dxh))
+    for q in (path, xhat):
+        if not np.array_equal(q.partition.times, weights.partition.times):
+            raise InvalidArgumentError("paths must lie on the weights' grid")
+    return float(np.sum(weights.values * path.increments() * xhat.increments()))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from .paths import RngStream, constant_coefficients, make_uniform_partition, sim
 __all__ = [
     "identity_test",
     "square_test",
-    "get_functional",
     "get_experiment",
     "list_registry",
     "RunOutput",
@@ -60,7 +59,6 @@ def identity_test() -> TestFunction:
         value=lambda x: np.asarray(x, dtype=float),
         grad=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         hess=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        hess_bound=0.0,
     )
 
 
@@ -70,7 +68,6 @@ def square_test() -> TestFunction:
         value=lambda x: np.asarray(x, dtype=float) ** 2,
         grad=lambda x: 2.0 * np.asarray(x, dtype=float),
         hess=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-        hess_bound=2.0,
     )
 
 
@@ -186,12 +183,6 @@ _FACTOR_FUNCTIONALS: dict[str, Callable[[], FactorFunctional]] = {
     "factor-linear": factor_linear_functional,
     "factor-time": factor_time_functional,
 }
-
-
-def get_functional(name: str) -> CylindricalFunctional:
-    if name not in _FUNCTIONALS:
-        raise InvalidArgumentError(f"unknown functional {name!r}")
-    return _FUNCTIONALS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +330,12 @@ def _lemma_qv(params: dict, rng: RngStream) -> RunOutput:
     horizon = params["horizon"]
     counts = params["cell_counts"]
     seeds = params["num_seeds"]
-
-    def bm(partition, stream):
-        return simulate_brownian(partition, 1, stream)
-
     studies = {
         "lemma_h_const.csv": quadvar.lemma_convergence_study(
-            bm, lambda p: quadvar.constant_weight(p, 1.0), counts, seeds, horizon, horizon, rng.child(0)
+            simulate_brownian, lambda p: quadvar.constant_weight(p, 1.0), counts, seeds, horizon, horizon, rng.child(0)
         ),
         "lemma_h_time.csv": quadvar.lemma_convergence_study(
-            bm,
+            simulate_brownian,
             lambda p: quadvar.sampled_weight(p, lambda t: t),
             counts,
             seeds,
@@ -525,6 +512,8 @@ def _dpp_lq(params: dict, rng: RngStream) -> RunOutput:
 
 
 def _modulus(params: dict, rng: RngStream) -> RunOutput:
+    if params["n"] < 2:  # the pair draw below takes s from the first n - 1 grid times
+        raise InvalidArgumentError("modulus-lq needs n >= 2")
     coeffs = constant_coefficients(b=params["b"], sigma=params["sigma"], sigma0=params["sigma0"])
     part = make_uniform_partition(params["horizon"], params["n"])
     ensembles = [

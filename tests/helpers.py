@@ -1,33 +1,12 @@
-"""Shared independent oracles for the test suite.
+"""Shared oracles and fixtures for the test suite.
 
-Everything here is deliberately brute force and kept independent of the
-library code paths it checks.
+The oracles are deliberately brute force and kept independent of the
+library code paths they check.
 """
-
-from itertools import permutations
 
 import numpy as np
 
-
-def w2_squared_bruteforce(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact squared transport cost by enumerating permutation couplings."""
-    x = np.atleast_2d(np.asarray(x, dtype=float).T).T
-    y = np.atleast_2d(np.asarray(y, dtype=float).T).T
-    n = x.shape[0]
-    best = np.inf
-    for perm in permutations(range(n)):
-        cost = float(np.sum((x - y[list(perm)]) ** 2) / n)
-        best = min(best, cost)
-    return best
-
-
-def w2_squared_replicated(x: np.ndarray, y: np.ndarray) -> float:
-    """1-d cost via lowest-common-multiple atom replication (uniform weights)."""
-    n, m = len(x), len(y)
-    lcm = np.lcm(n, m)
-    xs = np.sort(np.repeat(np.sort(x), lcm // n))
-    ys = np.sort(np.repeat(np.sort(y), lcm // m))
-    return float(np.mean((xs - ys) ** 2))
+from condflow.mfc import LqValue
 
 
 def pair_average_bruteforce(f: np.ndarray, g: np.ndarray) -> float:
@@ -73,3 +52,11 @@ def constant_gap_closed_form(
         - sigma0**2 * (0.5 * c_m * tau + 0.25 * r * tau**2)
     )
     return p_w, r_w, s_w, c_w
+
+
+def zero_value() -> LqValue:
+    """The value candidate V = 0 (P = R = c = 0 with zero constants)."""
+    ts = np.array([0.0, 1.0])
+    zero = np.zeros(2)
+    consts = {"q": 0.0, "r": 0.0, "sigma": 0.0, "sigma0": 0.0}
+    return LqValue(ts, zero, zero.copy(), zero.copy(), consts, 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -361,7 +363,7 @@ def test_sweep_single_cell_no_flags():
 
     def run_cell(n, big_n, m, rng):
         cfg = VerifyConfig(rng, outer_paths=m, cross="pairwise", rule="exact")
-        return verify_ito(mean_squared_functional(), spec.resized(n, big_n), cfg)
+        return verify_ito(mean_squared_functional(), replace(spec, num_cells=n, num_particles=big_n), cfg)
 
     table = convergence_sweep(run_cell, [(16, 8, 2)], RNG.child(30))
     assert len(table.rows) == 1
@@ -374,7 +376,7 @@ def test_sweep_telescoping_residuals_flat_zero():
 
     def run_cell(n, big_n, m, rng):
         cfg = VerifyConfig(rng, outer_paths=m, cross="pairwise", rule="exact")
-        return verify_ito(mean_squared_functional(), spec.resized(n, big_n), cfg)
+        return verify_ito(mean_squared_functional(), replace(spec, num_cells=n, num_particles=big_n), cfg)
 
     table = convergence_sweep(run_cell, [(16, 8, 4), (64, 8, 4), (256, 8, 4)], RNG.child(31))
     for row in table.rows:
@@ -386,7 +388,7 @@ def test_sweep_rate_band_for_second_moment():
 
     def run_cell(n, big_n, m, rng):
         cfg = VerifyConfig(rng, outer_paths=m, rule="mc", tolerance_c=0.5)
-        return verify_ito(second_moment_functional(), spec.resized(n, big_n), cfg)
+        return verify_ito(second_moment_functional(), replace(spec, num_cells=n, num_particles=big_n), cfg)
 
     table = convergence_sweep(run_cell, [(256, 1024, 48), (1024, 1024, 48)], RNG.child(32))
     assert table.rows[1].ratio_vs_coarser is not None

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import condflow
 from condflow import InvalidArgumentError, list_registry
 from condflow.cli import UsageError, load_config, main, resolve_params, run
-from condflow.registry import get_experiment, get_functional
+from condflow.registry import _EXPERIMENTS, get_experiment
 
 
 def small_config(**overrides):
@@ -24,8 +31,6 @@ def test_registry_contains_expected_names():
 
 def test_registry_rejects_unknown_names():
     with pytest.raises(InvalidArgumentError):
-        get_functional("no-such-functional")
-    with pytest.raises(InvalidArgumentError):
         get_experiment("no-such-experiment")
 
 
@@ -36,6 +41,8 @@ def test_resolve_rejects_unknown_keys():
         resolve_params(small_config(tolerance={"weird": 2}))
     with pytest.raises(UsageError):
         resolve_params(small_config(coefficients={"zeta": 2}))
+    with pytest.raises(UsageError):  # no experiment takes a functional
+        resolve_params(small_config(functional="mean"))
     with pytest.raises(UsageError):
         resolve_params({"experiment": "ito-telescoping"})  # missing seed
     with pytest.raises(UsageError):
@@ -140,6 +147,14 @@ def test_cli_list(capsys):
     assert "lq-common-noise" in out
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter, so modules that other tests imported do not count
+    src = str(Path(condflow.__file__).resolve().parents[1])
+    code = "import sys, condflow.cli; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_default_experiment_requires_seed(tmp_path):
     assert main(["verify-ito", "--out", str(tmp_path)]) == 2
     assert main(["deriv-check", "--seed", "9", "--out", str(tmp_path / "d")]) == 0
@@ -156,12 +171,43 @@ def test_cli_default_experiment_requires_seed(tmp_path):
         {"n": "abc"},
         {"experiment": "ito-second-moment", "M": 1},
         {"experiment": "wentzell-ablation", "M": 1},
+        {"experiment": "modulus-lq", "n": 1, "N": 8, "M": None},
+        {"threads": "abc"},
+        {"threads": 0},
+        {"coefficients": {"sigma0": "abc"}},
+        {"grid": {"n": ["abc"]}},
+        {"experiment": "dpp-lq", "control": "constant-max", "M": 1, "n": 64, "N": 128},
+        {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "coefficients": {"mc_paths": 1}},
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):
     out = tmp_path / "out"
-    cfg = small_config(out=str(out), **override)
+    # an override of None drops that key of the small config
+    cfg = {k: v for k, v in small_config(out=str(out), **override).items() if v is not None}
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
-    assert main([get_experiment(cfg["experiment"]).kind, "--config", str(cfg_path)]) == 2
+    command = "sweep" if "grid" in cfg else get_experiment(cfg["experiment"]).kind
+    assert main([command, "--config", str(cfg_path)]) == 2
     assert not out.exists()
+
+
+SCALARS = st.one_of(st.integers(-5, 2**40), st.floats(), st.booleans(), st.text(max_size=4), st.none())
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_EXPERIMENTS)), st.data())
+def test_resolve_params_returns_or_raises_usage_error(experiment, data):
+    defaults = get_experiment(experiment).defaults
+    cfg = {"experiment": experiment, "seed": data.draw(VALUES)}
+    for key in ("n", "N", "M", "horizon", "threads"):
+        if data.draw(st.booleans()):
+            cfg[key] = data.draw(VALUES)
+    cfg["coefficients"] = {data.draw(st.sampled_from(sorted(defaults))): data.draw(VALUES)}
+    try:
+        _, seed, params, extras = resolve_params(cfg)
+    except UsageError:
+        return
+    assert type(seed) is int and type(extras["threads"]) is int
+    for key, default in defaults.items():
+        assert type(params[key]) is type(default) or (type(default) is float and type(params[key]) is int)

@@ -7,23 +7,17 @@ from condflow import (
     InvalidArgumentError,
     MeasurePair,
     NumericOverflowError,
-    UnsupportedError,
-    d2x_dm,
-    d_lions,
     delta_m,
-    dm2,
-    dm2_cross,
     empirical,
     evaluate,
     fd_check_dm,
     fd_check_dm2,
     integral_identity_gap,
     linear_combination,
-    w2_squared,
 )
-from condflow.measures import fd_orders_ok
+from condflow.measures import _Tables, fd_orders_ok
 from condflow.registry import (
-    get_functional,
+    log_second_moment_functional,
     mean_functional,
     mean_squared_functional,
     second_moment_functional,
@@ -31,13 +25,39 @@ from condflow.registry import (
     variance_functional,
 )
 
-from helpers import w2_squared_bruteforce, w2_squared_replicated
+from helpers import pair_average_bruteforce
 
 EPS_LIST = [1e-1, 1e-2, 1e-3, 1e-4]
+FUNCTIONALS = {
+    u.name: u
+    for u in (
+        mean_functional(),
+        mean_squared_functional(),
+        second_moment_functional(),
+        variance_functional(),
+        second_moment_squared_functional(),
+        log_second_moment_functional(),
+    )
+}
+
+
+def tables(u, states):
+    """Window tables of ``u``'s test functions on ``states`` (one row of
+    atoms per grid time; the last row closes the last cell) and ``u``'s
+    outer first- and second-derivative rows."""
+    tab = _Tables(u.tests, np.asarray(states, dtype=float))
+    return tab, u.outer.grad(tab.moments), u.outer.hess(tab.moments)
+
+
+def one_hot(i, n):
+    """Particle weights that turn a particle mean into particle i's value."""
+    w = np.zeros(n)
+    w[i] = n
+    return w
 
 
 # ---------------------------------------------------------------------------
-# empirical measures and transport cost
+# empirical measures
 
 
 def test_empirical_basics():
@@ -49,65 +69,8 @@ def test_empirical_basics():
         empirical([])
     with pytest.raises(InvalidArgumentError):
         empirical([np.inf])
-
-
-def test_w2_trivial_cases():
-    assert w2_squared(empirical([0.0]), empirical([1.0])) == pytest.approx(1.0)
-    m = empirical([0.3, -1.2, 4.0])
-    assert w2_squared(m, m) == 0.0
-
-
-def test_w2_two_atom_example():
-    m = empirical([0.0, 2.0])
-    mp = empirical([1.0, 3.0])
-    assert w2_squared(m, mp) == pytest.approx(1.0)
-    assert w2_squared_bruteforce([0.0, 2.0], [1.0, 3.0]) == pytest.approx(1.0)
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(st.floats(-5, 5), min_size=2, max_size=5),
-    st.lists(st.floats(-5, 5), min_size=2, max_size=5),
-)
-def test_w2_unequal_counts_match_replication_oracle(xs, ys):
-    got = w2_squared(empirical(xs), empirical(ys))
-    want = w2_squared_replicated(np.array(xs), np.array(ys))
-    assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-
-@settings(max_examples=40)
-@given(st.integers(0, 100_000))
-def test_w2_vector_matches_bruteforce(seed):
-    gen = np.random.default_rng(seed)
-    n = int(gen.integers(2, 6))
-    x = gen.normal(size=(n, 2))
-    y = gen.normal(size=(n, 2))
-    got = w2_squared(empirical(x), empirical(y))
-    assert got == pytest.approx(w2_squared_bruteforce(x, y), rel=1e-10, abs=1e-12)
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(st.floats(-4, 4), min_size=3, max_size=6),
-    st.lists(st.floats(-4, 4), min_size=3, max_size=6),
-    st.lists(st.floats(-4, 4), min_size=3, max_size=6),
-)
-def test_w2_metric_properties(xs, ys, zs):
-    a, b, c = empirical(xs), empirical(ys), empirical(zs)
-    assert w2_squared(a, b) == w2_squared(b, a)
-    dab = np.sqrt(w2_squared(a, b))
-    dbc = np.sqrt(w2_squared(b, c))
-    dac = np.sqrt(w2_squared(a, c))
-    assert dac <= dab + dbc + 1e-9
-    if sorted(xs) == sorted(ys):
-        assert w2_squared(a, b) == 0.0
-
-
-def test_w2_unsupported_cases():
-    with pytest.raises(UnsupportedError):
-        w2_squared(empirical(np.zeros((2, 2))), empirical(np.zeros((3, 2))))
     with pytest.raises(InvalidArgumentError):
-        w2_squared(empirical([0.0]), empirical(np.zeros((1, 2))))
+        empirical(np.zeros((2, 2)))  # atoms are scalar
 
 
 # ---------------------------------------------------------------------------
@@ -127,39 +90,55 @@ def test_evaluate_overflow():
 
 
 def test_derivatives_mean():
-    u = mean_functional()
-    m = empirical([0.5, -1.0, 2.0])
-    assert d_lions(u, m, 0.3) == pytest.approx(1.0)
-    assert dm2(u, m, 0.3, -0.7) == 0.0
-    assert dm2_cross(u, m, 0.3, -0.7) == 0.0
+    tab, d1, d2 = tables(mean_functional(), [[0.5, -1.0, 2.0], [0.3, 0.3, -0.7], [0.0, 0.0, 0.0]])
+    for i in range(3):  # the Lions derivative is 1 at every atom of every cell
+        np.testing.assert_array_equal(tab.grad_mean(d1, one_hot(i, 3)), [1.0, 1.0])
+    np.testing.assert_array_equal(tab.hess_mean(d1, np.ones(3)), [0.0, 0.0])
+    assert np.all(tab.pair_mean(d2, np.ones(3)) == 0.0)
 
 
 def test_derivatives_mean_squared():
     u = mean_squared_functional()
-    m = empirical([1.0, 3.0])
-    assert d_lions(u, m, 0.2) == pytest.approx(2.0 * 2.0)
-    assert dm2_cross(u, m, 0.2, 5.0) == pytest.approx(2.0)
-    assert delta_m(u, m, 1.5) == pytest.approx(2.0 * 2.0 * 1.5)
+    tab, d1, d2 = tables(u, [[1.0, 3.0], [0.0, 1.0], [7.0, 7.0]])
+    # d_lions = 2 mean(m), cell by cell; the mixed kernel is the constant 2
+    np.testing.assert_allclose(tab.grad_mean(d1, np.ones(2)), [4.0, 1.0], rtol=1e-15)
+    np.testing.assert_allclose(tab.grad_mean(d1, np.array([0.5, 1.5])), [4.0, 1.0], rtol=1e-15)
+    np.testing.assert_array_equal(tab.hess_mean(d1, np.ones(2)), [0.0, 0.0])
+    np.testing.assert_allclose(tab.pair_mean(d2, np.ones(2)), [2.0, 2.0], rtol=1e-15)
+    np.testing.assert_allclose(tab.pair_mean(d2, np.array([1.0, 3.0])), [6.0, 6.0], rtol=1e-15)
+    assert delta_m(u, empirical([1.0, 3.0]), 1.5) == pytest.approx(2.0 * 2.0 * 1.5)
 
 
 def test_derivatives_second_moment():
-    u = second_moment_functional()
-    m = empirical([0.0, 1.0])
     x = np.array([-1.0, 0.5])
-    np.testing.assert_allclose(d_lions(u, m, x), 2.0 * x)
-    np.testing.assert_allclose(d2x_dm(u, m, x), np.full(2, 2.0))
-    assert dm2_cross(u, m, 0.1, 0.2) == 0.0
+    tab, d1, d2 = tables(second_moment_functional(), [x, x + 1.0])
+    for i in range(2):  # d_lions = 2x, its x-derivative 2
+        np.testing.assert_allclose(tab.grad_mean(d1, one_hot(i, 2)), [2.0 * x[i]], rtol=1e-15)
+        np.testing.assert_allclose(tab.hess_mean(d1, one_hot(i, 2)), [2.0], rtol=1e-15)
+    assert np.all(tab.pair_mean(d2, np.ones(2)) == 0.0)
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 100_000))
 def test_dm2_symmetry(seed):
+    # the mixed kernel K(x, xh) = sum_ab d2F_ab phi_a'(x) phi_b'(xh) is
+    # symmetric, and pair_mean is its average over ordered pairs i != j
     gen = np.random.default_rng(seed)
-    m = empirical(gen.normal(size=5))
-    x, xh = gen.normal(size=2)
+    states = gen.normal(size=(3, 5))
+    w = gen.normal(size=5)
     for u in (variance_functional(), second_moment_squared_functional(), mean_squared_functional()):
-        assert dm2(u, m, x, xh) == pytest.approx(dm2(u, m, xh, x), rel=1e-12, abs=1e-12)
-        assert dm2_cross(u, m, x, xh) == pytest.approx(dm2_cross(u, m, xh, x), rel=1e-12, abs=1e-12)
+        tab, _, d2 = tables(u, states)
+        np.testing.assert_array_equal(d2, np.swapaxes(d2, -1, -2))
+        got = tab.pair_mean(d2, w)
+        for cell in range(2):
+            for kernel in (d2[cell], d2[cell].T):
+                rows = [g[cell] * w for g in tab.grads]
+                want = sum(
+                    kernel[a, b] * pair_average_bruteforce(rows[a], rows[b])
+                    for a in range(u.k)
+                    for b in range(u.k)
+                )
+                assert got[cell] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_mixture_endpoints_atom_for_atom():
@@ -217,7 +196,7 @@ def test_fd_check_dm2_second_moment_squared_exact():
 
 def test_fd_check_dm2_nonpolynomial_order_one():
     pair = MeasurePair(empirical([0.5, 1.5]), empirical([1.0, -2.0]))
-    rows = fd_check_dm2(get_functional("log-second-moment"), pair, [1e-1, 1e-2, 1e-3])
+    rows = fd_check_dm2(log_second_moment_functional(), pair, [1e-1, 1e-2, 1e-3])
     for row in rows[:-1]:
         assert abs(row.observed_order - 1.0) < 0.05
     assert fd_orders_ok(rows)
@@ -226,8 +205,7 @@ def test_fd_check_dm2_nonpolynomial_order_one():
 def test_fd_battery_all_registry_functionals():
     gen = np.random.default_rng(12)
     pair = MeasurePair(empirical(gen.normal(size=6)), empirical(gen.normal(size=4) + 0.3))
-    for name in ("mean", "mean-squared", "second-moment", "variance", "second-moment-squared", "log-second-moment"):
-        u = get_functional(name)
+    for name, u in FUNCTIONALS.items():
         assert fd_orders_ok(fd_check_dm(u, pair, EPS_LIST)), name
         assert fd_orders_ok(fd_check_dm2(u, pair, EPS_LIST)), name
 
@@ -236,7 +214,7 @@ def test_integral_identity_polynomials():
     gen = np.random.default_rng(5)
     pair = MeasurePair(empirical(gen.normal(size=5)), empirical(gen.normal(size=7) - 0.4))
     for name in ("mean", "mean-squared", "second-moment", "variance", "second-moment-squared"):
-        assert integral_identity_gap(get_functional(name), pair) < 1e-10, name
+        assert integral_identity_gap(FUNCTIONALS[name], pair) < 1e-10, name
 
 
 def test_linear_combination_matches_manual_sum():
@@ -245,9 +223,10 @@ def test_linear_combination_matches_manual_sum():
     combo = linear_combination([(2.0, u1), (-0.5, u2)])
     gen = np.random.default_rng(3)
     m = empirical(gen.normal(size=6))
-    x = 0.8
     assert evaluate(combo, m) == pytest.approx(2.0 * evaluate(u1, m) - 0.5 * evaluate(u2, m))
-    assert d_lions(combo, m, x) == pytest.approx(2.0 * d_lions(u1, m, x) - 0.5 * d_lions(u2, m, x))
-    assert dm2_cross(combo, m, x, 0.1) == pytest.approx(
-        2.0 * dm2_cross(u1, m, x, 0.1) - 0.5 * dm2_cross(u2, m, x, 0.1)
-    )
+    states = gen.normal(size=(3, 6))
+    w = gen.normal(size=6)
+    parts = [tables(u, states) for u in (combo, u1, u2)]
+    for mean, order in ((_Tables.grad_mean, 1), (_Tables.hess_mean, 1), (_Tables.pair_mean, 2)):
+        got, want1, want2 = (mean(tab, d1 if order == 1 else d2, w) for tab, d1, d2 in parts)
+        np.testing.assert_allclose(got, 2.0 * want1 - 0.5 * want2, rtol=1e-12, atol=1e-12)

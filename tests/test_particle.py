@@ -15,7 +15,7 @@ from condflow import (
     measure_flow_modulus,
     simulate_ensemble,
 )
-from condflow.chainrule import _ustat_rows
+from condflow.measures import _ustat_rows
 from condflow.paths import SdeCoefficients
 
 from helpers import pair_average_bruteforce

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from condflow import (
@@ -18,15 +18,15 @@ from condflow import (
 def test_uniform_partition_examples():
     p = make_uniform_partition(1.0, 2)
     np.testing.assert_allclose(p.times, [0.0, 0.5, 1.0])
-    assert p.mesh == 0.5
+    assert p.deltas.max() == 0.5
 
     p = make_uniform_partition(1.0, 1)
     np.testing.assert_allclose(p.times, [0.0, 1.0])
-    assert p.mesh == 1.0
+    assert p.deltas.max() == 1.0
 
     p = make_uniform_partition(2.0, 4)
     np.testing.assert_allclose(p.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert p.mesh == 0.5
+    assert p.deltas.max() == 0.5
 
 
 def test_uniform_partition_rejects_bad_args():
@@ -53,28 +53,25 @@ def test_uniform_partition_properties(horizon, n):
     assert p.times.size == n + 1
     assert p.times[0] == 0.0
     assert np.all(np.diff(p.times) > 0)
-    assert np.isclose(p.mesh, horizon / n)
-    assert np.isclose(p.mesh, np.max(np.diff(p.times)))
+    assert np.allclose(p.deltas, horizon / n)
+    assert p.num_cells == n
 
 
 def test_brownian_shape_and_decomposition():
     p = make_uniform_partition(2.0, 16)
-    path = simulate_brownian(p, 1, RngStream(1, 0))
+    path = simulate_brownian(p, RngStream(1, 0))
     assert path.values[0] == 0.0
-    fv, mart = path.decomposition
-    assert np.all(fv == 0.0)
-    np.testing.assert_array_equal(mart, path.values)
-
-    path2 = simulate_brownian(p, 3, RngStream(1, 0))
-    assert path2.values.shape == (17, 3)
+    assert path.values.shape == (17,)
+    assert np.all(path.finite_variation == 0.0)
+    np.testing.assert_array_equal(path.martingale, path.values)
 
 
 def test_brownian_determinism():
     p = make_uniform_partition(1.0, 8)
-    a = simulate_brownian(p, 1, RngStream(123, 7))
-    b = simulate_brownian(p, 1, RngStream(123, 7))
+    a = simulate_brownian(p, RngStream(123, 7))
+    b = simulate_brownian(p, RngStream(123, 7))
     np.testing.assert_array_equal(a.values, b.values)
-    c = simulate_brownian(p, 1, RngStream(123, 8))
+    c = simulate_brownian(p, RngStream(123, 8))
     assert not np.array_equal(a.values, c.values)
 
 
@@ -86,14 +83,14 @@ def test_brownian_terminal_moments():
     terminals = np.empty(num)
     base = RngStream(2024, 0)
     for i in range(num):
-        terminals[i] = simulate_brownian(p, 1, base.child(i)).values[-1]
+        terminals[i] = simulate_brownian(p, base.child(i)).values[-1]
     assert abs(terminals.mean()) < 4.0 * np.sqrt(horizon / num)
     assert abs(terminals.var() - horizon) < 0.05 * horizon
 
 
 def test_factor_deterministic_drift():
     p = make_uniform_partition(1.0, 64)
-    common = simulate_brownian(p, 1, RngStream(5, 0))
+    common = simulate_brownian(p, RngStream(5, 0))
     coeffs = constant_coefficients(k=1.0)
     y = simulate_factor(coeffs, 0.0, p, common, RngStream(5, 1))
     assert y.values[-1] == pytest.approx(1.0, abs=1e-12)
@@ -101,7 +98,7 @@ def test_factor_deterministic_drift():
 
 def test_factor_copies_common_path():
     p = make_uniform_partition(1.0, 32)
-    common = simulate_brownian(p, 1, RngStream(6, 0))
+    common = simulate_brownian(p, RngStream(6, 0))
     coeffs = constant_coefficients(gamma0=1.0)
     y = simulate_factor(coeffs, 0.7, p, common, RngStream(6, 1))
     np.testing.assert_allclose(y.values, 0.7 + common.values, atol=1e-12)
@@ -114,7 +111,7 @@ def test_factor_idiosyncratic_variance():
     base = RngStream(99, 0)
     vals = np.empty(num)
     for i in range(num):
-        common = simulate_brownian(p, 1, base.child(i, 0))
+        common = simulate_brownian(p, base.child(i, 0))
         vals[i] = simulate_factor(coeffs, 0.0, p, common, base.child(i, 1)).values[-1]
     assert abs(vals.var() - 1.0) < 0.05
 
@@ -122,18 +119,17 @@ def test_factor_idiosyncratic_variance():
 def test_factor_partition_mismatch():
     p = make_uniform_partition(1.0, 8)
     q = make_uniform_partition(1.0, 16)
-    common = simulate_brownian(q, 1, RngStream(1, 0))
+    common = simulate_brownian(q, RngStream(1, 0))
     with pytest.raises(InvalidArgumentError):
         simulate_factor(constant_coefficients(), 0.0, p, common, RngStream(1, 1))
 
 
 def test_decomposition_reconstruction_is_exact():
     p = make_uniform_partition(1.0, 128)
-    common = simulate_brownian(p, 1, RngStream(11, 0))
+    common = simulate_brownian(p, RngStream(11, 0))
     coeffs = constant_coefficients(k=0.3, gamma=0.5, gamma0=0.25)
     y = simulate_factor(coeffs, 0.4, p, common, RngStream(11, 1))
-    fv, mart = y.decomposition
-    np.testing.assert_array_equal(y.values[0] + fv + mart, y.values)
+    np.testing.assert_array_equal(y.values[0] + y.finite_variation + y.martingale, y.values)
 
 
 def test_additive_sde_exact_in_distribution_at_any_mesh():
@@ -146,7 +142,7 @@ def test_additive_sde_exact_in_distribution_at_any_mesh():
         p = make_uniform_partition(1.0, n)
         vals = np.empty(num)
         for i in range(num):
-            common = simulate_brownian(p, 1, base.child(n, i, 0))
+            common = simulate_brownian(p, base.child(n, i, 0))
             vals[i] = simulate_factor(coeffs, 0.0, p, common, base.child(n, i, 1)).values[-1]
         var = 0.8**2 + 0.6**2
         assert abs(vals.mean() - 0.5) < 4.0 * np.sqrt(var / num)
@@ -157,6 +153,8 @@ def test_sample_path_validation():
     p = make_uniform_partition(1.0, 2)
     with pytest.raises(InvalidArgumentError):
         SamplePath(p, np.zeros(4))
+    with pytest.raises(InvalidArgumentError):
+        SamplePath(p, np.zeros((3, 2)))  # paths are scalar
     vals = np.array([1.0, 2.0, 3.0])
     with pytest.raises(InvalidArgumentError):
         SamplePath(p, vals, np.zeros(3), None)
@@ -164,14 +162,6 @@ def test_sample_path_validation():
     bad_mart = np.array([0.0, 1.0, 1.0])
     with pytest.raises(InvalidArgumentError):
         SamplePath(p, vals, bad_fv, bad_mart)
-
-
-def test_value_at_interpolates():
-    p = make_uniform_partition(1.0, 2)
-    path = SamplePath(p, np.array([0.0, 0.5, 1.0]))
-    assert path.value_at(0.75) == pytest.approx(0.75)
-    with pytest.raises(InvalidArgumentError):
-        path.value_at(1.5)
 
 
 def test_rng_child_streams_differ():
@@ -182,12 +172,3 @@ def test_rng_child_streams_differ():
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(a, c)
     assert base.child(1, 2).key() == [42, 0, 1, 2]
-
-
-@settings(max_examples=25)
-@given(st.integers(1, 30), st.integers(1, 6))
-def test_subordinate_indices(k, factor):
-    coarse = make_uniform_partition(1.0, k)
-    fine = make_uniform_partition(1.0, k * factor)
-    idx = coarse.indices_in(fine)
-    np.testing.assert_allclose(fine.times[idx], coarse.times, atol=1e-12)

@@ -13,7 +13,6 @@ from condflow import (
     realized_qv,
     sampled_weight,
     simulate_brownian,
-    total_variation,
     weighted_qv_sum,
 )
 from condflow.quadvar import WeightProcess
@@ -22,15 +21,6 @@ from condflow.quadvar import WeightProcess
 def linear_path(n=2, horizon=1.0):
     p = make_uniform_partition(horizon, n)
     return SamplePath(p, p.times.copy())
-
-
-def test_total_variation():
-    assert total_variation(linear_path(10)) == pytest.approx(1.0)
-    p = make_uniform_partition(1.0, 2)
-    triangle = SamplePath(p, np.array([0.0, 1.0, 0.0]))
-    assert total_variation(triangle) == pytest.approx(2.0)
-    const = SamplePath(p, np.zeros(3))
-    assert total_variation(const) == 0.0
 
 
 def test_realized_qv_linear_and_constant():
@@ -43,13 +33,13 @@ def test_realized_qv_linear_and_constant():
 def test_realized_qv_brownian():
     n = 2**14
     p = make_uniform_partition(1.0, n)
-    w = simulate_brownian(p, 1, RngStream(7, 3))
+    w = simulate_brownian(p, RngStream(7, 3))
     assert abs(realized_qv(w) - 1.0) < 3.0 * np.sqrt(2.0 / n)
 
 
 def test_weighted_sum_reduces_to_realized_qv():
     p = make_uniform_partition(1.0, 256)
-    w = simulate_brownian(p, 1, RngStream(8, 0))
+    w = simulate_brownian(p, RngStream(8, 0))
     assert weighted_qv_sum(constant_weight(p), w) == pytest.approx(realized_qv(w))
     c = 2.75
     assert weighted_qv_sum(constant_weight(p, c), w) == pytest.approx(c * realized_qv(w), rel=1e-12)
@@ -58,8 +48,8 @@ def test_weighted_sum_reduces_to_realized_qv():
 def test_weighted_sum_independent_paths_centered():
     n = 2**14
     p = make_uniform_partition(1.0, n)
-    x = simulate_brownian(p, 1, RngStream(9, 0))
-    xhat = simulate_brownian(p, 1, RngStream(9, 1))
+    x = simulate_brownian(p, RngStream(9, 0))
+    xhat = simulate_brownian(p, RngStream(9, 1))
     value = weighted_qv_sum(constant_weight(p), x, xhat)
     assert abs(value) < 3.0 * np.sqrt(1.0 / n)
 
@@ -67,7 +57,7 @@ def test_weighted_sum_independent_paths_centered():
 def test_weighted_sum_partition_mismatch():
     p = make_uniform_partition(1.0, 8)
     q = make_uniform_partition(1.0, 12)
-    w = simulate_brownian(p, 1, RngStream(1, 0))
+    w = simulate_brownian(p, RngStream(1, 0))
     with pytest.raises(InvalidArgumentError):
         weighted_qv_sum(constant_weight(q), w)
 
@@ -99,11 +89,11 @@ def test_mixed_term_cauchy_schwarz(seed):
     gen = np.random.default_rng(seed)
     n = 12
     p = make_uniform_partition(1.0, n)
-    da = gen.normal(size=n) * 0.2
-    dm = gen.normal(size=n) * 0.4
+    a = SamplePath(p, np.concatenate([[0.0], np.cumsum(gen.normal(size=n) * 0.2)]))
+    m = SamplePath(p, np.concatenate([[0.0], np.cumsum(gen.normal(size=n) * 0.4)]))
     h = gen.normal(size=n)
-    lhs = abs(np.sum(h * da * dm))
-    rhs = np.max(np.abs(h)) * np.sqrt(np.sum(da**2)) * np.sqrt(np.sum(dm**2))
+    lhs = abs(weighted_qv_sum(WeightProcess(p, h), a, m))
+    rhs = np.max(np.abs(h)) * np.sqrt(realized_qv(a)) * np.sqrt(realized_qv(m))
     assert lhs <= rhs * (1.0 + 1e-12)
 
 
@@ -115,7 +105,7 @@ def test_martingale_compensated_square_is_centered():
     base = RngStream(17, 0)
     stats = np.empty(paths)
     for i in range(paths):
-        w = simulate_brownian(p, 1, base.child(i))
+        w = simulate_brownian(p, base.child(i))
         stats[i] = np.sum(np.diff(w.values) ** 2 - dt)
     se = stats.std(ddof=1) / np.sqrt(paths)
     assert abs(stats.mean()) < 4.0 * se
@@ -135,11 +125,8 @@ def test_lemma_study_pure_drift_exact():
 
 
 def test_lemma_study_time_weight_hits_integral():
-    def bm(partition, rng):
-        return simulate_brownian(partition, 1, rng)
-
     study = lemma_convergence_study(
-        bm,
+        simulate_brownian,
         lambda p: sampled_weight(p, lambda t: t),
         [1024],
         100,
@@ -154,21 +141,15 @@ def test_lemma_study_time_weight_hits_integral():
 
 
 def test_lemma_study_single_row_no_flags():
-    def bm(partition, rng):
-        return simulate_brownian(partition, 1, rng)
-
-    study = lemma_convergence_study(bm, constant_weight, [64], 10, 1.0, 1.0, RngStream(5, 0))
+    study = lemma_convergence_study(simulate_brownian, constant_weight, [64], 10, 1.0, 1.0, RngStream(5, 0))
     assert len(study.rows) == 1
     assert study.rows[0].ratio_vs_coarser is None
     assert not study.all_ratios_ok()  # nothing checked
 
 
 def test_lemma_study_ratio_band():
-    def bm(partition, rng):
-        return simulate_brownian(partition, 1, rng)
-
     study = lemma_convergence_study(
-        bm, constant_weight, [64, 256, 1024], 200, 1.0, 1.0, RngStream(6, 0)
+        simulate_brownian, constant_weight, [64, 256, 1024], 200, 1.0, 1.0, RngStream(6, 0)
     )
     assert study.all_ratios_ok()
     for row in study.rows[1:]:

@@ -137,7 +137,7 @@ def test_verify_factor_identical_across_windows(monkeypatch):
 def test_windows_tile_the_whole_run(monkeypatch):
     monkeypatch.setattr(chainrule, "_WINDOW_ELEMENTS", 5 * N_PARTICLES)
     s = spec(y0=0.2)
-    whole = s.build(RNG.child(6))
+    whole = simulate_ensemble(s.coeffs, s.initial, N_PARTICLES, s.partition(), RNG.child(6), y0=s.y0)
     windows = list(s.windows(RNG.child(6)))
     assert len(windows) == 13
     assert sum(w.num_cells * w.num_particles for w in windows) == N_CELLS * N_PARTICLES
