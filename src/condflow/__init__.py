@@ -17,7 +17,6 @@ from .chainrule import (
     RandomFieldSpec,
     VerificationReport,
     VerifyConfig,
-    convergence_sweep,
     verify_brownian_corollary,
     verify_factor_model,
     verify_ito,
@@ -60,8 +59,10 @@ from .paths import (
     simulate_factor,
 )
 from .quadvar import (
+    ConvergenceStudy,
     WeightProcess,
     constant_weight,
+    convergence_study,
     lemma_convergence_study,
     realized_qv,
     sampled_weight,

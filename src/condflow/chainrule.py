@@ -23,7 +23,6 @@ pairwise increment products are available as estimator cross-checks.
 """
 
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -48,9 +47,6 @@ __all__ = [
     "verify_ito_wentzell",
     "verify_brownian_corollary",
     "verify_factor_model",
-    "SweepRow",
-    "SweepTable",
-    "convergence_sweep",
 ]
 
 
@@ -71,7 +67,6 @@ class EnsembleSpec:
     num_cells: int
     horizon: float = 1.0
     y0: float | None = None
-    control: Callable | None = None
 
     def partition(self) -> Partition:
         return make_uniform_partition(self.horizon, self.num_cells)
@@ -90,7 +85,6 @@ class EnsembleSpec:
                 self.num_particles,
                 part,
                 rng,
-                control=self.control,
                 y0=self.y0,
                 num_cells=step,
             )
@@ -649,70 +643,3 @@ def verify_factor_model(
 
     params = {"functional": fu.name, "bracket": "analytic", "cross": "analytic"}
     return _verify(name, espec, cfg, [fu], _factor, window, assemble, **params)
-
-
-# ---------------------------------------------------------------------------
-# convergence sweeps
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    N: int
-    M: int
-    mean_abs_residual: float
-    stderr: float
-    ratio_vs_coarser: float | None
-    ratio_ok: bool | None
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-
-    def flagged_ok(self) -> bool:
-        checked = [r.ratio_ok for r in self.rows if r.ratio_ok is not None]
-        return all(checked) if checked else True
-
-
-def convergence_sweep(
-    run_cell: Callable[[int, int, int, RngStream], VerificationReport],
-    cells: Sequence[tuple[int, int, int]],
-    rng: RngStream,
-    ratio_band: tuple[float, float] = (1.3, 3.0),
-    threads: int = 1,
-    noise_floor: float = 1e-12,
-) -> SweepTable:
-    """Run a verifier over a grid of (n, N, M) and flag error ratios.
-
-    Rows whose cell count quadruples a previous row at the same (N, M)
-    get a mean-error ratio with an inside-band flag (target 2 for a
-    rate-1/2 statistic); a single cell yields one row and no flags.
-    Errors at the roundoff floor carry no flag (their ratios are noise).
-    """
-    if not cells:
-        raise InvalidArgumentError("sweep grid must be nonempty")
-
-    def one(args):
-        i, (n, big_n, m) = args
-        rep = run_cell(n, big_n, m, rng.child(i))
-        return rep.aggregate["mean_abs_residual"], rep.aggregate["se_abs_residual"]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(one, enumerate(cells)))
-    else:
-        stats = [one(x) for x in enumerate(cells)]
-
-    rows: list[SweepRow] = []
-    for i, (n, big_n, m) in enumerate(cells):
-        err, se = stats[i]
-        ratio = ok = None
-        for j in range(i - 1, -1, -1):
-            nj, bj, mj = cells[j]
-            if bj == big_n and mj == m and n == 4 * nj and err > noise_floor and stats[j][0] > noise_floor:
-                ratio = stats[j][0] / err
-                ok = ratio_band[0] <= ratio <= ratio_band[1]
-                break
-        rows.append(SweepRow(n, big_n, m, err, se, ratio, ok))
-    return SweepTable(tuple(rows))

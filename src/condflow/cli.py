@@ -4,22 +4,24 @@ Every run writes a JSON report, CSV term tables, and a manifest echoing
 the resolved configuration; re-running a manifest reproduces the numeric
 payloads byte for byte.  Exit status is 0 when all pass flags are set,
 1 on a tolerance violation (reports are still written), and 2 on usage
-errors (nothing is written).
+errors (nothing is written).  The ``sweep`` subcommand runs a verifier
+over a grid of (n, N, M) cells through the package's one refinement
+study, :func:`condflow.quadvar.convergence_study`; it passes only when at
+least one error ratio was checked and every checked ratio is in band.
 """
 
 import argparse
 import math
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import yaml
 
 from . import __version__
-from .chainrule import convergence_sweep
 from .errors import InvalidArgumentError
 from .output import csv_text, json_text
 from .paths import RngStream
+from .quadvar import convergence_study
 from .registry import get_experiment, list_registry
 
 __all__ = ["load_config", "resolve_params", "run", "main", "UsageError"]
@@ -40,9 +42,22 @@ _SUBCOMMAND_DEFAULTS = {
 }
 
 _TOLERANCE_KEYS = {"C", "tol_hjb", "tol_exact", "perturbation_floor", "quadrature_tol", "l1_threshold"}
-_TOP_KEYS = {"experiment", "seed", "out", "n", "N", "M", "horizon", "tolerance", "coefficients", "control", "grid", "threads"}
-# least value of each integer parameter; pair terms need two particles
-_INT_MINIMUM = {"seed": 0, "n": 1, "N": 2, "M": 1, "threads": 1}
+_TOP_KEYS = {"experiment", "seed", "out", "n", "N", "M", "horizon", "tolerance", "coefficients", "control", "grid"}
+# least value of each integer parameter: pair terms need two particles (N,
+# mc_particles), a standard error needs two draws (repeats, num_seeds,
+# mc_paths), and a gate over an empty loop (num_pairs, mc_cells) checks nothing
+_INT_MINIMUM = {
+    "seed": 0,
+    "n": 1,
+    "N": 2,
+    "M": 1,
+    "num_pairs": 1,
+    "repeats": 2,
+    "num_seeds": 2,
+    "mc_paths": 2,
+    "mc_cells": 1,
+    "mc_particles": 2,
+}
 
 
 class UsageError(Exception):
@@ -83,8 +98,9 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     """Validate a config against its experiment's parameter set.
 
     Returns (experiment name, seed, resolved params, extras) where extras
-    carries out/grid/threads.  Unknown keys anywhere, a value whose type
-    differs from its registry default, and a seed, n, N, M, threads or
+    carries out/grid.  Unknown keys anywhere, a value whose type differs
+    from its registry default, an out that is not a string, and an
+    integer (:data:`_INT_MINIMUM`, each ``cell_counts`` element) or a
     horizon out of range are usage errors.
     """
     unknown = set(config) - _TOP_KEYS
@@ -125,21 +141,21 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
         raise UsageError("coefficients must be a mapping")
     for key, value in coeffs.items():
         apply(key, value)
-    checked = {**params, "seed": config["seed"], "threads": config.get("threads", 1)}
+    checked = {**params, "seed": config["seed"]}
     for key, least in _INT_MINIMUM.items():
         _check_int(key, checked.get(key, least), least)
+    for count in params.get("cell_counts", []):
+        _check_int("cell_counts element", count, 1)
     horizon = params.get("horizon", 1.0)
     if not 0 < horizon < math.inf:  # its type was checked against the default
         raise UsageError(f"horizon must be a positive finite number, got {horizon!r}")
-    extras = {
-        "out": config.get("out"),
-        "grid": config.get("grid"),
-        "threads": checked["threads"],
-    }
+    if "out" in config and not isinstance(config["out"], str):
+        raise UsageError(f"out must be a directory name, got {config['out']!r}")
+    extras = {"out": config.get("out"), "grid": config.get("grid")}
     return name, config["seed"], params, extras
 
 
-def _run_sweep(name: str, params: dict, seed: int, grid: dict, threads: int):
+def _run_sweep(name: str, params: dict, rng: RngStream, grid: dict):
     exp = get_experiment(name)
     if exp.kind not in ("verify-ito", "verify-wentzell", "verify-brownian", "verify-factor"):
         raise UsageError("sweep needs a verification experiment")
@@ -157,21 +173,19 @@ def _run_sweep(name: str, params: dict, seed: int, grid: dict, threads: int):
     ns, big_ns, ms = axes["n"], axes["N"], axes["M"]
     cells = [(n, bn, m) for bn in big_ns for m in ms for n in ns]
 
-    def run_cell(n, bn, m, rng):
-        cell_params = dict(params, n=n, N=bn, M=m)
-        out = exp.runner(cell_params, rng)
-        return SimpleNamespace(aggregate=out.report["aggregate"])
+    def run_cell(i, cell):
+        n, bn, m = cell
+        aggregate = exp.runner(dict(params, n=n, N=bn, M=m), rng.child(i)).report["aggregate"]
+        return aggregate["mean_abs_residual"], aggregate["se_abs_residual"]
 
-    table = convergence_sweep(run_cell, cells, RngStream(seed, 0), threads=threads)
+    study = convergence_study(run_cell, cells)
     header = ["n", "N", "M", "mean_abs_residual", "stderr", "ratio", "ratio_flag"]
     rows = []
-    for r in table.rows:
-        flag = "" if r.ratio_ok is None else ("ok" if r.ratio_ok else "out-of-band")
+    for r in study.rows:
         ratio = r.ratio_vs_coarser if r.ratio_vs_coarser is not None else ""
-        rows.append([r.n, r.N, r.M, r.mean_abs_residual, r.stderr, ratio, flag])
-    passed = table.flagged_ok()
-    report = {"experiment": name, "mode": "sweep", "passed": passed}
-    return passed, report, {"sweep.csv": (header, rows)}
+        rows.append([*r.cell, r.mean_abs_error, r.stderr, ratio, r.flag])
+    report = {"experiment": name, "mode": "sweep", "passed": study.passed}
+    return study.passed, report, {"sweep.csv": (header, rows)}
 
 
 def run(config: dict, out_dir: str | Path | None = None, write: bool = True):
@@ -183,7 +197,7 @@ def run(config: dict, out_dir: str | Path | None = None, write: bool = True):
     name, seed, params, extras = resolve_params(config)
     rng = RngStream(seed, 0)
     if extras["grid"] is not None:
-        passed, report, tables = _run_sweep(name, params, seed, extras["grid"], extras["threads"])
+        passed, report, tables = _run_sweep(name, params, rng, extras["grid"])
     else:
         out = get_experiment(name).runner(params, rng)
         passed, report, tables = out.passed, out.report, out.tables
@@ -215,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None)
     sub.add_parser("list")
     return parser
 
@@ -237,8 +250,6 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.out is not None:
             config["out"] = args.out
-        if args.threads is not None:
-            config["threads"] = args.threads
         name, _, _, _ = resolve_params(config)
         expected_kind = None if args.command == "sweep" else args.command
         if expected_kind is not None and get_experiment(name).kind != expected_kind:

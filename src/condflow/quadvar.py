@@ -6,6 +6,12 @@ the weights' grid.  For a path with a known bracket the statistic
 converges (in L1, as the mesh shrinks) to the bracket integral;
 ``lemma_convergence_study`` measures that error empirically over
 independent paths.
+
+``convergence_study`` is the one refinement study of the package: it
+runs a list of cells, flags the error ratio of each cell whose n
+quadruples an earlier one's, and fails when no ratio was checked.  The
+lemma study and the CLI's ``sweep`` mode over the chain-rule verifiers
+are its two callers.
 """
 
 from dataclasses import dataclass
@@ -22,8 +28,9 @@ __all__ = [
     "weighted_qv_sum",
     "constant_weight",
     "sampled_weight",
-    "LemmaStudyRow",
-    "LemmaStudy",
+    "StudyRow",
+    "ConvergenceStudy",
+    "convergence_study",
     "lemma_convergence_study",
 ]
 
@@ -73,22 +80,65 @@ def weighted_qv_sum(weights: WeightProcess, path: SamplePath, other: SamplePath 
     return float(np.sum(weights.values * path.increments() * xhat.increments()))
 
 
+# a ratio compares two mean errors only when both lie above this floor:
+# errors at roundoff carry no rate, and their ratio is noise
+_NOISE_FLOOR = 1e-12
+# a rate-1/2 error halves when n quadruples; the band around that target 2
+# leaves room for the Monte Carlo noise of moderate studies
+_RATIO_BAND = (1.3, 3.0)
+
+
 @dataclass(frozen=True)
-class LemmaStudyRow:
-    num_cells: int
+class StudyRow:
+    cell: tuple  # (n, *rest)
     mean_abs_error: float
     stderr: float
     ratio_vs_coarser: float | None
     ratio_ok: bool | None
 
+    @property
+    def flag(self) -> str:
+        return "" if self.ratio_ok is None else ("ok" if self.ratio_ok else "out-of-band")
+
 
 @dataclass(frozen=True)
-class LemmaStudy:
-    rows: tuple[LemmaStudyRow, ...]
+class ConvergenceStudy:
+    rows: tuple[StudyRow, ...]
 
-    def all_ratios_ok(self) -> bool:
+    @property
+    def passed(self) -> bool:
+        """At least one ratio was checked and every checked ratio is in band."""
         checked = [r.ratio_ok for r in self.rows if r.ratio_ok is not None]
         return bool(checked) and all(checked)
+
+
+def convergence_study(
+    run_cell: Callable[[int, tuple], tuple[float, float]], cells: Sequence[tuple]
+) -> ConvergenceStudy:
+    """Run each cell ``(n, *rest)`` and flag the error ratios of refinements.
+
+    ``run_cell(i, cell)`` returns the cell's mean absolute error and its
+    standard error.  A row is compared with the latest earlier row that has
+    the same ``rest`` and a quarter of its n: it gets the ratio coarse
+    error / fine error and a flag for that ratio lying in the band.  Rows
+    without such a partner, and errors at the roundoff floor, carry no flag.
+    """
+    if not cells:
+        raise InvalidArgumentError("a convergence study needs at least one cell")
+    stats = [run_cell(i, cell) for i, cell in enumerate(cells)]
+    rows: list[StudyRow] = []
+    for i, ((n, *rest), (err, se)) in enumerate(zip(cells, stats)):
+        coarser = [
+            coarse
+            for (coarse_n, *coarse_rest), (coarse, _) in zip(cells[:i], stats)
+            if coarse_rest == rest and 4 * coarse_n == n and coarse > _NOISE_FLOOR
+        ]
+        ratio = ok = None
+        if coarser and err > _NOISE_FLOOR:
+            ratio = coarser[-1] / err
+            ok = _RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]
+        rows.append(StudyRow((n, *rest), err, se, ratio, ok))
+    return ConvergenceStudy(tuple(rows))
 
 
 def lemma_convergence_study(
@@ -97,36 +147,26 @@ def lemma_convergence_study(
     cell_counts: Sequence[int],
     num_seeds: int,
     horizon: float,
-    limit: float | Callable[[Partition], float],
+    limit: float,
     rng: RngStream,
-    ratio_band: tuple[float, float] = (1.3, 3.0),
-) -> LemmaStudy:
+) -> ConvergenceStudy:
     """L1 error of the weighted QV sum against its analytic limit.
 
     For each grid size, ``num_seeds`` independent paths are generated and
     the mean absolute deviation from ``limit`` is reported with its
-    standard error.  Consecutive sizes that quadruple the cell count get
-    a ratio flag: mean error ratio inside ``ratio_band`` (target 2 for a
-    rate-1/2 statistic).
+    standard error; :func:`convergence_study` flags the ratios.
     """
-    if not cell_counts:
-        raise InvalidArgumentError("cell_counts must be nonempty")
-    rows: list[LemmaStudyRow] = []
-    prev: tuple[int, float] | None = None
-    for j, n in enumerate(cell_counts):
-        part = Partition(np.linspace(0.0, horizon, n + 1))
-        target = limit(part) if callable(limit) else float(limit)
+    if num_seeds < 2:  # one path has no standard error
+        raise InvalidArgumentError("the lemma study needs at least two seeds")
+    limit = float(limit)
+
+    def run_cell(j, cell):
+        part = Partition(np.linspace(0.0, horizon, cell[0] + 1))
         weights = weight_generator(part)
         errs = np.empty(num_seeds)
         for s in range(num_seeds):
             path = path_generator(part, rng.child(j, s))
-            errs[s] = abs(weighted_qv_sum(weights, path) - target)
-        mean_err = float(errs.mean())
-        se = float(errs.std(ddof=1) / np.sqrt(num_seeds)) if num_seeds > 1 else 0.0
-        ratio = ok = None
-        if prev is not None and n == 4 * prev[0] and mean_err > 0:
-            ratio = prev[1] / mean_err
-            ok = ratio_band[0] <= ratio <= ratio_band[1]
-        rows.append(LemmaStudyRow(n, mean_err, se, ratio, ok))
-        prev = (n, mean_err)
-    return LemmaStudy(tuple(rows))
+            errs[s] = abs(weighted_qv_sum(weights, path) - limit)
+        return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(num_seeds))
+
+    return convergence_study(run_cell, [(n,) for n in cell_counts])

@@ -349,16 +349,13 @@ def _lemma_qv(params: dict, rng: RngStream) -> RunOutput:
     summary = {}
     for fname, study in studies.items():
         header = ["n", "mean_abs_error", "stderr", "ratio_flag"]
-        rows = []
-        for r in study.rows:
-            flag = "" if r.ratio_ok is None else ("ok" if r.ratio_ok else "out-of-band")
-            rows.append([r.num_cells, r.mean_abs_error, r.stderr, flag])
+        rows = [[*r.cell, r.mean_abs_error, r.stderr, r.flag] for r in study.rows]
         tables[fname] = (header, rows)
-        passed = passed and study.all_ratios_ok()
+        passed = passed and study.passed
         passed = passed and study.rows[-1].mean_abs_error < params["l1_threshold"]
         summary[fname] = {
             "final_error": study.rows[-1].mean_abs_error,
-            "ratios_ok": study.all_ratios_ok(),
+            "ratios_ok": study.passed,
         }
     return RunOutput(passed, {"experiment": "lemma-qv-bm", "studies": summary, "passed": passed}, tables)
 

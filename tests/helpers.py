@@ -60,3 +60,30 @@ def zero_value() -> LqValue:
     zero = np.zeros(2)
     consts = {"q": 0.0, "r": 0.0, "sigma": 0.0, "sigma0": 0.0}
     return LqValue(ts, zero, zero.copy(), zero.copy(), consts, 0.0)
+
+
+# one small config per experiment family, run twice by criterion 9 and
+# hashed against a committed record by test_golden
+REPRO_CONFIGS = [
+    {"experiment": "ito-telescoping", "seed": 7, "n": 16, "N": 32, "M": 3},
+    {"experiment": "ito-second-moment", "seed": 7, "n": 64, "N": 128, "M": 8},
+    {"experiment": "wentzell-ablation", "seed": 7, "n": 64, "N": 16, "M": 8},
+    {"experiment": "wentzell-independent", "seed": 7, "n": 32, "N": 16, "M": 4},
+    {"experiment": "brownian-corollary", "seed": 7, "n": 64, "N": 16, "M": 8},
+    {"experiment": "factor-linear", "seed": 7, "n": 64, "N": 16, "M": 8},
+    {"experiment": "lemma-qv-bm", "seed": 7, "coefficients": {"cell_counts": [64, 256], "num_seeds": 20}},
+    {"experiment": "deriv-battery", "seed": 7},
+    {
+        "experiment": "lq-common-noise",
+        "seed": 7,
+        "coefficients": {"mc_particles": 64, "mc_cells": 16, "mc_paths": 4},
+    },
+    {"experiment": "dpp-lq", "seed": 7, "n": 16, "N": 32, "M": 4},
+    {
+        "experiment": "modulus-lq",
+        "seed": 7,
+        "n": 32,
+        "N": 32,
+        "coefficients": {"repeats": 4, "num_pairs": 5},
+    },
+]

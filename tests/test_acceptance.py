@@ -12,6 +12,7 @@ from condflow.cli import run
 from condflow.particle import dirac_initial
 from condflow.paths import constant_coefficients
 from condflow.registry import get_experiment, mean_squared_functional
+from helpers import REPRO_CONFIGS
 
 SEED = 20_240_817
 
@@ -151,35 +152,12 @@ def test_criterion_8_measure_flow_modulus():
 
 def test_criterion_9_reproducibility():
     start = time.perf_counter()
-    configs = [
-        {"experiment": "ito-telescoping", "seed": 7, "n": 16, "N": 32, "M": 3},
-        {"experiment": "ito-second-moment", "seed": 7, "n": 64, "N": 128, "M": 8},
-        {"experiment": "wentzell-ablation", "seed": 7, "n": 64, "N": 16, "M": 8},
-        {"experiment": "wentzell-independent", "seed": 7, "n": 32, "N": 16, "M": 4},
-        {"experiment": "brownian-corollary", "seed": 7, "n": 64, "N": 16, "M": 8},
-        {"experiment": "factor-linear", "seed": 7, "n": 64, "N": 16, "M": 8},
-        {"experiment": "lemma-qv-bm", "seed": 7, "coefficients": {"cell_counts": [64, 256], "num_seeds": 20}},
-        {"experiment": "deriv-battery", "seed": 7},
-        {
-            "experiment": "lq-common-noise",
-            "seed": 7,
-            "coefficients": {"mc_particles": 64, "mc_cells": 16, "mc_paths": 4},
-        },
-        {"experiment": "dpp-lq", "seed": 7, "n": 16, "N": 32, "M": 4},
-        {
-            "experiment": "modulus-lq",
-            "seed": 7,
-            "n": 32,
-            "N": 32,
-            "coefficients": {"repeats": 4, "num_pairs": 5},
-        },
-    ]
     all_equal = True
-    for cfg in configs:
+    for cfg in REPRO_CONFIGS:
         _, first = run(dict(cfg), write=False)
         _, second = run(dict(cfg), write=False)
         if first != second:
             all_equal = False
             print(f"  repro mismatch in {cfg['experiment']}")
     elapsed = time.perf_counter() - start
-    _report_line(9, all_equal, elapsed, 120.0, f"{len(configs)} experiment families, byte-identical payloads")
+    _report_line(9, all_equal, elapsed, 120.0, f"{len(REPRO_CONFIGS)} experiment families, byte-identical payloads")

@@ -12,7 +12,7 @@ from condflow import (
     RngStream,
     VerifyConfig,
     constant_coefficients,
-    convergence_sweep,
+    convergence_study,
     dirac_initial,
     gaussian_quantile_initial,
     linear_combination,
@@ -358,44 +358,54 @@ def test_factor_requires_y0():
 # sweeps
 
 
+def sweep(verify, cells, rng):
+    """The CLI's sweep: each (n, N, M) cell runs ``verify`` on its own child stream."""
+
+    def run_cell(i, cell):
+        aggregate = verify(*cell, rng.child(i)).aggregate
+        return aggregate["mean_abs_residual"], aggregate["se_abs_residual"]
+
+    return convergence_study(run_cell, cells)
+
+
 def test_sweep_single_cell_no_flags():
     spec = common_noise_spec(n=16, particles=8)
 
-    def run_cell(n, big_n, m, rng):
+    def verify(n, big_n, m, rng):
         cfg = VerifyConfig(rng, outer_paths=m, cross="pairwise", rule="exact")
         return verify_ito(mean_squared_functional(), replace(spec, num_cells=n, num_particles=big_n), cfg)
 
-    table = convergence_sweep(run_cell, [(16, 8, 2)], RNG.child(30))
-    assert len(table.rows) == 1
-    assert table.rows[0].ratio_vs_coarser is None
-    assert table.flagged_ok()
+    study = sweep(verify, [(16, 8, 2)], RNG.child(30))
+    assert len(study.rows) == 1
+    assert study.rows[0].ratio_vs_coarser is None
+    assert not study.passed  # no ratio was checked
 
 
 def test_sweep_telescoping_residuals_flat_zero():
     spec = common_noise_spec(n=16, particles=8)
 
-    def run_cell(n, big_n, m, rng):
+    def verify(n, big_n, m, rng):
         cfg = VerifyConfig(rng, outer_paths=m, cross="pairwise", rule="exact")
         return verify_ito(mean_squared_functional(), replace(spec, num_cells=n, num_particles=big_n), cfg)
 
-    table = convergence_sweep(run_cell, [(16, 8, 4), (64, 8, 4), (256, 8, 4)], RNG.child(31))
-    for row in table.rows:
-        assert row.mean_abs_residual < 1e-12
+    study = sweep(verify, [(16, 8, 4), (64, 8, 4), (256, 8, 4)], RNG.child(31))
+    for row in study.rows:
+        assert row.mean_abs_error < 1e-12
 
 
 def test_sweep_rate_band_for_second_moment():
     spec = common_noise_spec(particles=1024, sigma=1.0, sigma0=0.0, initial=dirac_initial(0.0))
 
-    def run_cell(n, big_n, m, rng):
+    def verify(n, big_n, m, rng):
         cfg = VerifyConfig(rng, outer_paths=m, rule="mc", tolerance_c=0.5)
         return verify_ito(second_moment_functional(), replace(spec, num_cells=n, num_particles=big_n), cfg)
 
-    table = convergence_sweep(run_cell, [(256, 1024, 48), (1024, 1024, 48)], RNG.child(32))
-    assert table.rows[1].ratio_vs_coarser is not None
-    assert 1.3 <= table.rows[1].ratio_vs_coarser <= 3.0
-    assert table.flagged_ok()
+    study = sweep(verify, [(256, 1024, 48), (1024, 1024, 48)], RNG.child(32))
+    assert study.rows[1].ratio_vs_coarser is not None
+    assert 1.3 <= study.rows[1].ratio_vs_coarser <= 3.0
+    assert study.passed
 
 
 def test_sweep_rejects_empty_grid():
     with pytest.raises(InvalidArgumentError):
-        convergence_sweep(lambda *a: None, [], RNG)
+        convergence_study(lambda *a: None, [])

@@ -106,12 +106,31 @@ def test_failing_tolerance_still_writes_report(tmp_path):
 
 
 def test_sweep_through_run(tmp_path):
+    # telescoping residuals sit at roundoff, so no ratio is checked and the
+    # sweep fails rather than passing by default
     cfg = small_config(grid={"n": [8, 32]})
     code, payloads = run(cfg, out_dir=tmp_path)
-    assert code == 0
+    assert code == 1
+    assert json.loads(payloads["report.json"])["passed"] is False
     lines = payloads["sweep.csv"].strip().splitlines()
     assert lines[0].startswith("n,N,M,mean_abs_residual")
     assert len(lines) == 3
+
+
+def test_sweep_without_a_quadrupled_pair_fails(tmp_path):
+    cfg = small_config(experiment="ito-second-moment", grid={"n": [8, 16]})
+    code, payloads = run(cfg, out_dir=tmp_path)
+    assert code == 1
+    assert [line.split(",")[-1] for line in payloads["sweep.csv"].strip().splitlines()[1:]] == ["", ""]
+
+
+def test_threads_flag_is_gone(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(small_config(out=str(tmp_path / "out"), grid={"n": [8, 32]})))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_main_end_to_end(tmp_path, capsys):
@@ -178,12 +197,24 @@ def test_cli_default_experiment_requires_seed(tmp_path):
         {"grid": {"n": ["abc"]}},
         {"experiment": "dpp-lq", "control": "constant-max", "M": 1, "n": 64, "N": 128},
         {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "coefficients": {"mc_paths": 1}},
+        {"threads": 2},
+        {"out": 5},
+        {"experiment": "modulus-lq", "n": 16, "N": 8, "M": None, "coefficients": {"num_pairs": 0}},
+        {"experiment": "modulus-lq", "n": 16, "N": 8, "M": None, "coefficients": {"num_pairs": -3}},
+        {"experiment": "modulus-lq", "n": 16, "N": 8, "M": None, "coefficients": {"repeats": 1}},
+        {"experiment": "lemma-qv-bm", "n": None, "N": None, "M": None, "coefficients": {"num_seeds": 1}},
+        {"experiment": "lemma-qv-bm", "n": None, "N": None, "M": None, "coefficients": {"num_seeds": 0}},
+        {"experiment": "lemma-qv-bm", "n": None, "N": None, "M": None, "coefficients": {"cell_counts": [16, 0]}},
+        {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "coefficients": {"mc_cells": 0}},
+        {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "coefficients": {"mc_particles": 1}},
+        {"experiment": "deriv-battery", "n": None, "N": None, "M": None, "coefficients": {"eps_list": [0.1]}},
+        {"experiment": "deriv-battery", "n": None, "N": None, "M": None, "coefficients": {"eps_list": []}},
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):
     out = tmp_path / "out"
     # an override of None drops that key of the small config
-    cfg = {k: v for k, v in small_config(out=str(out), **override).items() if v is not None}
+    cfg = {k: v for k, v in {**small_config(out=str(out)), **override}.items() if v is not None}
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     command = "sweep" if "grid" in cfg else get_experiment(cfg["experiment"]).kind
@@ -200,7 +231,7 @@ VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
 def test_resolve_params_returns_or_raises_usage_error(experiment, data):
     defaults = get_experiment(experiment).defaults
     cfg = {"experiment": experiment, "seed": data.draw(VALUES)}
-    for key in ("n", "N", "M", "horizon", "threads"):
+    for key in ("n", "N", "M", "horizon", "out"):
         if data.draw(st.booleans()):
             cfg[key] = data.draw(VALUES)
     cfg["coefficients"] = {data.draw(st.sampled_from(sorted(defaults))): data.draw(VALUES)}
@@ -208,6 +239,6 @@ def test_resolve_params_returns_or_raises_usage_error(experiment, data):
         _, seed, params, extras = resolve_params(cfg)
     except UsageError:
         return
-    assert type(seed) is int and type(extras["threads"]) is int
+    assert type(seed) is int and type(extras["out"]) in (str, type(None))
     for key, default in defaults.items():
         assert type(params[key]) is type(default) or (type(default) is float and type(params[key]) is int)

@@ -1,0 +1,62 @@
+"""Payload bytes against a committed record, so a change that moves any
+payload byte fails here and not only in a by-hand comparison.
+
+``golden_payloads.json`` holds the sha256 of every payload file of the
+reproducibility configs and of one small sweep per non-exact verifier
+experiment, with the numpy and scipy versions it was recorded under.
+Other versions may draw or round differently, so there the test skips.
+A change that alters a payload on purpose re-records the file with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy
+import pytest
+import scipy
+
+from condflow.cli import run
+from helpers import REPRO_CONFIGS
+
+RECORD = Path(__file__).with_name("golden_payloads.json")
+SWEEP_GRID = {"n": [8, 32], "N": [16, 32], "M": [2]}
+SWEEP_EXPERIMENTS = (
+    "ito-second-moment",
+    "wentzell-ablation",
+    "wentzell-independent",
+    "brownian-corollary",
+    "factor-linear",
+)
+CONFIGS = {
+    **{cfg["experiment"]: cfg for cfg in REPRO_CONFIGS},
+    **{f"sweep {name}": {"experiment": name, "seed": 2, "grid": SWEEP_GRID} for name in SWEEP_EXPERIMENTS},
+}
+
+
+def versions() -> dict:
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def payload_hashes(cfg: dict) -> dict:
+    _, payloads = run(dict(cfg), write=False)
+    return {fname: hashlib.sha256(text.encode()).hexdigest() for fname, text in sorted(payloads.items())}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_payloads_match_record(key):
+    record = json.loads(RECORD.read_text())
+    if record["versions"] != versions():
+        recorded, here = record["versions"], versions()
+        pytest.skip(
+            f"hashes recorded under numpy {recorded['numpy']} and scipy {recorded['scipy']}; "
+            f"this is numpy {here['numpy']} and scipy {here['scipy']}"
+        )
+    assert sorted(record["hashes"]) == sorted(CONFIGS)
+    assert payload_hashes(CONFIGS[key]) == record["hashes"][key]
+
+
+if __name__ == "__main__":
+    hashes = {key: payload_hashes(cfg) for key, cfg in sorted(CONFIGS.items())}
+    RECORD.write_text(json.dumps({"versions": versions(), "hashes": hashes}, indent=1, sort_keys=True) + "\n")

@@ -152,6 +152,15 @@ def test_mixture_endpoints_atom_for_atom():
         pair.mixture(1.5)
 
 
+@pytest.mark.parametrize("eps_list", [[], [0.1], [0.1, 0.1], [0.01, 0.1], [0.1, -0.01]])
+def test_fd_checks_reject_bad_eps_lists(eps_list):
+    # fewer than two step sizes give no observed order, so nothing would be checked
+    pair = MeasurePair(empirical([0.2, 1.4]), empirical([-0.5, 0.9, 2.2]))
+    for check in (fd_check_dm, fd_check_dm2):
+        with pytest.raises(InvalidArgumentError):
+            check(mean_squared_functional(), pair, eps_list)
+
+
 def test_fd_check_dm_linear_functional_exact():
     pair = MeasurePair(empirical([0.2, 1.4]), empirical([-0.5, 0.9, 2.2]))
     rows = fd_check_dm(mean_functional(), pair, EPS_LIST)

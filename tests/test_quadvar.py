@@ -8,6 +8,7 @@ from condflow import (
     RngStream,
     SamplePath,
     constant_weight,
+    convergence_study,
     lemma_convergence_study,
     make_uniform_partition,
     realized_qv,
@@ -144,13 +145,27 @@ def test_lemma_study_single_row_no_flags():
     study = lemma_convergence_study(simulate_brownian, constant_weight, [64], 10, 1.0, 1.0, RngStream(5, 0))
     assert len(study.rows) == 1
     assert study.rows[0].ratio_vs_coarser is None
-    assert not study.all_ratios_ok()  # nothing checked
+    assert not study.passed  # nothing checked
 
 
 def test_lemma_study_ratio_band():
     study = lemma_convergence_study(
         simulate_brownian, constant_weight, [64, 256, 1024], 200, 1.0, 1.0, RngStream(6, 0)
     )
-    assert study.all_ratios_ok()
+    assert study.passed
     for row in study.rows[1:]:
         assert 1.3 <= row.ratio_vs_coarser <= 3.0
+
+
+def test_lemma_study_needs_two_seeds():
+    with pytest.raises(InvalidArgumentError):
+        lemma_convergence_study(simulate_brownian, constant_weight, [16, 64], 1, 1.0, 1.0, RngStream(5, 0))
+
+
+def test_convergence_study_pairs_by_rest_and_skips_roundoff():
+    errors = {(8, 1): 0.4, (32, 1): 0.2, (8, 2): 1e-13, (32, 2): 1e-14, (128, 1): 0.01}
+    study = convergence_study(lambda i, cell: (errors[cell], 0.0), list(errors))
+    assert [r.flag for r in study.rows] == ["", "ok", "", "", "out-of-band"]
+    assert study.rows[1].ratio_vs_coarser == 2.0
+    assert not study.passed
+    assert convergence_study(lambda i, cell: (errors[cell], 0.0), list(errors)[:2]).passed
