@@ -125,8 +125,8 @@ def make_lq_problem(
 
     coeffs = SdeCoefficients(
         drift=lambda t, x, y, m, a: a,
-        sigma=lambda t, x, y, m, a: np.broadcast_to(sigma, np.shape(x)) if np.ndim(x) else sigma,
-        sigma0=lambda t, x, y, m, a: np.broadcast_to(sigma0, np.shape(x)) if np.ndim(x) else sigma0,
+        sigma=lambda t, x, y, m, a: sigma,
+        sigma0=lambda t, x, y, m, a: sigma0,
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -198,7 +198,7 @@ class LqValue:
 
     def d2x(self, t: float, m, x):
         qc = self.quad_coeffs(t)
-        return np.broadcast_to(2.0 * qc["P"], np.shape(x)) if np.ndim(x) else 2.0 * qc["P"]
+        return 2.0 * qc["P"]
 
     def cross(self, t: float, m, x=None, xh=None):
         qc = self.quad_coeffs(t)
@@ -222,15 +222,23 @@ def _rk4_backward(rhs: Callable, terminal: np.ndarray, t1: float, t0: float, ste
     return ts, out
 
 
-def solve_lq_value(
-    problem: ControlProblem, tol: float = 1e-8, initial_steps: int = 64, min_steps: int = 4096
-) -> LqValue:
+# two successive halvings must agree this closely at their shared nodes
+_RICCATI_TOL = 1e-8
+# the stored grid has at least this many steps, so that the linear
+# interpolation between its nodes stays below the solve tolerance
+_RICCATI_MIN_STEPS = 4096
+# the halving stops here whatever the agreement, so a stiff instance ends
+_RICCATI_MAX_STEPS = 1 << 17
+
+
+def solve_lq_value(problem: ControlProblem) -> LqValue:
     """Backward RK4 solve of the Riccati system with step halving.
 
-    Halves the step until two successive solutions agree below ``tol`` at
-    shared grid points; the terminal values are imposed exactly.  The
-    stored grid is refined to at least ``min_steps`` so that the linear
-    interpolation used between nodes stays below the solve tolerance.
+    Halves the step until two successive solutions agree below
+    :data:`_RICCATI_TOL` at shared grid points and the grid has at least
+    :data:`_RICCATI_MIN_STEPS` steps; the terminal values are imposed
+    exactly.  The first solve has half the least step count, since no
+    coarser solve could end the halving.
     """
     consts = problem.constants
     q, r = consts["q"], consts["r"]
@@ -241,13 +249,13 @@ def solve_lq_value(
         p, rr, _ = s
         return np.array([0.5 * q - 2.0 * p * p, 0.5 * r - 2.0 * rr * rr, -(p * sigma**2 + rr * sigma0**2)])
 
-    steps = initial_steps
+    steps = _RICCATI_MIN_STEPS // 2
     ts, sol = _rk4_backward(rhs, terminal, problem.horizon, 0.0, steps)
     while True:
         ts2, sol2 = _rk4_backward(rhs, terminal, problem.horizon, 0.0, 2 * steps)
         err = float(np.max(np.abs(sol2[::2] - sol)))
         ts, sol, steps = ts2, sol2, 2 * steps
-        if (err < tol and steps >= min_steps) or steps >= 1 << 17:
+        if err < _RICCATI_TOL or steps >= _RICCATI_MAX_STEPS:
             break
     order = np.argsort(ts)
     ts = ts[order]
@@ -392,9 +400,11 @@ def generator(problem: ControlProblem, value, t: float, y: float, m, control) ->
         raise InvalidArgumentError("control values escape the control set")
     coeffs = problem.coeffs
     f_vals = np.asarray(problem.running_reward(t, y, m, x, a), dtype=float)
-    b = np.asarray(coeffs.drift(t, x, y, m, a), dtype=float)
-    s = np.asarray(coeffs.sigma(t, x, y, m, a), dtype=float)
-    s0 = np.asarray(coeffs.sigma0(t, x, y, m, a), dtype=float)
+    # the coefficients are averaged over the atoms, so each gets one value per atom
+    b, s, s0 = (
+        np.broadcast_to(np.asarray(c(t, x, y, m, a), dtype=float), x.shape)
+        for c in (coeffs.drift, coeffs.sigma, coeffs.sigma0)
+    )
     dl = np.asarray(value.d_lions(t, m, x), dtype=float)
     d2 = np.broadcast_to(np.asarray(value.d2x(t, m, x), dtype=float), x.shape)
     total = value.time_derivative(t, m)
@@ -578,8 +588,12 @@ def dpp_check(
     and be significantly negative for suboptimal controls; for constant
     controls the result carries the exact linear-ansatz prediction.
     """
-    if theta <= t0:
-        raise InvalidArgumentError("need theta > t0")
+    # the value function is solved on [0, horizon]; outside it np.interp
+    # would freeze V and the feedback at their end values
+    if not 0.0 <= t0 < theta <= problem.horizon:
+        raise InvalidArgumentError(
+            f"need 0 <= t0 < theta <= horizon = {problem.horizon}, got t0 = {t0} and theta = {theta}"
+        )
     if outer_paths < 2:  # one repetition has no standard error
         raise InvalidArgumentError("the DPP check needs at least 2 outer repetitions")
     part = make_uniform_partition(theta - t0, num_cells)

@@ -189,8 +189,7 @@ def simulate_ensemble(
     else:
         gen = rng.generator()
         dw0 = gen.normal(size=n) * sqdt
-        common_mart = np.concatenate([[0.0], np.cumsum(dw0)])
-        common = SamplePath(partition, common_mart.copy(), np.zeros(n + 1), common_mart)
+        common = SamplePath(partition, np.concatenate([[0.0], np.cumsum(dw0)]))
         factor = None
         if y0 is not None:
             factor = simulate_factor(coeffs, y0, partition, common, rng.child(1))
@@ -218,6 +217,7 @@ def simulate_ensemble(
         a = control(t, x, m) if control is not None else None
         if avals is not None:
             avals[j] = a
+        # the row assignments broadcast each coefficient value to the particles
         bvals[j] = coeffs.drift(t, x, y, m, a)
         svals[j] = coeffs.sigma(t, x, y, m, a)
         s0vals[j] = coeffs.sigma0(t, x, y, m, a)

@@ -62,38 +62,17 @@ def make_uniform_partition(horizon: float, num_cells: int) -> Partition:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization of a scalar process on a grid.
-
-    ``finite_variation`` and ``martingale`` (both started at 0) are an
-    optional decomposition with values = values[0] + A + M on every grid
-    point; simulators construct values from the parts so the identity is
-    exact.
-    """
+    """One realization of a scalar process on a grid: its values, one per
+    grid time, and nothing else."""
 
     partition: Partition
     values: np.ndarray
-    finite_variation: np.ndarray | None = None
-    martingale: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.shape[0] != self.partition.times.size:
             raise InvalidArgumentError("need one scalar value per grid time")
-        if (self.finite_variation is None) != (self.martingale is None):
-            raise InvalidArgumentError("decomposition needs both parts")
-        if self.finite_variation is not None:
-            a = np.asarray(self.finite_variation, dtype=float)
-            m = np.asarray(self.martingale, dtype=float)
-            object.__setattr__(self, "finite_variation", a)
-            object.__setattr__(self, "martingale", m)
-            if a.shape != v.shape or m.shape != v.shape:
-                raise InvalidArgumentError("decomposition shape mismatch")
-            if np.any(a[0] != 0.0) or np.any(m[0] != 0.0):
-                raise InvalidArgumentError("decomposition parts must start at 0")
-            scale = 1.0 + np.max(np.abs(v))
-            if np.max(np.abs(v[0] + a + m - v)) > 1e-9 * scale:
-                raise InvalidArgumentError("decomposition does not reconstruct the path")
 
     @property
     def dim(self) -> int:
@@ -109,8 +88,10 @@ class SdeCoefficients:
     """Coefficient fields for the controlled state and the factor.
 
     State coefficients are callables ``(t, x, y, m, a)`` vectorized over
-    ``x`` (and ``a`` when present); factor coefficients are ``(t, y)``.
-    ``bounds`` records sup-norms used by modulus checks.
+    ``x`` (and ``a`` when present); each returns anything that broadcasts
+    against ``x``, so a constant coefficient returns its constant and the
+    caller broadcasts it where it uses the value.  Factor coefficients are
+    ``(t, y)``.  ``bounds`` records sup-norms used by modulus checks.
     """
 
     drift: Callable
@@ -137,9 +118,9 @@ def constant_coefficients(
 ) -> SdeCoefficients:
     """Coefficients that ignore state, factor, measure and control."""
     return SdeCoefficients(
-        drift=lambda t, x, y, m, a: np.broadcast_to(b, np.shape(x)) if np.ndim(x) else b,
-        sigma=lambda t, x, y, m, a: np.broadcast_to(sigma, np.shape(x)) if np.ndim(x) else sigma,
-        sigma0=lambda t, x, y, m, a: np.broadcast_to(sigma0, np.shape(x)) if np.ndim(x) else sigma0,
+        drift=lambda t, x, y, m, a: b,
+        sigma=lambda t, x, y, m, a: sigma,
+        sigma0=lambda t, x, y, m, a: sigma0,
         k=lambda t, y: k,
         gamma=lambda t, y: gamma,
         gamma0=lambda t, y: gamma0,
@@ -181,14 +162,12 @@ class RngStream:
 def simulate_brownian(partition: Partition, rng: RngStream) -> SamplePath:
     """Standard Brownian path on the grid, started at 0.
 
-    Increments over the cells are independent N(0, dt) draws; the
-    decomposition is (A = 0, M = path).
+    Increments over the cells are independent N(0, dt) draws.
     """
     gen = rng.generator()
     dt = partition.deltas
     inc = gen.normal(size=dt.size) * np.sqrt(dt)
-    mart = np.concatenate([[0.0], np.cumsum(inc)])
-    return SamplePath(partition, mart.copy(), np.zeros_like(mart), mart)
+    return SamplePath(partition, np.concatenate([[0.0], np.cumsum(inc)]))
 
 
 def simulate_factor(
@@ -220,5 +199,4 @@ def simulate_factor(
         fv[i + 1] = fv[i] + coeffs.k(t, y) * dt[i]
         mart[i + 1] = mart[i] + coeffs.gamma(t, y) * db[i] + coeffs.gamma0(t, y) * dw0[i]
         y = y0 + fv[i + 1] + mart[i + 1]
-    values = y0 + fv + mart
-    return SamplePath(partition, values, fv, mart)
+    return SamplePath(partition, y0 + fv + mart)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -209,6 +210,10 @@ def test_cli_default_experiment_requires_seed(tmp_path):
         {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "coefficients": {"mc_particles": 1}},
         {"experiment": "deriv-battery", "n": None, "N": None, "M": None, "coefficients": {"eps_list": [0.1]}},
         {"experiment": "deriv-battery", "n": None, "N": None, "M": None, "coefficients": {"eps_list": []}},
+        {"experiment": "ito-second-moment", "n": 8, "N": 8, "M": 2, "tolerance": {"C": math.inf}},
+        {"experiment": "ito-second-moment", "n": 8, "N": 8, "M": 2, "tolerance": {"C": math.nan}},
+        {"experiment": "dpp-lq", "n": 16, "N": 32, "M": 4, "coefficients": {"theta": 3.0}},
+        {"experiment": "dpp-lq", "n": 16, "N": 32, "M": 4, "coefficients": {"t0": -2.0}},
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):
@@ -242,3 +247,5 @@ def test_resolve_params_returns_or_raises_usage_error(experiment, data):
     assert type(seed) is int and type(extras["out"]) in (str, type(None))
     for key, default in defaults.items():
         assert type(params[key]) is type(default) or (type(default) is float and type(params[key]) is int)
+        values = params[key] if isinstance(params[key], list) else [params[key]]
+        assert all(math.isfinite(v) for v in values if isinstance(v, float))

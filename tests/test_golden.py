@@ -2,8 +2,9 @@
 payload byte fails here and not only in a by-hand comparison.
 
 ``golden_payloads.json`` holds the sha256 of every payload file of the
-reproducibility configs and of one small sweep per non-exact verifier
-experiment, with the numpy and scipy versions it was recorded under.
+reproducibility configs, of one small sweep per non-exact verifier
+experiment and of two runs that resume a windowed sweep, with the numpy
+and scipy versions it was recorded under.
 Other versions may draw or round differently, so there the test skips.
 A change that alters a payload on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -29,9 +30,17 @@ SWEEP_EXPERIMENTS = (
     "brownian-corollary",
     "factor-linear",
 )
+# a sweep runs in windows of max(1, 2**16 // N) cells, so these two runs
+# resume it (4 and 2 windows), and the factor verifier reads its factor
+# path through a resumed window; every other config here is one window
+WINDOWED_CONFIGS = [
+    {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
+    {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},
+]
 CONFIGS = {
     **{cfg["experiment"]: cfg for cfg in REPRO_CONFIGS},
     **{f"sweep {name}": {"experiment": name, "seed": 2, "grid": SWEEP_GRID} for name in SWEEP_EXPERIMENTS},
+    **{f"windowed {cfg['experiment']}": cfg for cfg in WINDOWED_CONFIGS},
 }
 
 

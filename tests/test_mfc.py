@@ -245,9 +245,11 @@ def test_dpp_ordering_under_common_random_numbers():
 
 
 def test_dpp_rejects_bad_horizon():
+    # an empty interval, and times outside [0, horizon], where V is not solved
     control = optimal_feedback(VALUE, PROBLEM.a_max)
-    with pytest.raises(InvalidArgumentError):
-        dpp_check(PROBLEM, VALUE, control, 0.5, 0.5, 0.0, 1.0, 16, 8, 2, RngStream(0, 0))
+    for t0, theta in ((0.5, 0.5), (0.0, 3.0), (-2.0, 1.0), (0.5, PROBLEM.horizon + 0.25)):
+        with pytest.raises(InvalidArgumentError):
+            dpp_check(PROBLEM, VALUE, control, t0, theta, 0.0, 1.0, 16, 8, 2, RngStream(0, 0))
 
 
 def test_constant_feedback_respects_control_set():

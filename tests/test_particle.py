@@ -171,6 +171,32 @@ def test_chaos_rate_against_refined_reference():
     assert -0.7 <= slope <= -0.3
 
 
+@pytest.mark.parametrize("window", [None, 3])
+def test_scalar_and_per_particle_coefficients_sweep_alike(window):
+    # a constant coefficient returns its scalar and the sweep broadcasts it,
+    # so the run matches one whose coefficients return one value per particle
+    part = make_uniform_partition(1.0, 8)
+    b, sigma, sigma0 = 0.3, 0.8, 0.5
+    full = SdeCoefficients(
+        drift=lambda t, x, y, m, a: np.full_like(x, b),
+        sigma=lambda t, x, y, m, a: np.full_like(x, sigma),
+        sigma0=lambda t, x, y, m, a: np.full_like(x, sigma0),
+        k=lambda t, y: 0.0,
+        gamma=lambda t, y: 0.0,
+        gamma0=lambda t, y: 0.0,
+    )
+    runs = []
+    for coeffs in (constant_coefficients(b, sigma, sigma0), full):
+        windows = [simulate_ensemble(coeffs, dirac_initial(0.2), 6, part, RngStream(4, 0), num_cells=window)]
+        while windows[-1].first_cell + windows[-1].num_cells < part.num_cells:
+            windows.append(simulate_ensemble(coeffs, windows[-1], 6, part, RngStream(4, 0), num_cells=window))
+        runs.append(windows)
+    assert len(runs[0]) == (1 if window is None else 3)
+    for scalar, per_particle in zip(*runs):
+        for name in ("states", "drift_values", "sigma_values", "sigma0_values"):
+            np.testing.assert_array_equal(getattr(scalar, name), getattr(per_particle, name))
+
+
 def test_non_finite_initial_atoms_are_rejected():
     part = make_uniform_partition(1.0, 4)
     coeffs = constant_coefficients(sigma=1.0)

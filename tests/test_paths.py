@@ -62,8 +62,6 @@ def test_brownian_shape_and_decomposition():
     path = simulate_brownian(p, RngStream(1, 0))
     assert path.values[0] == 0.0
     assert path.values.shape == (17,)
-    assert np.all(path.finite_variation == 0.0)
-    np.testing.assert_array_equal(path.martingale, path.values)
 
 
 def test_brownian_determinism():
@@ -124,14 +122,6 @@ def test_factor_partition_mismatch():
         simulate_factor(constant_coefficients(), 0.0, p, common, RngStream(1, 1))
 
 
-def test_decomposition_reconstruction_is_exact():
-    p = make_uniform_partition(1.0, 128)
-    common = simulate_brownian(p, RngStream(11, 0))
-    coeffs = constant_coefficients(k=0.3, gamma=0.5, gamma0=0.25)
-    y = simulate_factor(coeffs, 0.4, p, common, RngStream(11, 1))
-    np.testing.assert_array_equal(y.values[0] + y.finite_variation + y.martingale, y.values)
-
-
 def test_additive_sde_exact_in_distribution_at_any_mesh():
     # constant-coefficient SDE: terminal moments match the analytic law at
     # coarse and fine meshes alike, within Monte Carlo error
@@ -155,13 +145,6 @@ def test_sample_path_validation():
         SamplePath(p, np.zeros(4))
     with pytest.raises(InvalidArgumentError):
         SamplePath(p, np.zeros((3, 2)))  # paths are scalar
-    vals = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(InvalidArgumentError):
-        SamplePath(p, vals, np.zeros(3), None)
-    bad_fv = np.array([0.0, 1.0, 1.0])
-    bad_mart = np.array([0.0, 1.0, 1.0])
-    with pytest.raises(InvalidArgumentError):
-        SamplePath(p, vals, bad_fv, bad_mart)
 
 
 def test_rng_child_streams_differ():

@@ -115,7 +115,7 @@ def test_martingale_compensated_square_is_centered():
 def test_lemma_study_pure_drift_exact():
     def drift_path(partition, rng):
         t = partition.times
-        return SamplePath(partition, t.copy(), t.copy(), np.zeros_like(t))
+        return SamplePath(partition, t.copy())
 
     study = lemma_convergence_study(
         drift_path, constant_weight, [8, 32], 3, 1.0, 0.0, RngStream(1, 0)
