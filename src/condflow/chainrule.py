@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import CylindricalFunctional, TestFunction, _Tables
 from .particle import ParticleEnsemble, simulate_ensemble
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
@@ -209,6 +209,11 @@ def _finalize(
             passed = passed and abs(
                 aggregate["mean_ablation_residual"] - cfg.expected_correction
             ) <= tol_abl
+    # a non-finite number would pass no gate for the right reason and is
+    # not valid JSON; the aggregates cover every residual and term mean
+    numbers = [*aggregate.values(), *(v for v in tolerance.values() if not isinstance(v, str))]
+    if not np.isfinite(numbers).all():
+        raise NumericOverflowError("non-finite residual, term mean or tolerance")
     return VerificationReport(experiment, tuple(rows), params, tolerance, aggregate, passed)
 
 

@@ -4,10 +4,11 @@ Every run writes a JSON report, CSV term tables, and a manifest echoing
 the resolved configuration; re-running a manifest reproduces the numeric
 payloads byte for byte.  Exit status is 0 when all pass flags are set,
 1 on a tolerance violation (reports are still written), and 2 on usage
-errors (nothing is written).  The ``sweep`` subcommand runs a verifier
-over a grid of (n, N, M) cells through the package's one refinement
-study, :func:`condflow.quadvar.convergence_study`; it passes only when at
-least one error ratio was checked and every checked ratio is in band.  A
+errors and on runs whose numbers overflow (nothing is written).  The
+``sweep`` subcommand runs a verifier over a grid of (n, N, M) cells
+through the package's one refinement study,
+:func:`condflow.quadvar.convergence_study`; it passes only when at least
+one error ratio was checked and every checked ratio is in band.  A
 cell's own pass flag does not count: the sweep asks only whether the
 error falls at the expected rate, its grid may hold cells too coarse or
 with too few repetitions for a single-run gate to mean anything, and each
@@ -21,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .errors import InvalidArgumentError
+from .errors import BlowUpError, InvalidArgumentError, NumericOverflowError
 from .output import csv_text, json_text
 from .paths import RngStream
 from .quadvar import convergence_study
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
             raise UsageError("sweep requires a grid in the config")
         code, _ = run(config)
         return code
-    except (UsageError, InvalidArgumentError) as exc:
+    except (UsageError, InvalidArgumentError, BlowUpError, NumericOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

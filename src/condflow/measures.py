@@ -59,7 +59,7 @@ class EmpiricalMeasure:
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim != 1 or atoms.shape[0] == 0:
             raise InvalidArgumentError("need a nonempty (N,) atom array")
-        if not np.all(np.isfinite(atoms)):
+        if not np.isfinite(atoms).all():
             raise InvalidArgumentError("atoms must be finite")
         self.atoms = atoms
         if weights is not None:

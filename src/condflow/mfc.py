@@ -206,19 +206,28 @@ class LqValue:
 
 
 def _rk4_backward(rhs: Callable, terminal: np.ndarray, t1: float, t0: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 from ``terminal`` at t1 back to t0 in ``steps`` equal steps.
+
+    The state is a list of Python floats and ``rhs(t, state)`` returns a
+    tuple of them, so a step of this few-component system costs float
+    operations, not small-array calls; the operations and their order
+    are those of the array form, so the result is the same to the bit.
+    Each step is stored into one preallocated array, which holds no
+    per-step Python objects.
+    """
     ts = np.linspace(t1, t0, steps + 1)
     h = (t0 - t1) / steps  # negative
+    half, sixth = 0.5 * h, h / 6.0
     out = np.empty((steps + 1, terminal.size))
     out[0] = terminal
-    state = terminal.astype(float)
-    for i in range(steps):
-        t = ts[i]
+    state = terminal.tolist()
+    for i, t in enumerate(ts[:-1].tolist(), 1):
         k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rhs(t + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = state
+        k2 = rhs(t + half, [s + half * k for s, k in zip(state, k1)])
+        k3 = rhs(t + half, [s + half * k for s, k in zip(state, k2)])
+        k4 = rhs(t + h, [s + h * k for s, k in zip(state, k3)])
+        state = [s + sixth * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        out[i] = state
     return ts, out
 
 
@@ -247,7 +256,7 @@ def solve_lq_value(problem: ControlProblem) -> LqValue:
 
     def rhs(t, s):
         p, rr, _ = s
-        return np.array([0.5 * q - 2.0 * p * p, 0.5 * r - 2.0 * rr * rr, -(p * sigma**2 + rr * sigma0**2)])
+        return 0.5 * q - 2.0 * p * p, 0.5 * r - 2.0 * rr * rr, -(p * sigma**2 + rr * sigma0**2)
 
     steps = _RICCATI_MIN_STEPS // 2
     ts, sol = _rk4_backward(rhs, terminal, problem.horizon, 0.0, steps)
@@ -492,6 +501,10 @@ def hjb_residual(
         var_nodes = v_def if var_nodes is None else var_nodes
     if len(t_nodes) == 0 or len(mean_nodes) == 0 or len(var_nodes) == 0:
         raise InvalidArgumentError("lattice must be nonempty")
+    # the value function is solved on [0, horizon]; outside it np.interp
+    # would freeze V at its end values and the residual would vanish there
+    if not all(0.0 <= t <= problem.horizon for t in t_nodes):
+        raise InvalidArgumentError(f"lattice times must lie in [0, horizon = {problem.horizon}]")
     c0_span = problem.a_max
     c1_span = problem.a_max
     nodes = []
@@ -655,9 +668,7 @@ def constant_control_gap(
 
     def rhs(t, s):
         p, rr, sw, _ = s
-        return np.array(
-            [0.5 * q, 0.5 * r, -2.0 * a * rr, 0.5 * a * a - a * sw - (p * sigma**2 + rr * sigma0**2)]
-        )
+        return 0.5 * q, 0.5 * r, -2.0 * a * rr, 0.5 * a * a - a * sw - (p * sigma**2 + rr * sigma0**2)
 
     steps = 1024
     _, sol = _rk4_backward(rhs, terminal, theta, t0, steps)

@@ -169,6 +169,12 @@ def simulate_ensemble(
     first, then the dW rows window by window, so the windows of a split
     sweep hold exactly the rows of the whole run.  By default one call
     runs every remaining cell.
+
+    Each row is checked for finiteness once: a row the sweep reaches is
+    checked by the ``empirical`` call of the step it starts, and the
+    window's last row after the loop.  A non-finite row raises
+    ``BlowUpError`` naming its grid index, except the initial row of a
+    fresh sweep, where a non-finite atom is an ``InvalidArgumentError``.
     """
     if num_particles < 2:
         raise InvalidArgumentError("need at least two particles")
@@ -209,23 +215,35 @@ def simulate_ensemble(
     avals = np.empty((cells, num_particles)) if control is not None else None
 
     fv, mart = sweep.fv, sweep.mart
-    for j, k in enumerate(range(start, stop)):
-        t = float(partition.times[k])
+    times = partition.times[start:stop].tolist()
+    widths = dt[start:stop].tolist()
+    common_steps = dw0[start:stop].tolist()
+    factor_values = factor.values[start:stop].tolist() if factor is not None else [None] * cells
+    for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, common_steps, factor_values)):
         x = states[j]
-        y = float(factor.values[k]) if factor is not None else None
-        m = empirical(x)
+        try:
+            m = empirical(x)
+        except InvalidArgumentError:
+            if start + j == 0:  # a bad initial atom, not a blow-up
+                raise
+            raise BlowUpError(start + j) from None
         a = control(t, x, m) if control is not None else None
         if avals is not None:
             avals[j] = a
+        b = coeffs.drift(t, x, y, m, a)
+        s = coeffs.sigma(t, x, y, m, a)
+        s0 = coeffs.sigma0(t, x, y, m, a)
         # the row assignments broadcast each coefficient value to the particles
-        bvals[j] = coeffs.drift(t, x, y, m, a)
-        svals[j] = coeffs.sigma(t, x, y, m, a)
-        s0vals[j] = coeffs.sigma0(t, x, y, m, a)
-        fv = fv + bvals[j] * dt[k]
-        mart = mart + svals[j] * dw[j] + s0vals[j] * dw0[k]
-        states[j + 1] = x0 + fv + mart
-        if not np.all(np.isfinite(states[j + 1])):
-            raise BlowUpError(k + 1)
+        bvals[j] = b
+        svals[j] = s
+        s0vals[j] = s0
+        fv = fv + b * h
+        mart = mart + s * dw[j] + s0 * dw0_k
+        row = states[j + 1]
+        np.add(x0, fv, out=row)
+        row += mart
+    if not np.isfinite(states[cells]).all():
+        raise BlowUpError(stop)
     sweep.fv, sweep.mart, sweep.next_cell = fv, mart, stop
 
     return ParticleEnsemble(

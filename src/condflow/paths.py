@@ -88,9 +88,10 @@ class SdeCoefficients:
     """Coefficient fields for the controlled state and the factor.
 
     State coefficients are callables ``(t, x, y, m, a)`` vectorized over
-    ``x`` (and ``a`` when present); each returns anything that broadcasts
-    against ``x``, so a constant coefficient returns its constant and the
-    caller broadcasts it where it uses the value.  Factor coefficients are
+    ``x`` (and ``a`` when present); each returns a float or a float64
+    array that broadcasts against ``x``, so a constant coefficient returns
+    its constant.  The Euler sweep computes with the value as returned and
+    broadcasts it only where it stores it.  Factor coefficients are
     ``(t, y)``.  ``bounds`` records sup-norms used by modulus checks.
     """
 

@@ -214,6 +214,9 @@ def test_cli_default_experiment_requires_seed(tmp_path):
         {"experiment": "ito-second-moment", "n": 8, "N": 8, "M": 2, "tolerance": {"C": math.nan}},
         {"experiment": "dpp-lq", "n": 16, "N": 32, "M": 4, "coefficients": {"theta": 3.0}},
         {"experiment": "dpp-lq", "n": 16, "N": 32, "M": 4, "coefficients": {"t0": -2.0}},
+        # a state that overflows in the sweep, and finite states whose terms overflow
+        {"experiment": "ito-second-moment", "seed": 1, "n": 64, "N": 8, "M": 2, "coefficients": {"sigma": 1.7e308}},
+        {"experiment": "ito-second-moment", "seed": 1, "n": 8, "N": 8, "M": 2, "coefficients": {"sigma": 1.0e300}},
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):

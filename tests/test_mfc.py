@@ -35,6 +35,11 @@ def test_riccati_against_tanh_closed_form():
         qc = VALUE.quad_coeffs(float(t))
         assert qc["P"] == pytest.approx(pe, abs=5e-8)
         assert qc["R"] == pytest.approx(re_, abs=5e-8)
+    # every stored node of the solve, where no interpolation error enters
+    p_nodes = riccati_closed_form(consts["q"], -0.5 * consts["c_g"], 1.0, VALUE.ts)
+    r_nodes = riccati_closed_form(consts["r"], -0.5 * consts["c_m"], 1.0, VALUE.ts)
+    assert np.max(np.abs(VALUE.p - p_nodes)) < 1e-8
+    assert np.max(np.abs(VALUE.r_coef - r_nodes)) < 1e-8
     # constant coefficient: c(t) = int_t^T (P sigma^2 + R sigma0^2) ds via log-cosh
     q, r = consts["q"], consts["r"]
     sig, sig0 = consts["sigma"], consts["sigma0"]
@@ -188,6 +193,13 @@ def test_hjb_perturbed_candidate_fails_visibly():
 def test_hjb_rejects_empty_lattice():
     with pytest.raises(InvalidArgumentError):
         hjb_residual(PROBLEM, VALUE, t_nodes=np.array([]))
+
+
+def test_hjb_rejects_times_outside_the_horizon():
+    # outside [0, horizon] the interpolated value is frozen and would pass
+    for t_nodes in ([3.0, -2.0], [0.5, PROBLEM.horizon + 0.25], [-1e-3], [np.nan]):
+        with pytest.raises(InvalidArgumentError):
+            hjb_residual(PROBLEM, VALUE, t_nodes=t_nodes, mean_nodes=[0.5], var_nodes=[1.0])
 
 
 def test_nonparametric_family_gap_small():

@@ -198,11 +198,42 @@ def test_scalar_and_per_particle_coefficients_sweep_alike(window):
 
 
 def test_non_finite_initial_atoms_are_rejected():
+    # the step's own measure check sees the initial row; there a non-finite
+    # atom is a bad argument, not a blow-up
     part = make_uniform_partition(1.0, 4)
     coeffs = constant_coefficients(sigma=1.0)
-    for initial in (np.inf, dirac_initial(np.nan), lambda rng, n: np.r_[np.zeros(n - 1), -np.inf]):
-        with pytest.raises(InvalidArgumentError):
-            simulate_ensemble(coeffs, initial, 4, part, RngStream(0, 0))
+    samplers = (
+        np.inf,
+        dirac_initial(np.nan),
+        lambda rng, n: np.r_[np.zeros(n - 1), -np.inf],
+        lambda rng, n: np.full(n, np.nan),
+    )
+    for initial in samplers:
+        for window in (None, 1):
+            with pytest.raises(InvalidArgumentError):
+                simulate_ensemble(coeffs, initial, 4, part, RngStream(0, 0), num_cells=window)
+
+
+@pytest.mark.parametrize("window", [None, 1, 2, 3])
+def test_overflow_in_the_final_cell_names_the_last_step(window):
+    # only the last cell's drift, 1e308 over a cell of width 2, overflows,
+    # so the one check of the last row after the loop must catch it
+    n_cells = 4
+    part = make_uniform_partition(8.0, n_cells)
+    last_t = float(part.times[-2])
+    coeffs = SdeCoefficients(
+        drift=lambda t, x, y, m, a: 1e308 if t == last_t else 0.0,
+        sigma=lambda t, x, y, m, a: 0.0,
+        sigma0=lambda t, x, y, m, a: 0.0,
+        k=lambda t, y: 0.0,
+        gamma=lambda t, y: 0.0,
+        gamma0=lambda t, y: 0.0,
+    )
+    with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
+        ens = simulate_ensemble(coeffs, 1.0, 4, part, RngStream(0, 0), num_cells=window)
+        while ens.first_cell + ens.num_cells < n_cells:
+            ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
+    assert err.value.step == n_cells
 
 
 @pytest.mark.parametrize("window", [None, 1, 3])
