@@ -4,7 +4,8 @@ Every run writes a JSON report, CSV term tables, and a manifest echoing
 the resolved configuration; re-running a manifest reproduces the numeric
 payloads byte for byte.  Exit status is 0 when all pass flags are set,
 1 on a tolerance violation (reports are still written), and 2 on usage
-errors and on runs whose numbers overflow (nothing is written).  The
+errors and on runs whose numbers overflow (nothing is written): every
+number of a report and its tables must be finite.  The
 ``sweep`` subcommand runs a verifier over a grid of (n, N, M) cells
 through the package's one refinement study,
 :func:`condflow.quadvar.convergence_study`; it passes only when at least
@@ -16,9 +17,11 @@ cell's own verdict is what a plain run of that cell's config reports.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -165,6 +168,19 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     return name, config["seed"], params, extras
 
 
+def _finite(obj) -> bool:
+    """Whether every number in a report or a table is finite."""
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_finite(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return _finite(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return math.isfinite(obj)
+    return True
+
+
 def _run_sweep(name: str, params: dict, rng: RngStream, grid: dict):
     exp = get_experiment(name)
     if exp.kind not in ("verify-ito", "verify-wentzell", "verify-brownian", "verify-factor"):
@@ -211,6 +227,9 @@ def run(config: dict, out_dir: str | Path | None = None, write: bool = True):
     else:
         out = get_experiment(name).runner(params, rng)
         passed, report, tables = out.passed, out.report, out.tables
+    # a non-finite number passes no gate for the right reason and is not valid JSON
+    if not _finite([report, [rows for _, rows in tables.values()]]):
+        raise NumericOverflowError(f"{name} produced a non-finite number")
     manifest = {
         "version": __version__,
         "config": config,

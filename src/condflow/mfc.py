@@ -9,16 +9,27 @@ V = P(t) Var(m) + R(t) mean(m)^2 + c(t) closes the equation into scalar
 Riccati equations dP/dt = q/2 - 2 P^2, dR/dt = r/2 - 2 R^2 and
 dc/dt = -(P sigma^2 + R sigma0^2), solved backward by fixed-step RK4
 with step halving.
+
+The checks run as arrays.  :func:`hjb_residual` evaluates its lattice
+nodes together in blocks of :data:`_HJB_NODE_BLOCK`, one generator call
+per block and refinement stage; :func:`dpp_check` evaluates the running
+reward of a repetition over row blocks of :data:`_DPP_BLOCK_ELEMENTS`
+states; and :meth:`LqValue.quad_coeffs` looks the Riccati coefficients of
+a time up once per value object.  The block sizes are module constants,
+not options: they bound the memory of the blocked evaluation (all 225
+lattice nodes at once would add about 68 MiB of peak memory) and do not
+change a single output bit.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure
 from .particle import gaussian_quantile_initial, simulate_ensemble
 from .paths import RngStream, SdeCoefficients, make_uniform_partition
@@ -70,6 +81,33 @@ def measure_mean(m) -> float:
     return float(m.average(m.atoms))
 
 
+class _Rows:
+    """The empirical measures of the rows of a (rows, N) state block, for a
+    reward evaluated over many grid times in one call.
+
+    ``means`` are the row means as Python floats, taken by one row
+    reduction, which equals each row's own ``np.mean`` to the bit.
+    """
+
+    __slots__ = ("means",)
+
+    def __init__(self, atoms: np.ndarray):
+        self.means = atoms.mean(axis=1).tolist()
+
+
+def _by_mean(fn: Callable, m):
+    """``fn`` of the mean of a measure, or for :class:`_Rows` the (rows, 1)
+    column of ``fn`` of each row's mean.
+
+    ``fn`` sees Python floats either way: a Python float's ``mu**2`` goes
+    through libm ``pow`` and numpy's ``x**2`` through x*x, which differ in
+    the last bit for some inputs, so a row gets its own measure's value.
+    """
+    if isinstance(m, _Rows):
+        return np.array([fn(mu) for mu in m.means])[:, None]
+    return fn(measure_mean(m))
+
+
 def measure_variance(m) -> float:
     if isinstance(m, GaussianMoments):
         return m.var
@@ -86,7 +124,9 @@ class ControlProblem:
     """Controlled dynamics plus rewards over a compact control interval."""
 
     coeffs: SdeCoefficients
-    running_reward: Callable  # (t, y, m, x, a) vectorized over x, a
+    # (t, y, m, x, a) vectorized over x, a; m is the atoms' measure, or a
+    # _Rows whose rows are those of x and a
+    running_reward: Callable
     terminal_reward: Callable  # (y, m)
     horizon: float
     a_max: float
@@ -134,8 +174,8 @@ def make_lq_problem(
     )
 
     def running_reward(t, y, m, x, a):
-        mu = measure_mean(m)
-        return -0.5 * a**2 - 0.5 * q * (x - mu) ** 2 - 0.5 * r * mu**2
+        mu = _by_mean(float, m)
+        return -0.5 * a**2 - 0.5 * q * (x - mu) ** 2 - _by_mean(lambda mu: 0.5 * r * mu**2, m)
 
     def terminal_reward(y, m):
         return -0.5 * c_g * measure_variance(m) - 0.5 * c_m * measure_mean(m) ** 2
@@ -156,6 +196,11 @@ class LqValue:
     ``replace(value, p_offset=eps)`` is the candidate V + eps Var(m) with
     the base's time derivative: a wrong candidate that the residual test
     must reject.
+
+    :meth:`quad_coeffs` is memoised per value object: the feedback control
+    reads it at every step of a sweep, mostly at times it has seen.  The
+    memo is not an init field, so ``replace`` gives the new candidate an
+    empty memo of its own rather than the base's P.
     """
 
     ts: np.ndarray
@@ -165,8 +210,15 @@ class LqValue:
     constants: Mapping[str, float]
     ode_error: float
     p_offset: float = 0.0
+    _memo: dict = field(init=False, default_factory=dict, repr=False)
 
-    def quad_coeffs(self, t: float) -> dict[str, float]:
+    def quad_coeffs(self, t: float) -> Mapping[str, float]:
+        """P, R, c and their time derivatives at ``t``, as a read-only view
+        of the memo's entry."""
+        t = float(t)
+        qc = self._memo.get(t)
+        if qc is not None:
+            return qc
         q = self.constants["q"]
         r = self.constants["r"]
         sigma = self.constants["sigma"]
@@ -174,14 +226,15 @@ class LqValue:
         p = float(np.interp(t, self.ts, self.p))
         rr = float(np.interp(t, self.ts, self.r_coef))
         cc = float(np.interp(t, self.ts, self.c))
-        return {
+        qc = self._memo[t] = MappingProxyType({
             "P": p + self.p_offset,
             "R": rr,
             "c": cc,
             "dP": 0.5 * q - 2.0 * p * p,
             "dR": 0.5 * r - 2.0 * rr * rr,
             "dc": -(p * sigma**2 + rr * sigma0**2),
-        }
+        })
+        return qc
 
     def value(self, t: float, m) -> float:
         qc = self.quad_coeffs(t)
@@ -247,16 +300,20 @@ def solve_lq_value(problem: ControlProblem) -> LqValue:
     :data:`_RICCATI_TOL` at shared grid points and the grid has at least
     :data:`_RICCATI_MIN_STEPS` steps; the terminal values are imposed
     exactly.  The first solve has half the least step count, since no
-    coarser solve could end the halving.
+    coarser solve could end the halving.  A solution that overflows
+    raises ``NumericOverflowError``.
     """
     consts = problem.constants
     q, r = consts["q"], consts["r"]
-    sigma, sigma0 = consts["sigma"], consts["sigma0"]
     terminal = np.array([-0.5 * consts["c_g"], -0.5 * consts["c_m"], 0.0])
+    try:  # a Python float's ** raises where * would give inf
+        sigma2, sigma02 = consts["sigma"] ** 2, consts["sigma0"] ** 2
+    except OverflowError:
+        raise NumericOverflowError("sigma**2 or sigma0**2 overflows") from None
 
     def rhs(t, s):
         p, rr, _ = s
-        return 0.5 * q - 2.0 * p * p, 0.5 * r - 2.0 * rr * rr, -(p * sigma**2 + rr * sigma0**2)
+        return 0.5 * q - 2.0 * p * p, 0.5 * r - 2.0 * rr * rr, -(p * sigma2 + rr * sigma02)
 
     steps = _RICCATI_MIN_STEPS // 2
     ts, sol = _rk4_backward(rhs, terminal, problem.horizon, 0.0, steps)
@@ -264,8 +321,11 @@ def solve_lq_value(problem: ControlProblem) -> LqValue:
         ts2, sol2 = _rk4_backward(rhs, terminal, problem.horizon, 0.0, 2 * steps)
         err = float(np.max(np.abs(sol2[::2] - sol)))
         ts, sol, steps = ts2, sol2, 2 * steps
-        if err < _RICCATI_TOL or steps >= _RICCATI_MAX_STEPS:
+        # a non-finite err means a non-finite solution, which no halving mends
+        if err < _RICCATI_TOL or steps >= _RICCATI_MAX_STEPS or not np.isfinite(err):
             break
+    if not np.isfinite(err):
+        raise NumericOverflowError("the Riccati solution overflows")
     order = np.argsort(ts)
     ts = ts[order]
     sol = sol[order]
@@ -372,19 +432,35 @@ def _censored_affine_moments(alpha, beta, bound):
     return ew, ewz, ew2
 
 
-def _lq_generator_grid(problem: ControlProblem, value, t: float, mean: float, var: float, c0, c1):
-    """Generator values on a (c0, c1) grid under the Gaussian surrogate."""
+def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
+    """Generator values on (c0, c1) grids under the Gaussian surrogate.
+
+    ``nodes`` is a sequence of (t, mean, var) and ``c0``, ``c1`` hold one
+    row of grid points per node.  The terms that depend on the node alone
+    are Python-float expressions stacked into (nodes, 1) columns, so each
+    row is what its node alone gives (see :func:`_by_mean` on ``**``).
+    """
     consts = problem.constants
     q, r = consts["q"], consts["r"]
     sigma, sigma0 = consts["sigma"], consts["sigma0"]
-    qc = value.quad_coeffs(t)
-    s = np.sqrt(var)
+    columns = []
+    for t, mean, var in nodes:
+        qc = value.quad_coeffs(t)
+        s = np.sqrt(var)
+        columns.append((
+            s,
+            0.5 * q * var,
+            0.5 * r * mean**2,
+            2.0 * qc["P"] * s,
+            2.0 * qc["R"] * mean,
+            qc["P"] * (sigma**2 + sigma0**2),
+            sigma0**2 * (qc["R"] - qc["P"]),
+            qc["dP"] * var + qc["dR"] * mean**2 + qc["dc"],
+        ))
+    s, q_var, r_mean2, p_s, r_mean, second, cross, dtv = np.array(columns).T[:, :, None]
     ew, ewz, ew2 = _censored_affine_moments(np.asarray(c0, dtype=float), np.asarray(c1, dtype=float) * s, problem.a_max)
-    fbar = -0.5 * ew2 - 0.5 * q * var - 0.5 * r * mean**2
-    drift = 2.0 * qc["P"] * s * ewz + 2.0 * qc["R"] * mean * ew
-    second = qc["P"] * (sigma**2 + sigma0**2)
-    cross = sigma0**2 * (qc["R"] - qc["P"])
-    dtv = qc["dP"] * var + qc["dR"] * mean**2 + qc["dc"]
+    fbar = -0.5 * ew2 - q_var - r_mean2
+    drift = p_s * ewz + r_mean * ew
     return dtv + fbar + drift + second + cross
 
 
@@ -401,7 +477,7 @@ def generator(problem: ControlProblem, value, t: float, y: float, m, control) ->
         if not isinstance(control, AffineFeedback):
             raise InvalidArgumentError("surrogate route needs an affine feedback")
         return float(
-            _lq_generator_grid(problem, value, t, m.mean, m.var, control.c0, control.c1)
+            _lq_generator_grid(problem, value, [(t, m.mean, m.var)], [[control.c0]], [[control.c1]])[0, 0]
         )
     x = m.atoms
     a = np.asarray(control(t, x, m), dtype=float)
@@ -455,26 +531,56 @@ def default_lattice(horizon: float = 1.0):
     )
 
 
-def _refined_sup(objective: Callable, c0_span: float, c1_span: float):
-    """(sup, c0, c1) of ``objective(c0s, c1s)`` over a 41-point grid on
-    [-span, span]^2, refined twice on 21-point grids around the best point."""
-    c0_lo, c0_hi = -c0_span, c0_span
-    c1_lo, c1_hi = -c1_span, c1_span
-    best = (-np.inf, 0.0, 0.0)
-    for stage, pts in enumerate((41, 21, 21)):
-        c0s = np.linspace(c0_lo, c0_hi, pts)
-        c1s = np.linspace(c1_lo, c1_hi, pts)
-        grid0, grid1 = np.meshgrid(c0s, c1s, indexing="ij")
-        vals = objective(grid0.ravel(), grid1.ravel())
-        idx = int(np.argmax(vals))
-        b0, b1 = grid0.ravel()[idx], grid1.ravel()[idx]
-        if vals[idx] > best[0]:
-            best = (float(vals[idx]), float(b0), float(b1))
+# lattice nodes per generator call: a node's grid has 41^2 = 1,681 points
+# and the generator holds a few dozen temporaries of that size; on the
+# default lattice a block of 5 raised the peak RSS of hjb_residual by
+# 1.6 MiB (one node: 0.5 MiB) and all 225 nodes at once by 68 MiB
+_HJB_NODE_BLOCK = 5
+
+
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, pts: int) -> np.ndarray:
+    """Row k is ``np.linspace(lo[k], hi[k], pts)`` to the bit.
+
+    ``np.linspace`` with array endpoints switches every row to its
+    zero-step formula when any one step underflows to zero; here only
+    that row takes it.
+    """
+    delta = hi - lo
+    step = delta / (pts - 1)
+    i = np.arange(pts, dtype=float)
+    rows = np.where((step == 0)[:, None], i / (pts - 1) * delta[:, None], i * step[:, None])
+    rows += lo[:, None]
+    rows[:, -1] = hi
+    return rows
+
+
+def _refined_sup(objective: Callable, num_nodes: int, c0_span: float, c1_span: float):
+    """Per node, (sup, c0, c1) of ``objective`` over a 41-point grid on
+    [-span, span]^2, refined twice on 21-point grids around the best point.
+
+    ``objective(c0s, c1s)`` takes and returns (num_nodes, points) arrays,
+    row k being node k's grid, so a block of nodes takes one call per
+    stage and each row gets what its node alone would.  Returns three
+    (num_nodes,) arrays.
+    """
+    rows = np.arange(num_nodes)
+    c0_lo, c0_hi = np.full(num_nodes, -c0_span), np.full(num_nodes, c0_span)
+    c1_lo, c1_hi = np.full(num_nodes, -c1_span), np.full(num_nodes, c1_span)
+    best, best0, best1 = np.full(num_nodes, -np.inf), np.zeros(num_nodes), np.zeros(num_nodes)
+    for pts in (41, 21, 21):
+        # each row is its node's (c0, c1) meshgrid in "ij" order, raveled
+        grid0 = np.repeat(_linspace_rows(c0_lo, c0_hi, pts), pts, axis=1)
+        grid1 = np.tile(_linspace_rows(c1_lo, c1_hi, pts), pts)
+        vals = objective(grid0, grid1)
+        idx = np.argmax(vals, axis=1)
+        top, b0, b1 = vals[rows, idx], grid0[rows, idx], grid1[rows, idx]
+        better = top > best
+        best, best0, best1 = np.where(better, top, best), np.where(better, b0, best0), np.where(better, b1, best1)
         step0 = (c0_hi - c0_lo) / (pts - 1)
         step1 = (c1_hi - c1_lo) / (pts - 1)
         c0_lo, c0_hi = b0 - 1.5 * step0, b0 + 1.5 * step0
         c1_lo, c1_hi = b1 - 1.5 * step1, b1 + 1.5 * step1
-    return best
+    return best, best0, best1
 
 
 def hjb_residual(
@@ -493,6 +599,11 @@ def hjb_residual(
     up to grid resolution.  The residual is minus the sup of the
     reward-augmented generator; terminal exactness |V(T) - g| is checked
     on the same (mean, var) nodes.
+
+    The nodes run through the refined sup in blocks of
+    :data:`_HJB_NODE_BLOCK`, in lattice order, one generator call per
+    block and stage instead of one per node and stage; the block size
+    bounds the memory and does not change the result.
     """
     if t_nodes is None or mean_nodes is None or var_nodes is None:
         t_def, m_def, v_def = default_lattice(problem.horizon)
@@ -505,15 +616,14 @@ def hjb_residual(
     # would freeze V at its end values and the residual would vanish there
     if not all(0.0 <= t <= problem.horizon for t in t_nodes):
         raise InvalidArgumentError(f"lattice times must lie in [0, horizon = {problem.horizon}]")
-    c0_span = problem.a_max
-    c1_span = problem.a_max
+    lattice = [(float(t), float(mu), float(var)) for t in t_nodes for mu in mean_nodes for var in var_nodes]
     nodes = []
-    for t in t_nodes:
-        for mu in mean_nodes:
-            for var in var_nodes:
-                grid = partial(_lq_generator_grid, problem, value, float(t), float(mu), float(var))
-                sup, b0, b1 = _refined_sup(grid, c0_span, c1_span)
-                nodes.append(HjbNode(float(t), float(mu), float(var), -sup, b0, b1))
+    for start in range(0, len(lattice), _HJB_NODE_BLOCK):
+        block = lattice[start : start + _HJB_NODE_BLOCK]
+        grid = partial(_lq_generator_grid, problem, value, block)
+        sups, b0s, b1s = _refined_sup(grid, len(block), problem.a_max, problem.a_max)
+        for (t, mu, var), sup, b0, b1 in zip(block, sups.tolist(), b0s.tolist(), b1s.tolist()):
+            nodes.append(HjbNode(t, mu, var, -sup, b0, b1))
     terminal_gap = 0.0
     for mu in mean_nodes:
         for var in var_nodes:
@@ -540,15 +650,16 @@ def nonparametric_gap(problem: ControlProblem, value, t: float, m: EmpiricalMeas
     pointwise = float(np.mean(a_part(np.clip(dl, -problem.a_max, problem.a_max))))
     mu = measure_mean(cloud)
 
-    def affine(c0, c1):
+    def affine(c0, c1):  # one node: a (1, points) row each
         a_grid = np.clip(
-            c0[:, None] + c1[:, None] * (x - mu)[None, :],
+            c0.T + c1.T * (x - mu)[None, :],
             -problem.a_max,
             problem.a_max,
         )
-        return (-0.5 * a_grid**2 + a_grid * dl[None, :]).mean(axis=1)
+        return (-0.5 * a_grid**2 + a_grid * dl[None, :]).mean(axis=1)[None, :]
 
-    best, _, _ = _refined_sup(affine, problem.a_max, problem.a_max)
+    sups, _, _ = _refined_sup(affine, 1, problem.a_max, problem.a_max)
+    best = float(sups[0])
     return {
         "pointwise_sup": pointwise,
         "affine_sup": best,
@@ -581,6 +692,12 @@ def _shift_coeffs(coeffs: SdeCoefficients, t0: float) -> SdeCoefficients:
     )
 
 
+# states (rows x particles) per running-reward call of the DPP check: at
+# N = 512 and 1,024 a whole repetition at once took about 2 MiB more peak
+# RSS than blocks of this size
+_DPP_BLOCK_ELEMENTS = 1 << 14
+
+
 def dpp_check(
     problem: ControlProblem,
     value,
@@ -600,6 +717,12 @@ def dpp_check(
     The gap should vanish (within 3 SE + C dt) for the optimal feedback
     and be significantly negative for suboptimal controls; for constant
     controls the result carries the exact linear-ansatz prediction.
+
+    A repetition's running reward is evaluated over blocks of
+    :data:`_DPP_BLOCK_ELEMENTS` states (whole rows), one reward call and
+    one row reduction per block instead of per cell; the block size bounds
+    the memory, and the cells' rewards are still summed one by one, in
+    order, so the result does not depend on it.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze V and the feedback at their end values
@@ -617,17 +740,20 @@ def dpp_check(
         return control(t0 + t, x, m)
 
     initial = gaussian_quantile_initial(mean0, var0)
+    block = max(1, _DPP_BLOCK_ELEMENTS // num_particles)
     gaps = np.empty(outer_paths)
     for rep in range(outer_paths):
         ens = simulate_ensemble(
             coeffs, initial, num_particles, part, rng.child(rep), control=shifted_control
         )
         reward = 0.0
-        for k in range(num_cells):
-            t = t0 + float(part.times[k])
-            m_k = ens.empirical_at(k)
-            f_vals = problem.running_reward(t, 0.0, m_k, ens.states[k], ens.control_values[k])
-            reward += float(np.mean(f_vals)) * dt[k]
+        for start in range(0, num_cells, block):
+            cells = slice(start, min(num_cells, start + block))
+            x = ens.states[cells]
+            t = t0 + part.times[cells, None]
+            f_vals = problem.running_reward(t, 0.0, _Rows(x), x, ens.control_values[cells])
+            for mean_k, h in zip(f_vals.mean(axis=1).tolist(), dt[cells].tolist()):
+                reward += mean_k * h
         m_end = ens.empirical_at(num_cells)
         m_start = ens.empirical_at(0)
         gaps[rep] = reward + value.value(theta, m_end) - value.value(t0, m_start)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidArgumentError
+from .errors import BlowUpError, InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure, empirical
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, simulate_factor
 
@@ -282,6 +282,7 @@ def measure_flow_modulus(
     ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s) from the
     recorded coefficient bounds, with a 3-stderr allowance.  Ensembles
     must be whole runs, so that grid times index their ``states`` rows.
+    A bound whose square overflows raises ``NumericOverflowError``.
     """
     if isinstance(ensembles, ParticleEnsemble):
         ensembles = [ensembles]
@@ -301,7 +302,11 @@ def measure_flow_modulus(
         b = e.coeffs.bounds.get("b", 0.0)
         sig = e.coeffs.bounds.get("sigma", 0.0)
         sig0 = e.coeffs.bounds.get("sigma0", 0.0)
-        bound = max(bound, b * (t - s) + np.sqrt(sig**2 + sig0**2) * np.sqrt(t - s))
+        try:  # a Python float's ** raises where * would give inf
+            spread = np.sqrt(sig**2 + sig0**2)
+        except OverflowError:
+            raise NumericOverflowError("sigma**2 or sigma0**2 overflows") from None
+        bound = max(bound, b * (t - s) + spread * np.sqrt(t - s))
     arr = np.asarray(values)
     estimate = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0

@@ -217,6 +217,26 @@ def test_cli_default_experiment_requires_seed(tmp_path):
         # a state that overflows in the sweep, and finite states whose terms overflow
         {"experiment": "ito-second-moment", "seed": 1, "n": 64, "N": 8, "M": 2, "coefficients": {"sigma": 1.7e308}},
         {"experiment": "ito-second-moment", "seed": 1, "n": 8, "N": 8, "M": 2, "coefficients": {"sigma": 1.0e300}},
+        # sigma**2 overflows in the Riccati solve and in the modulus bound
+        {"experiment": "lq-common-noise", "seed": 1, "n": None, "N": None, "M": None, "coefficients": {"sigma": 1.0e300}},
+        {"experiment": "dpp-lq", "seed": 1, "n": 8, "N": 16, "M": 2, "coefficients": {"sigma": 1.0e300}},
+        {
+            "experiment": "modulus-lq",
+            "seed": 1,
+            "n": 16,
+            "N": 8,
+            "M": None,
+            "coefficients": {"sigma": 1.0e300, "repeats": 2, "num_pairs": 3},
+        },
+        # a non-verifier runner whose table holds non-finite numbers
+        {
+            "experiment": "modulus-lq",
+            "seed": 1,
+            "n": 16,
+            "N": 8,
+            "M": None,
+            "coefficients": {"b": 1.0e308, "repeats": 2, "num_pairs": 3},
+        },
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):

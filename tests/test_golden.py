@@ -3,8 +3,9 @@ payload byte fails here and not only in a by-hand comparison.
 
 ``golden_payloads.json`` holds the sha256 of every payload file of the
 reproducibility configs, of one small sweep per non-exact verifier
-experiment and of two runs that resume a windowed sweep, with the numpy
-and scipy versions it was recorded under.
+experiment, of two runs that resume a windowed sweep and of two more
+``dpp-lq`` runs (the constant control, and a later start time), with the
+numpy and scipy versions it was recorded under.
 Other versions may draw or round differently, so there the test skips.
 A change that alters a payload on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -37,8 +38,15 @@ WINDOWED_CONFIGS = [
     {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
     {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},
 ]
+# the constant control reaches AffineFeedback and constant_control_gap, and
+# a later start time reads the Riccati coefficients at shifted grid times
+DPP_CONFIGS = {
+    "dpp-lq constant-max": {"experiment": "dpp-lq", "seed": 7, "n": 16, "N": 32, "M": 4, "control": "constant-max"},
+    "dpp-lq t0 0.25": {"experiment": "dpp-lq", "seed": 7, "n": 16, "N": 32, "M": 4, "coefficients": {"t0": 0.25}},
+}
 CONFIGS = {
     **{cfg["experiment"]: cfg for cfg in REPRO_CONFIGS},
+    **DPP_CONFIGS,
     **{f"sweep {name}": {"experiment": name, "seed": 2, "grid": SWEEP_GRID} for name in SWEEP_EXPERIMENTS},
     **{f"windowed {cfg['experiment']}": cfg for cfg in WINDOWED_CONFIGS},
 }

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from condflow import RngStream, empirical, gaussian_quantile_initial
 from condflow.errors import InvalidArgumentError
+from condflow import mfc
 from condflow.mfc import (
     AffineFeedback,
     GaussianMoments,
@@ -18,7 +20,9 @@ from condflow.mfc import (
     measure_variance,
     nonparametric_gap,
     optimal_feedback,
+    _linspace_rows,
     _lq_generator_grid,
+    _refined_sup,
 )
 
 from helpers import constant_gap_closed_form, riccati_closed_form, zero_value
@@ -170,7 +174,7 @@ def test_sup_monotone_under_grid_enlargement():
 
     def grid_max(c0s, c1s):
         g0, g1 = np.meshgrid(c0s, c1s, indexing="ij")
-        return float(np.max(_lq_generator_grid(PROBLEM, VALUE, t, mu, var, g0.ravel(), g1.ravel())))
+        return float(np.max(_lq_generator_grid(PROBLEM, VALUE, [(t, mu, var)], g0.ravel()[None], g1.ravel()[None])))
 
     assert grid_max(fine0, fine1) >= grid_max(coarse0, coarse1)
     assert set(coarse0).issubset(set(fine0))
@@ -270,3 +274,48 @@ def test_constant_feedback_respects_control_set():
     control = AffineFeedback(0.0, 100.0, PROBLEM.a_max)
     vals = control(0.0, np.linspace(-5, 5, 11), GaussianMoments(0.0, 1.0))
     assert np.max(np.abs(vals)) <= PROBLEM.a_max
+
+
+def test_blocked_refined_sup_equals_each_node_alone():
+    nodes = [(0.0, 0.5, 1.0), (0.25, -1.0, 0.25), (0.5, 0.0, 2.0), (0.875, 1.0, 0.6875), (1.0, -0.5, 1.5)]
+    block = _refined_sup(partial(_lq_generator_grid, PROBLEM, VALUE, nodes), len(nodes), PROBLEM.a_max, PROBLEM.a_max)
+    for k, node in enumerate(nodes):
+        alone = _refined_sup(partial(_lq_generator_grid, PROBLEM, VALUE, [node]), 1, PROBLEM.a_max, PROBLEM.a_max)
+        assert [float(a[0]) for a in alone] == [float(b[k]) for b in block]
+
+
+def test_linspace_rows_match_linspace_row_by_row():
+    # the second row's step underflows to zero, which np.linspace handles
+    # with its own formula; the other rows must not follow it
+    lo = np.array([-1.5, 0.0, 0.1, -3.0])
+    hi = np.array([2.0, 1e-320, 0.7, -3.0])
+    rows = _linspace_rows(lo, hi, 21)
+    for k in range(lo.size):
+        assert rows[k].tobytes() == np.linspace(lo[k], hi[k], 21).tobytes()
+
+
+def test_replaced_candidate_does_not_share_the_memo():
+    value = make_lq_problem()[1]
+    eps = 0.1
+    for t in (0.0, 0.3, 1.0):
+        value.quad_coeffs(t)  # warm the base's memo
+    perturbed = replace(value, p_offset=eps)
+    for t in (0.0, 0.3, 1.0):
+        assert perturbed.quad_coeffs(t)["P"] == value.quad_coeffs(t)["P"] + eps
+        assert perturbed.quad_coeffs(t)["dP"] == value.quad_coeffs(t)["dP"]
+
+
+def test_block_sizes_do_not_change_results(monkeypatch):
+    def run():
+        hjb = hjb_residual(PROBLEM, VALUE)
+        control = optimal_feedback(VALUE, PROBLEM.a_max)
+        dpp = dpp_check(PROBLEM, VALUE, control, 0.25, 1.0, 0.5, 1.0, 64, 16, 3, RngStream(4, 0))
+        return hjb, dpp
+
+    reference = run()
+    # 7 nodes do not divide the 225 of the lattice, nor blocks of 3 rows
+    # of 64 particles the 16 cells
+    for nodes, elements in ((1, 64), (7, 3 * 64), (225, 1 << 20)):
+        monkeypatch.setattr(mfc, "_HJB_NODE_BLOCK", nodes)
+        monkeypatch.setattr(mfc, "_DPP_BLOCK_ELEMENTS", elements)
+        assert run() == reference
