@@ -1,24 +1,25 @@
-"""Mean-field control with common noise on a solvable linear-quadratic
-instance: value-function generator, residuals of the dynamic-programming
-equation, and Monte Carlo checks of the dynamic programming principle.
+"""Mean-field control with common noise on the one solvable
+linear-quadratic instance that the experiments check: value-function
+generator, residuals of the dynamic-programming equation, and Monte Carlo
+checks of the dynamic programming principle.
 
-The concrete instance is scalar with dX = a dt + sigma dW + sigma0 dW0,
-running reward -a^2/2 - (q/2)(x - mean)^2 - (r/2) mean^2 and terminal
-reward -(c_g/2) Var - (c_m/2) mean^2.  A quadratic-in-moments ansatz
+The instance is scalar with dX = a dt + sigma dW + sigma0 dW0, running
+reward -a^2/2 - (q/2)(x - mean)^2 - (r/2) mean^2 and terminal reward
+-(c_g/2) Var - (c_m/2) mean^2.  A quadratic-in-moments ansatz
 V = P(t) Var(m) + R(t) mean(m)^2 + c(t) closes the equation into scalar
 Riccati equations dP/dt = q/2 - 2 P^2, dR/dt = r/2 - 2 R^2 and
 dc/dt = -(P sigma^2 + R sigma0^2), solved backward by fixed-step RK4
 with step halving.
 
-The checks run as arrays.  :func:`hjb_residual` evaluates its lattice
-nodes together in blocks of :data:`_HJB_NODE_BLOCK`, one generator call
-per block and refinement stage; :func:`dpp_check` evaluates the running
-reward of a repetition over row blocks of :data:`_DPP_BLOCK_ELEMENTS`
-states; and :meth:`LqValue.quad_coeffs` looks the Riccati coefficients of
-a time up once per value object.  The block sizes are module constants,
-not options: they bound the memory of the blocked evaluation (all 225
-lattice nodes at once would add about 68 MiB of peak memory) and do not
-change a single output bit.
+The module serves this instance only, so its reward and coefficients are
+written where they are used, from :attr:`ControlProblem.constants`: the
+running reward in :func:`dpp_check`, in :func:`generator`'s atom route,
+in :func:`_lq_generator_grid` and in :func:`constant_control_gap`'s ODE,
+and the terminal reward in :meth:`ControlProblem.terminal_reward`.
+
+The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
+nodes and :data:`_DPP_BLOCK_ELEMENTS` states: module constants, not
+options, that bound the memory and change no output bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ from scipy.special import ndtr
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure
 from .particle import gaussian_quantile_initial, simulate_ensemble
-from .paths import RngStream, SdeCoefficients, make_uniform_partition
+from .paths import RngStream, constant_coefficients, make_uniform_partition
 
 __all__ = [
     "GaussianMoments",
@@ -45,8 +46,6 @@ __all__ = [
     "AffineFeedback",
     "RiccatiFeedback",
     "constant_feedback",
-    "optimal_feedback",
-    "suggest_control_bound",
     "generator",
     "HjbNode",
     "HjbReport",
@@ -81,33 +80,6 @@ def measure_mean(m) -> float:
     return float(m.average(m.atoms))
 
 
-class _Rows:
-    """The empirical measures of the rows of a (rows, N) state block, for a
-    reward evaluated over many grid times in one call.
-
-    ``means`` are the row means as Python floats, taken by one row
-    reduction, which equals each row's own ``np.mean`` to the bit.
-    """
-
-    __slots__ = ("means",)
-
-    def __init__(self, atoms: np.ndarray):
-        self.means = atoms.mean(axis=1).tolist()
-
-
-def _by_mean(fn: Callable, m):
-    """``fn`` of the mean of a measure, or for :class:`_Rows` the (rows, 1)
-    column of ``fn`` of each row's mean.
-
-    ``fn`` sees Python floats either way: a Python float's ``mu**2`` goes
-    through libm ``pow`` and numpy's ``x**2`` through x*x, which differ in
-    the last bit for some inputs, so a row gets its own measure's value.
-    """
-    if isinstance(m, _Rows):
-        return np.array([fn(mu) for mu in m.means])[:, None]
-    return fn(measure_mean(m))
-
-
 def measure_variance(m) -> float:
     if isinstance(m, GaussianMoments):
         return m.var
@@ -121,20 +93,25 @@ def measure_variance(m) -> float:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Controlled dynamics plus rewards over a compact control interval."""
+    """The linear-quadratic instance: its ``constants`` q, r, c_g, c_m,
+    sigma and sigma0, the horizon, and the control interval
+    [-a_max, a_max].
 
-    coeffs: SdeCoefficients
-    # (t, y, m, x, a) vectorized over x, a; m is the atoms' measure, or a
-    # _Rows whose rows are those of x and a
-    running_reward: Callable
-    terminal_reward: Callable  # (y, m)
+    Every consumer reads the constants and writes the instance's reward
+    and coefficients where it uses them (see the module docstring).
+    """
+
+    constants: Mapping[str, float]
     horizon: float
     a_max: float
-    constants: Mapping[str, float]
 
     def __post_init__(self):
         if not np.isfinite(self.a_max) or self.a_max <= 0:
             raise InvalidArgumentError("control bound must be positive and finite")
+
+    def terminal_reward(self, m) -> float:
+        consts = self.constants
+        return -0.5 * consts["c_g"] * measure_variance(m) - 0.5 * consts["c_m"] * measure_mean(m) ** 2
 
 
 def make_lq_problem(
@@ -154,37 +131,18 @@ def make_lq_problem(
     feedback over the default residual lattice, so the clamp never binds
     there; the solve does not depend on ``a_max``.
     """
-    constants = {
-        "q": q,
-        "r": r,
-        "c_g": c_g,
-        "c_m": c_m,
-        "sigma": sigma,
-        "sigma0": sigma0,
-    }
-
-    coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: a,
-        sigma=lambda t, x, y, m, a: sigma,
-        sigma0=lambda t, x, y, m, a: sigma0,
-        k=lambda t, y: 0.0,
-        gamma=lambda t, y: 0.0,
-        gamma0=lambda t, y: 0.0,
-        bounds={"sigma": abs(sigma), "sigma0": abs(sigma0)},
-    )
-
-    def running_reward(t, y, m, x, a):
-        mu = _by_mean(float, m)
-        return -0.5 * a**2 - 0.5 * q * (x - mu) ** 2 - _by_mean(lambda mu: 0.5 * r * mu**2, m)
-
-    def terminal_reward(y, m):
-        return -0.5 * c_g * measure_variance(m) - 0.5 * c_m * measure_mean(m) ** 2
-
+    constants = {"q": q, "r": r, "c_g": c_g, "c_m": c_m, "sigma": sigma, "sigma0": sigma0}
     bound = 1.0 if a_max is None else float(a_max)
-    problem = ControlProblem(coeffs, running_reward, terminal_reward, horizon, bound, constants)
+    problem = ControlProblem(constants, horizon, bound)
     value = solve_lq_value(problem)
     if a_max is None:
-        problem = replace(problem, a_max=float(suggest_control_bound(value)))
+        # the feedback is 2P (x - mean) + 2R mean, and the default lattice
+        # box has |mean| <= 1 and var <= 2, with atoms within 3 standard
+        # deviations of the mean
+        p_max = float(np.max(np.abs(value.p)))
+        r_max = float(np.max(np.abs(value.r_coef)))
+        bound = 2.0 * (2.0 * p_max * 3.0 * np.sqrt(2.0) + 2.0 * r_max)
+        problem = replace(problem, a_max=float(bound))
     return problem, value
 
 
@@ -248,14 +206,6 @@ class LqValue:
         qc = self.quad_coeffs(t)
         mu = measure_mean(m)
         return 2.0 * qc["P"] * (np.asarray(x) - mu) + 2.0 * qc["R"] * mu
-
-    def d2x(self, t: float, m, x):
-        qc = self.quad_coeffs(t)
-        return 2.0 * qc["P"]
-
-    def cross(self, t: float, m, x=None, xh=None):
-        qc = self.quad_coeffs(t)
-        return 2.0 * (qc["R"] - qc["P"])
 
 
 def _rk4_backward(rhs: Callable, terminal: np.ndarray, t1: float, t0: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +295,6 @@ class AffineFeedback:
     c0: float
     c1: float
     a_max: float
-    name: str = "affine"
 
     def __call__(self, t, x, m):
         mu = measure_mean(m)
@@ -354,36 +303,20 @@ class AffineFeedback:
 
 @dataclass(frozen=True)
 class RiccatiFeedback:
-    """Clamped optimal feedback 2P(t)(x - mean) + 2R(t) mean."""
+    """Clamped optimal feedback 2P(t)(x - mean) + 2R(t) mean, the value's
+    Lions derivative."""
 
     value: LqValue
     a_max: float
-    name: str = "riccati-optimal"
 
     def __call__(self, t, x, m):
-        qc = self.value.quad_coeffs(t)
-        mu = measure_mean(m)
-        raw = 2.0 * qc["P"] * (np.asarray(x) - mu) + 2.0 * qc["R"] * mu
-        return np.clip(raw, -self.a_max, self.a_max)
+        return np.clip(self.value.d_lions(t, m, x), -self.a_max, self.a_max)
 
 
 def constant_feedback(a: float, a_max: float) -> AffineFeedback:
     if abs(a) > a_max:
         raise InvalidArgumentError("constant control outside the control set")
-    return AffineFeedback(float(a), 0.0, a_max, name=f"constant({a})")
-
-
-def optimal_feedback(value: LqValue, a_max: float) -> RiccatiFeedback:
-    return RiccatiFeedback(value, a_max)
-
-
-def suggest_control_bound(
-    value: LqValue, mean_max: float = 1.0, var_max: float = 2.0, spread: float = 3.0
-) -> float:
-    """Twice the sup of |optimal feedback| over the default lattice box."""
-    p_max = float(np.max(np.abs(value.p)))
-    r_max = float(np.max(np.abs(value.r_coef)))
-    return 2.0 * (2.0 * p_max * spread * np.sqrt(var_max) + 2.0 * r_max * mean_max)
+    return AffineFeedback(float(a), 0.0, a_max)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +371,9 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
     ``nodes`` is a sequence of (t, mean, var) and ``c0``, ``c1`` hold one
     row of grid points per node.  The terms that depend on the node alone
     are Python-float expressions stacked into (nodes, 1) columns, so each
-    row is what its node alone gives (see :func:`_by_mean` on ``**``).
+    row is what its node alone gives: a Python float's ``mean**2`` goes
+    through libm ``pow`` and numpy's ``x**2`` through x*x, which differ in
+    the last bit for some inputs.
     """
     consts = problem.constants
     q, r = consts["q"], consts["r"]
@@ -464,14 +399,15 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
     return dtv + fbar + drift + second + cross
 
 
-def generator(problem: ControlProblem, value, t: float, y: float, m, control) -> float:
+def generator(problem: ControlProblem, value, t: float, m, control) -> float:
     """Reward-augmented generator of the value candidate at one point.
 
-    Empirical measures evaluate every integral as an atom average (the
-    double integral as a full double average); Gaussian surrogates use
-    exact censored-Gaussian moments and require an affine feedback.  The
-    control instance has no factor (k = gamma = gamma0 = 0), so the
-    factor terms are absent.
+    Empirical measures evaluate the reward and drift integrals as atom
+    averages; Gaussian surrogates use exact censored-Gaussian moments and
+    require an affine feedback.  The diffusion coefficients are constant
+    and V's second derivatives are 2P in x and 2(R - P) across atoms, so
+    the second-order terms are constants on both routes.  The instance
+    has no factor, so the factor terms are absent.
     """
     if isinstance(m, GaussianMoments):
         if not isinstance(control, AffineFeedback):
@@ -483,20 +419,15 @@ def generator(problem: ControlProblem, value, t: float, y: float, m, control) ->
     a = np.asarray(control(t, x, m), dtype=float)
     if np.max(np.abs(a)) > problem.a_max + 1e-12:
         raise InvalidArgumentError("control values escape the control set")
-    coeffs = problem.coeffs
-    f_vals = np.asarray(problem.running_reward(t, y, m, x, a), dtype=float)
-    # the coefficients are averaged over the atoms, so each gets one value per atom
-    b, s, s0 = (
-        np.broadcast_to(np.asarray(c(t, x, y, m, a), dtype=float), x.shape)
-        for c in (coeffs.drift, coeffs.sigma, coeffs.sigma0)
-    )
-    dl = np.asarray(value.d_lions(t, m, x), dtype=float)
-    d2 = np.broadcast_to(np.asarray(value.d2x(t, m, x), dtype=float), x.shape)
+    consts = problem.constants
+    sigma, sigma0 = consts["sigma"], consts["sigma0"]
+    qc = value.quad_coeffs(t)
+    mu = measure_mean(m)
+    f_vals = -0.5 * a**2 - 0.5 * consts["q"] * (x - mu) ** 2 - 0.5 * consts["r"] * mu**2
     total = value.time_derivative(t, m)
     total += m.average(f_vals)
-    total += m.average(b * dl)
-    total += 0.5 * m.average((s**2 + s0**2) * d2)
-    total += 0.5 * float(value.cross(t, m)) * m.average(s0) ** 2
+    total += m.average(a * value.d_lions(t, m, x))
+    total += qc["P"] * (sigma**2 + sigma0**2) + sigma0**2 * (qc["R"] - qc["P"])
     return float(total)
 
 
@@ -628,7 +559,7 @@ def hjb_residual(
     for mu in mean_nodes:
         for var in var_nodes:
             m = GaussianMoments(float(mu), float(var))
-            gap = abs(value.value(problem.horizon, m) - problem.terminal_reward(0.0, m))
+            gap = abs(value.value(problem.horizon, m) - problem.terminal_reward(m))
             terminal_gap = max(terminal_gap, gap)
     max_abs = max(abs(nd.residual) for nd in nodes)
     return HjbReport(tuple(nodes), max_abs, terminal_gap, tol, max_abs <= tol and terminal_gap == 0.0)
@@ -640,6 +571,10 @@ def nonparametric_gap(problem: ControlProblem, value, t: float, m: EmpiricalMeas
     Compares the affine-family sup against the exact pointwise optimizer,
     both evaluated on the same atom cloud.
     """
+    # the value function is solved on [0, horizon]; outside it np.interp
+    # would freeze the Lions derivative at its end values
+    if not 0.0 <= t <= problem.horizon:
+        raise InvalidArgumentError(f"need 0 <= t <= horizon = {problem.horizon}, got t = {t}")
     x = np.sort(m.atoms)
     cloud = EmpiricalMeasure(x)
     dl = np.asarray(value.d_lions(t, cloud, x), dtype=float)
@@ -680,18 +615,6 @@ class DppResult:
     oracle_gap: float | None
 
 
-def _shift_coeffs(coeffs: SdeCoefficients, t0: float) -> SdeCoefficients:
-    return SdeCoefficients(
-        drift=lambda t, x, y, m, a: coeffs.drift(t0 + t, x, y, m, a),
-        sigma=lambda t, x, y, m, a: coeffs.sigma(t0 + t, x, y, m, a),
-        sigma0=lambda t, x, y, m, a: coeffs.sigma0(t0 + t, x, y, m, a),
-        k=lambda t, y: coeffs.k(t0 + t, y),
-        gamma=lambda t, y: coeffs.gamma(t0 + t, y),
-        gamma0=lambda t, y: coeffs.gamma0(t0 + t, y),
-        bounds=coeffs.bounds,
-    )
-
-
 # states (rows x particles) per running-reward call of the DPP check: at
 # N = 512 and 1,024 a whole repetition at once took about 2 MiB more peak
 # RSS than blocks of this size
@@ -719,8 +642,8 @@ def dpp_check(
     controls the result carries the exact linear-ansatz prediction.
 
     A repetition's running reward is evaluated over blocks of
-    :data:`_DPP_BLOCK_ELEMENTS` states (whole rows), one reward call and
-    one row reduction per block instead of per cell; the block size bounds
+    :data:`_DPP_BLOCK_ELEMENTS` states (whole rows), one reward evaluation
+    and one row reduction per block instead of per cell; the block size bounds
     the memory, and the cells' rewards are still summed one by one, in
     order, so the result does not depend on it.
     """
@@ -734,7 +657,14 @@ def dpp_check(
         raise InvalidArgumentError("the DPP check needs at least 2 outer repetitions")
     part = make_uniform_partition(theta - t0, num_cells)
     dt = part.deltas
-    coeffs = _shift_coeffs(problem.coeffs, t0)
+    consts = problem.constants
+    q, r = consts["q"], consts["r"]
+    # the drift is the control, which the feedbacks clamp into [-a_max, a_max];
+    # no coefficient reads the time, so only the control is shifted to t0
+    coeffs = replace(
+        constant_coefficients(b=problem.a_max, sigma=consts["sigma"], sigma0=consts["sigma0"]),
+        drift=lambda t, x, y, m, a: a,
+    )
 
     def shifted_control(t, x, m):
         return control(t0 + t, x, m)
@@ -749,9 +679,13 @@ def dpp_check(
         reward = 0.0
         for start in range(0, num_cells, block):
             cells = slice(start, min(num_cells, start + block))
-            x = ens.states[cells]
-            t = t0 + part.times[cells, None]
-            f_vals = problem.running_reward(t, 0.0, _Rows(x), x, ens.control_values[cells])
+            x, a = ens.states[cells], ens.control_values[cells]
+            # the row means as Python floats, so that mean**2 is each row's
+            # own pow, as in _lq_generator_grid
+            means = x.mean(axis=1).tolist()
+            mu = np.array(means)[:, None]
+            r_mean2 = np.array([0.5 * r * mean**2 for mean in means])[:, None]
+            f_vals = -0.5 * a**2 - 0.5 * q * (x - mu) ** 2 - r_mean2
             for mean_k, h in zip(f_vals.mean(axis=1).tolist(), dt[cells].tolist()):
                 reward += mean_k * h
         m_end = ens.empirical_at(num_cells)

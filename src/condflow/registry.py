@@ -279,6 +279,20 @@ def _wentzell(tag: str):
     return run
 
 
+def _designed_term_gate(params: dict, report, term: str, target: float, key: str) -> RunOutput:
+    """The verification's output, which also passes only if ``term`` equals
+    the ``target`` its designed instance fixes, within 3 se_residual + C T/n;
+    the target and the gap are reported as ``<key>_target`` and ``<key>_gap``."""
+    out = _run_verification(report)
+    gap = abs(report.aggregate[term] - target)
+    tol = 3.0 * report.aggregate["se_residual"] + params["C"] * params["horizon"] / params["n"]
+    out.report[f"{key}_target"] = target
+    out.report[f"{key}_gap"] = gap
+    out.passed = out.passed and gap <= tol
+    out.report["passed"] = out.passed
+    return out
+
+
 def _brownian(params: dict, rng: RngStream) -> RunOutput:
     spec = BrownianFieldSpec(psi0=mean_functional())
     espec = EnsembleSpec(
@@ -290,16 +304,9 @@ def _brownian(params: dict, rng: RngStream) -> RunOutput:
     )
     cfg = VerifyConfig(rng=rng, outer_paths=params["M"], rule="dt", tolerance_c=params["C"])
     report = chainrule.verify_brownian_corollary(spec, espec, cfg, name="brownian-corollary")
-    out = _run_verification(report)
     # the designed instance makes the correction term equal sigma0 * T exactly
     target = params["sigma0"] * params["horizon"]
-    gap = abs(report.aggregate["term_bracket_correction"] - target)
-    tol = 3.0 * report.aggregate["se_residual"] + params["C"] * params["horizon"] / params["n"]
-    out.report["correction_target"] = target
-    out.report["correction_gap"] = gap
-    out.passed = out.passed and gap <= tol
-    out.report["passed"] = out.passed
-    return out
+    return _designed_term_gate(params, report, "term_bracket_correction", target, "correction")
 
 
 def _factor(params: dict, rng: RngStream) -> RunOutput:
@@ -315,15 +322,8 @@ def _factor(params: dict, rng: RngStream) -> RunOutput:
     report = chainrule.verify_factor_model(
         factor_linear_functional(), espec, cfg, name="factor-linear"
     )
-    out = _run_verification(report)
     target = params["sigma0"] * params["gamma0"] * params["horizon"]
-    gap = abs(report.aggregate["term_mixed_bracket"] - target)
-    tol = 3.0 * report.aggregate["se_residual"] + params["C"] * params["horizon"] / params["n"]
-    out.report["mixed_bracket_target"] = target
-    out.report["mixed_bracket_gap"] = gap
-    out.passed = out.passed and gap <= tol
-    out.report["passed"] = out.passed
-    return out
+    return _designed_term_gate(params, report, "term_mixed_bracket", target, "mixed_bracket")
 
 
 def _lemma_qv(params: dict, rng: RngStream) -> RunOutput:
@@ -406,8 +406,10 @@ def _hjb_lq(params: dict, rng: RngStream) -> RunOutput:
     discriminative = perturbed.max_abs_residual >= params["perturbation_floor"]
 
     # Monte Carlo cross-check of the value at spot nodes under the optimal feedback
-    control = mfc.optimal_feedback(value, problem.a_max)
-    spot_nodes = [(0.0, 0.5, 1.0), (0.25, -0.5, 0.5), (0.5, 0.0, 1.5)]
+    control = mfc.RiccatiFeedback(value, problem.a_max)
+    # spot times scale with the horizon, as the HJB lattice does
+    horizon = problem.horizon
+    spot_nodes = [(0.0 * horizon, 0.5, 1.0), (0.25 * horizon, -0.5, 0.5), (0.5 * horizon, 0.0, 1.5)]
     mc_rows = []
     mc_ok = True
     for i, (t0, mu, var) in enumerate(spot_nodes):
@@ -470,7 +472,7 @@ def _dpp_lq(params: dict, rng: RngStream) -> RunOutput:
     problem, value = _lq_problem(params)
     which = params["control"]
     if which == "optimal":
-        control = mfc.optimal_feedback(value, problem.a_max)
+        control = mfc.RiccatiFeedback(value, problem.a_max)
     elif which == "constant-max":
         control = mfc.constant_feedback(problem.a_max, problem.a_max)
     else:

@@ -160,6 +160,23 @@ def test_cli_seed_override(tmp_path):
     assert main(["verify-ito", "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "o")]) == 0
 
 
+def test_lq_common_noise_spot_times_scale_with_the_horizon(tmp_path):
+    # fixed spot times would put t0 = 0.5 past a horizon of 0.4
+    out = tmp_path / "out"
+    cfg = {
+        "experiment": "lq-common-noise",
+        "seed": 7,
+        "horizon": 0.4,
+        "coefficients": {"mc_particles": 64, "mc_cells": 16, "mc_paths": 4},
+        "out": str(out),
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert main(["hjb-lq", "--config", str(cfg_path)]) == 0
+    rows = (out / "mc_cross_check.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.25 * 0.4, 0.5 * 0.4]
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.split()

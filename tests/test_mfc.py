@@ -10,6 +10,7 @@ from condflow import mfc
 from condflow.mfc import (
     AffineFeedback,
     GaussianMoments,
+    RiccatiFeedback,
     constant_control_gap,
     constant_feedback,
     dpp_check,
@@ -19,7 +20,6 @@ from condflow.mfc import (
     measure_mean,
     measure_variance,
     nonparametric_gap,
-    optimal_feedback,
     _linspace_rows,
     _lq_generator_grid,
     _refined_sup,
@@ -63,7 +63,7 @@ def test_terminal_condition_exact():
     for mu in (-1.0, 0.0, 0.7):
         for var in (0.25, 1.0, 2.0):
             m = GaussianMoments(mu, var)
-            assert VALUE.value(1.0, m) == PROBLEM.terminal_reward(0.0, m)
+            assert VALUE.value(1.0, m) == PROBLEM.terminal_reward(m)
 
 
 def test_value_derivative_fields_consistent():
@@ -88,10 +88,10 @@ def test_generator_zero_everything():
     v0 = zero_value()
     m = GaussianMoments(0.5, 1.0)
     for a in (-1.0, 0.0, 0.8):
-        val = generator(problem, v0, 0.3, 0.0, m, constant_feedback(a, 2.0))
+        val = generator(problem, v0, 0.3, m, constant_feedback(a, 2.0))
         assert val == pytest.approx(-0.5 * a**2)
     # maximized at a = 0 with value 0
-    assert generator(problem, v0, 0.3, 0.0, m, constant_feedback(0.0, 2.0)) == 0.0
+    assert generator(problem, v0, 0.3, m, constant_feedback(0.0, 2.0)) == 0.0
 
 
 def test_degenerate_problem_zero_residual():
@@ -122,11 +122,11 @@ def test_generator_hand_expansion_constant_control():
         + consts["sigma0"] ** 2 * (qc["R"] - qc["P"])
     )
     control = constant_feedback(a, PROBLEM.a_max)
-    surrogate = generator(PROBLEM, VALUE, t, 0.0, GaussianMoments(mu, var), control)
+    surrogate = generator(PROBLEM, VALUE, t, GaussianMoments(mu, var), control)
     assert surrogate == pytest.approx(hand, rel=1e-12)
     atoms = gaussian_quantile_initial(mu, var)(None, 200_000)
     cloud = empirical(atoms)
-    cloud_val = generator(PROBLEM, VALUE, t, 0.0, cloud, control)
+    cloud_val = generator(PROBLEM, VALUE, t, cloud, control)
     # quantile clouds undershoot the variance slightly; compare at realized moments
     hand_cloud = (
         qc["dP"] * measure_variance(cloud) + qc["dR"] * measure_mean(cloud) ** 2 + qc["dc"]
@@ -145,21 +145,21 @@ def test_generator_terminal_time_against_quantile_cloud():
     # affine feedback with a slope, checked against a 10^6-atom quadrature
     control = AffineFeedback(0.3, -0.8, PROBLEM.a_max)
     t = 1.0
-    surrogate = generator(PROBLEM, VALUE, t, 0.0, GaussianMoments(0.2, 1.1), control)
+    surrogate = generator(PROBLEM, VALUE, t, GaussianMoments(0.2, 1.1), control)
     atoms = gaussian_quantile_initial(0.2, 1.1)(None, 1_000_000)
-    cloud_val = generator(PROBLEM, VALUE, t, 0.0, empirical(atoms), control)
+    cloud_val = generator(PROBLEM, VALUE, t, empirical(atoms), control)
     assert cloud_val == pytest.approx(surrogate, rel=5e-4)
 
 
 def test_representation_independence_random_clouds():
     control = AffineFeedback(0.2, -0.5, PROBLEM.a_max)
     t, mu, var = 0.5, -0.3, 0.9
-    surrogate = generator(PROBLEM, VALUE, t, 0.0, GaussianMoments(mu, var), control)
+    surrogate = generator(PROBLEM, VALUE, t, GaussianMoments(mu, var), control)
     gen = np.random.default_rng(8)
     vals = []
     for _ in range(8):
         atoms = mu + np.sqrt(var) * gen.normal(size=100_000)
-        vals.append(generator(PROBLEM, VALUE, t, 0.0, empirical(atoms), control))
+        vals.append(generator(PROBLEM, VALUE, t, empirical(atoms), control))
     vals = np.array(vals)
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - surrogate) < 3.0 * se
@@ -213,6 +213,14 @@ def test_nonparametric_family_gap_small():
     assert gaps["family_gap"] <= 1e-4
 
 
+def test_nonparametric_gap_rejects_times_outside_the_horizon():
+    # outside [0, horizon] the interpolated Lions derivative is frozen
+    atoms = gaussian_quantile_initial(0.3, 1.0)(None, 64)
+    for t in (3.0, -2.0, PROBLEM.horizon + 0.25, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            nonparametric_gap(PROBLEM, VALUE, t, empirical(atoms))
+
+
 def test_constant_control_gap_matches_hand_integration():
     consts = PROBLEM.constants
     for a in (0.0, 1.0, -2.0):
@@ -237,7 +245,7 @@ def test_constant_gap_is_nonpositive():
 
 
 def test_dpp_optimal_and_suboptimal():
-    control = optimal_feedback(VALUE, PROBLEM.a_max)
+    control = RiccatiFeedback(VALUE, PROBLEM.a_max)
     res = dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.5, 1.0, 256, 128, 24, RngStream(1, 0))
     assert res.verdict == "optimal-consistent"
 
@@ -248,8 +256,19 @@ def test_dpp_optimal_and_suboptimal():
     assert abs(res2.estimate - res2.oracle_gap) <= 0.25 * abs(res2.oracle_gap)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dpp_rejects_a_wrong_value_candidate(seed):
+    # the optimal feedback against V - 0.5 Var overshoots the gap, and
+    # against V + 0.5 Var undershoots it
+    control = RiccatiFeedback(VALUE, PROBLEM.a_max)
+    for p_offset, verdict in ((-0.5, "dpp-violation"), (0.5, "suboptimal")):
+        candidate = replace(VALUE, p_offset=p_offset)
+        res = dpp_check(PROBLEM, candidate, control, 0.0, 1.0, 0.5, 1.0, 256, 128, 24, RngStream(seed, 0))
+        assert res.verdict == verdict
+
+
 def test_dpp_ordering_under_common_random_numbers():
-    control = optimal_feedback(VALUE, PROBLEM.a_max)
+    control = RiccatiFeedback(VALUE, PROBLEM.a_max)
     controls = [control] + [
         constant_feedback(a, PROBLEM.a_max) for a in (0.0, 0.5 * PROBLEM.a_max, -PROBLEM.a_max)
     ]
@@ -262,7 +281,7 @@ def test_dpp_ordering_under_common_random_numbers():
 
 def test_dpp_rejects_bad_horizon():
     # an empty interval, and times outside [0, horizon], where V is not solved
-    control = optimal_feedback(VALUE, PROBLEM.a_max)
+    control = RiccatiFeedback(VALUE, PROBLEM.a_max)
     for t0, theta in ((0.5, 0.5), (0.0, 3.0), (-2.0, 1.0), (0.5, PROBLEM.horizon + 0.25)):
         with pytest.raises(InvalidArgumentError):
             dpp_check(PROBLEM, VALUE, control, t0, theta, 0.0, 1.0, 16, 8, 2, RngStream(0, 0))
@@ -308,7 +327,7 @@ def test_replaced_candidate_does_not_share_the_memo():
 def test_block_sizes_do_not_change_results(monkeypatch):
     def run():
         hjb = hjb_residual(PROBLEM, VALUE)
-        control = optimal_feedback(VALUE, PROBLEM.a_max)
+        control = RiccatiFeedback(VALUE, PROBLEM.a_max)
         dpp = dpp_check(PROBLEM, VALUE, control, 0.25, 1.0, 0.5, 1.0, 64, 16, 3, RngStream(4, 0))
         return hjb, dpp
 
