@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import CylindricalFunctional, TestFunction, _Tables
-from .particle import ParticleEnsemble, simulate_ensemble
+from .particle import _WINDOW_ELEMENTS, ParticleEnsemble, simulate_ensemble
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # configuration and report containers
 
-# particle-steps per window: each (cells, N) float64 window array is 512 KiB
-_WINDOW_ELEMENTS = 1 << 16
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Recipe for building one ensemble repetition."""
@@ -74,7 +70,8 @@ class EnsembleSpec:
     def windows(self, rng: RngStream):
         """Yield one run of :func:`simulate_ensemble` on this recipe, as
         consecutive windows of max(1, 2^16 // N) cells (the last one may be
-        shorter)."""
+        shorter); the budget is ``particle._WINDOW_ELEMENTS``, which
+        ``mfc.dpp_check`` shares."""
         part = self.partition()
         step = max(1, _WINDOW_ELEMENTS // self.num_particles)
         ens = self.initial

@@ -110,7 +110,7 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
     Returns (experiment name, seed, resolved params, extras) where extras
     carries out/grid.  Unknown keys anywhere, a value whose type differs
     from its registry default, a float (or list element) that is infinite
-    or NaN, an out that is not a string, and an integer
+    or NaN, a negative tolerance, an out that is not a string, and an integer
     (:data:`_INT_MINIMUM`, each ``cell_counts`` element) or a horizon out
     of range are usage errors.
     """
@@ -149,6 +149,8 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
         if key not in _TOLERANCE_KEYS:
             raise UsageError(f"unknown tolerance key {key!r}")
         apply(key, value)
+        if value < 0:  # a negative allowance is a gate that cannot pass
+            raise UsageError(f"tolerance {key} must be nonnegative, got {value!r}")
     coeffs = config.get("coefficients", {})
     if not isinstance(coeffs, dict):
         raise UsageError("coefficients must be a mapping")

@@ -18,8 +18,9 @@ in :func:`_lq_generator_grid` and in :func:`constant_control_gap`'s ODE,
 and the terminal reward in :meth:`ControlProblem.terminal_reward`.
 
 The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
-nodes and :data:`_DPP_BLOCK_ELEMENTS` states: module constants, not
-options, that bound the memory and change no output bit.
+nodes and in the particle sweep's time windows of about 2^16 particle
+steps (``particle._WINDOW_ELEMENTS``): module constants, not options,
+that bound the memory and change no output bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,8 +32,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import InvalidArgumentError, NumericOverflowError
-from .measures import EmpiricalMeasure
-from .particle import gaussian_quantile_initial, simulate_ensemble
+from .measures import EmpiricalMeasure, empirical
+from .particle import _WINDOW_ELEMENTS, gaussian_quantile_initial, simulate_ensemble
 from .paths import RngStream, constant_coefficients, make_uniform_partition
 
 __all__ = [
@@ -75,8 +76,12 @@ class GaussianMoments:
 
 
 def measure_mean(m) -> float:
+    """The mean of ``m``; an array is a batched sweep's column of row
+    means (see ``particle.simulate_ensemble``) and is its own mean."""
     if isinstance(m, GaussianMoments):
         return m.mean
+    if isinstance(m, np.ndarray):
+        return m
     return float(m.average(m.atoms))
 
 
@@ -615,12 +620,6 @@ class DppResult:
     oracle_gap: float | None
 
 
-# states (rows x particles) per running-reward call of the DPP check: at
-# N = 512 and 1,024 a whole repetition at once took about 2 MiB more peak
-# RSS than blocks of this size
-_DPP_BLOCK_ELEMENTS = 1 << 14
-
-
 def dpp_check(
     problem: ControlProblem,
     value,
@@ -641,11 +640,13 @@ def dpp_check(
     and be significantly negative for suboptimal controls; for constant
     controls the result carries the exact linear-ansatz prediction.
 
-    A repetition's running reward is evaluated over blocks of
-    :data:`_DPP_BLOCK_ELEMENTS` states (whole rows), one reward evaluation
-    and one row reduction per block instead of per cell; the block size bounds
-    the memory, and the cells' rewards are still summed one by one, in
-    order, so the result does not depend on it.
+    The ``outer_paths`` repetitions, repetition r on ``rng.child(r)``,
+    run as one batched sweep of :func:`simulate_ensemble` in time windows
+    of max(1, 2^16 // (M N)) cells; the feedback reads each repetition's
+    row means.  After each window the running reward of every repetition
+    is evaluated at once and summed cell by cell, in order, so the result
+    does not depend on the window.  A reward or value that overflows
+    raises ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze V and the feedback at their end values
@@ -670,27 +671,30 @@ def dpp_check(
         return control(t0 + t, x, m)
 
     initial = gaussian_quantile_initial(mean0, var0)
-    block = max(1, _DPP_BLOCK_ELEMENTS // num_particles)
-    gaps = np.empty(outer_paths)
-    for rep in range(outer_paths):
-        ens = simulate_ensemble(
-            coeffs, initial, num_particles, part, rng.child(rep), control=shifted_control
-        )
-        reward = 0.0
-        for start in range(0, num_cells, block):
-            cells = slice(start, min(num_cells, start + block))
-            x, a = ens.states[cells], ens.control_values[cells]
+    # the quantile atoms do not depend on the stream: every repetition starts here
+    atoms = initial(None, num_particles)
+    streams = [rng.child(rep) for rep in range(outer_paths)]
+    step = max(1, _WINDOW_ELEMENTS // (outer_paths * num_particles))
+    reward = np.zeros(outer_paths)
+    ens = initial
+    try:  # a Python float's ** raises where * would give inf
+        for _ in range(0, num_cells, step):
+            ens = simulate_ensemble(
+                coeffs, ens, num_particles, part, streams, control=shifted_control, num_cells=step
+            )
+            x, a = ens.states[:-1], ens.control_values
             # the row means as Python floats, so that mean**2 is each row's
             # own pow, as in _lq_generator_grid
-            means = x.mean(axis=1).tolist()
-            mu = np.array(means)[:, None]
-            r_mean2 = np.array([0.5 * r * mean**2 for mean in means])[:, None]
-            f_vals = -0.5 * a**2 - 0.5 * q * (x - mu) ** 2 - r_mean2
-            for mean_k, h in zip(f_vals.mean(axis=1).tolist(), dt[cells].tolist()):
-                reward += mean_k * h
-        m_end = ens.empirical_at(num_cells)
-        m_start = ens.empirical_at(0)
-        gaps[rep] = reward + value.value(theta, m_end) - value.value(t0, m_start)
+            means = x.mean(axis=-1)
+            r_mean2 = np.array([0.5 * r * mean**2 for mean in means.ravel().tolist()]).reshape(means.shape)
+            f_vals = -0.5 * a**2 - 0.5 * q * (x - means[..., None]) ** 2 - r_mean2[..., None]
+            for f_k, h in zip(f_vals.mean(axis=-1), ens.deltas.tolist()):
+                reward += f_k * h
+        v_start = value.value(t0, empirical(atoms))
+        v_end = [value.value(theta, empirical(row)) for row in ens.states[-1]]
+    except OverflowError:
+        raise NumericOverflowError("the DPP reward or value overflows") from None
+    gaps = np.array([reward_r + v_r - v_start for reward_r, v_r in zip(reward.tolist(), v_end)])
     estimate = float(gaps.mean())
     se = float(gaps.std(ddof=1) / np.sqrt(outer_paths))
     tol = 3.0 * se + tolerance_c * float(dt.max())
@@ -704,10 +708,9 @@ def dpp_check(
         verdict = "inconclusive"
     oracle = None
     if isinstance(control, AffineFeedback) and control.c1 == 0.0:
-        atoms = initial(None, num_particles)
-        mu0 = float(atoms.mean())
-        v0 = float(atoms.var())
-        oracle = constant_control_gap(problem, value, control.c0, t0, theta, mu0, v0)
+        oracle = constant_control_gap(
+            problem, value, control.c0, t0, theta, float(atoms.mean()), float(atoms.var())
+        )
     return DppResult(estimate, se, tol, verdict, oracle)
 
 

@@ -28,27 +28,36 @@ __all__ = [
 ]
 
 
+# particle steps per window, cells x particles over all repetitions of a
+# batch: each float64 window array then takes 512 KiB, or one row if a
+# row is larger
+_WINDOW_ELEMENTS = 1 << 16
+
+
 class _Sweep:
     """Live state of an unfinished Euler sweep, shared by its windows.
 
+    ``gens`` holds one generator per stream, ``dw0`` the common
+    increments ((n,) for one stream, (n, M, 1) for a batch).
     ``next_cell`` is where the sweep continues; only the window ending
     there can be resumed, so a window cannot be resumed twice.
     """
 
-    __slots__ = ("gen", "dw0", "x0", "fv", "mart", "next_cell")
+    __slots__ = ("gens", "dw0", "x0", "fv", "mart", "next_cell")
 
-    def __init__(self, gen, dw0, x0, num_particles):
-        self.gen = gen
+    def __init__(self, gens, dw0, x0):
+        self.gens = gens
         self.dw0 = dw0
         self.x0 = x0
-        self.fv = np.zeros(num_particles)
-        self.mart = np.zeros(num_particles)
+        self.fv = np.zeros(x0.shape)
+        self.mart = np.zeros(x0.shape)
         self.next_cell = 0
 
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """N scalar particle paths on one grid with one common-noise path.
+    """N scalar particle paths on one grid with one common-noise path, or
+    a batch of M such systems, each with its own.
 
     An ensemble is one time window of an Euler sweep: cells
     ``first_cell`` to ``first_cell + num_cells - 1`` of ``partition``.
@@ -62,12 +71,18 @@ class ParticleEnsemble:
     window with ``first_cell == 0`` that covers every cell; a window that
     ends before the last cell can be passed back to
     :func:`simulate_ensemble` to continue the sweep.
+
+    A batch of M repetitions puts a repetition axis after the time axis:
+    ``states`` is (num_cells+1, M, N), the increment and coefficient
+    arrays (num_cells, M, N), and ``common`` is a tuple of the M shared
+    paths.  ``num_particles`` counts a row's particles over the whole
+    batch, M N.
     """
 
     partition: Partition
     states: np.ndarray
     idio_increments: np.ndarray
-    common: SamplePath
+    common: SamplePath | tuple[SamplePath, ...]
     drift_values: np.ndarray
     sigma_values: np.ndarray
     sigma0_values: np.ndarray
@@ -79,7 +94,7 @@ class ParticleEnsemble:
 
     @property
     def num_particles(self) -> int:
-        return self.states.shape[1]
+        return self.states[0].size
 
     @property
     def num_cells(self) -> int:
@@ -148,7 +163,7 @@ def simulate_ensemble(
     initial,
     num_particles: int,
     partition: Partition,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
     control: Callable | None = None,
     y0: float | None = None,
     num_cells: int | None = None,
@@ -161,19 +176,31 @@ def simulate_ensemble(
     endpoint.  ``initial`` may be an EmpiricalMeasure (atom count 1 or
     N), a sampler ``(rng, N) -> atoms``, or a number (Dirac).
 
+    ``rng`` may instead be a sequence of M streams: the sweep then
+    advances M independent repetitions as one (M, N) state, repetition r
+    on stream r exactly as a sweep of that stream alone would, and
+    returns a batched ensemble (see :class:`ParticleEnsemble`).  In a
+    batch the measure argument is the (M, 1) column of the repetitions'
+    row means ``x.mean(axis=-1)``, which is all that a mean-reading
+    feedback such as ``mfc.RiccatiFeedback`` takes of a measure, so the
+    batch makes no ``empirical`` call.  Coefficients and controls that
+    read more of the measure than its mean, and factor paths (``y0``),
+    need one stream at a time.
+
     With ``num_cells`` the sweep stops after that many cells and returns
     that window (see :class:`ParticleEnsemble`); passing the window back
     as ``initial``, with the same ``partition`` and particle count,
-    continues the sweep, and ``rng`` and ``y0`` then go unused.  The
-    stream is drawn in one order however the sweep is split: all of dW0
-    first, then the dW rows window by window, so the windows of a split
-    sweep hold exactly the rows of the whole run.  By default one call
-    runs every remaining cell.
+    continues the sweep, and ``rng`` and ``y0`` then go unused.  Each
+    stream is drawn in one order however the sweep is split or batched:
+    all of its dW0 first, then its dW rows window by window, so the
+    windows of a split sweep hold exactly the rows of the whole run.  By
+    default one call runs every remaining cell.
 
     Each row is checked for finiteness once: a row the sweep reaches is
-    checked by the ``empirical`` call of the step it starts, and the
-    window's last row after the loop.  A non-finite row raises
-    ``BlowUpError`` naming its grid index, except the initial row of a
+    checked by the ``empirical`` call of the step it starts (in a batch,
+    through its row means), and the window's last row after the loop.  A
+    non-finite row raises ``BlowUpError`` naming its grid index, the
+    first over all repetitions of a batch, except the initial row of a
     fresh sweep, where a non-finite atom is an ``InvalidArgumentError``.
     """
     if num_particles < 2:
@@ -189,10 +216,10 @@ def simulate_ensemble(
         start = initial.first_cell + initial.num_cells
         if sweep is None or sweep.next_cell != start:
             raise InvalidArgumentError("only the latest window of an unfinished sweep can be resumed")
-        if initial.partition is not partition or initial.num_particles != num_particles:
+        if initial.partition is not partition or initial.states.shape[-1] != num_particles:
             raise InvalidArgumentError("a resumed sweep keeps its partition and particle count")
         common, factor, x_start = initial.common, initial.factor, initial.states[-1]
-    else:
+    elif isinstance(rng, RngStream):
         gen = rng.generator()
         dw0 = gen.normal(size=n) * sqdt
         common = SamplePath(partition, np.concatenate([[0.0], np.cumsum(dw0)]))
@@ -200,33 +227,63 @@ def simulate_ensemble(
         if y0 is not None:
             factor = simulate_factor(coeffs, y0, partition, common, rng.child(1))
         x_start = _initial_atoms(initial, rng.child(2), num_particles)
-        sweep = _Sweep(gen, dw0, x_start, num_particles)
+        sweep = _Sweep([gen], dw0, x_start)
+        start = 0
+    else:
+        if not rng:
+            raise InvalidArgumentError("a batch needs at least one stream")
+        if y0 is not None:
+            raise InvalidArgumentError("a batch of streams takes no factor path")
+        gens = [stream.generator() for stream in rng]
+        dw0 = np.stack([g.normal(size=n) for g in gens], axis=1) * sqdt[:, None]
+        paths = np.concatenate([np.zeros((1, len(gens))), np.cumsum(dw0, axis=0)])
+        common = tuple(SamplePath(partition, paths[:, r]) for r in range(len(gens)))
+        factor = None
+        x_start = np.stack([_initial_atoms(initial, stream.child(2), num_particles) for stream in rng])
+        sweep = _Sweep(gens, dw0[:, :, None], x_start)
         start = 0
 
+    batch = x_start.ndim == 2
     stop = n if num_cells is None else min(n, start + num_cells)
     cells = stop - start
-    dw = sweep.gen.normal(size=(cells, num_particles)) * sqdt[start:stop, None]
-    dw0, x0 = sweep.dw0, sweep.x0
-    states = np.empty((cells + 1, num_particles))
+    if batch:
+        dw = np.empty((cells, *x_start.shape))
+        for r, g in enumerate(sweep.gens):
+            dw[:, r] = g.normal(size=(cells, num_particles))
+        dw *= sqdt[start:stop, None, None]
+        common_steps = list(sweep.dw0[start:stop])
+    else:
+        dw = sweep.gens[0].normal(size=(cells, num_particles)) * sqdt[start:stop, None]
+        common_steps = sweep.dw0[start:stop].tolist()
+    x0 = sweep.x0
+    states = np.empty((cells + 1, *x_start.shape))
     states[0] = x_start
-    bvals = np.empty((cells, num_particles))
-    svals = np.empty((cells, num_particles))
-    s0vals = np.empty((cells, num_particles))
-    avals = np.empty((cells, num_particles)) if control is not None else None
+    bvals = np.empty(dw.shape)
+    svals = np.empty(dw.shape)
+    s0vals = np.empty(dw.shape)
+    avals = np.empty(dw.shape) if control is not None else None
 
     fv, mart = sweep.fv, sweep.mart
     times = partition.times[start:stop].tolist()
     widths = dt[start:stop].tolist()
-    common_steps = dw0[start:stop].tolist()
     factor_values = factor.values[start:stop].tolist() if factor is not None else [None] * cells
     for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, common_steps, factor_values)):
         x = states[j]
-        try:
-            m = empirical(x)
-        except InvalidArgumentError:
-            if start + j == 0:  # a bad initial atom, not a blow-up
-                raise
-            raise BlowUpError(start + j) from None
+        if batch:
+            m = x.mean(axis=-1, keepdims=True)
+            # a row's mean is finite only if the row is, so the rows need
+            # a look of their own only when some mean is not
+            if not np.isfinite(m).all() and not np.isfinite(x).all():
+                if start + j == 0:
+                    raise InvalidArgumentError("atoms must be finite")
+                raise BlowUpError(start + j)
+        else:
+            try:
+                m = empirical(x)
+            except InvalidArgumentError:
+                if start + j == 0:  # a bad initial atom, not a blow-up
+                    raise
+                raise BlowUpError(start + j) from None
         a = control(t, x, m) if control is not None else None
         if avals is not None:
             avals[j] = a

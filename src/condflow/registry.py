@@ -403,7 +403,9 @@ def _hjb_lq(params: dict, rng: RngStream) -> RunOutput:
     perturbed = mfc.hjb_residual(
         problem, replace(value, p_offset=params["perturbation"]), tol=params["tol_hjb"]
     )
-    discriminative = perturbed.max_abs_residual >= params["perturbation_floor"]
+    # the wrong candidate must fail the HJB gate, not only clear the floor:
+    # a zero perturbation and a zero floor would otherwise pass by default
+    discriminative = perturbed.max_abs_residual >= params["perturbation_floor"] and not perturbed.passed
 
     # Monte Carlo cross-check of the value at spot nodes under the optimal feedback
     control = mfc.RiccatiFeedback(value, problem.a_max)

@@ -177,6 +177,26 @@ def test_lq_common_noise_spot_times_scale_with_the_horizon(tmp_path):
     assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.25 * 0.4, 0.5 * 0.4]
 
 
+def test_unperturbed_candidate_is_not_discriminative(tmp_path):
+    # a zero perturbation leaves the base candidate, whose residual clears
+    # a zero floor; the check must still fail, since the HJB gate passes it
+    out = tmp_path / "out"
+    cfg = {
+        "experiment": "lq-common-noise",
+        "seed": 7,
+        "coefficients": {"perturbation": 0.0, "mc_particles": 64, "mc_cells": 16, "mc_paths": 4},
+        "tolerance": {"perturbation_floor": 0.0},
+        "out": str(out),
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert main(["hjb-lq", "--config", str(cfg_path)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["perturbed_max_residual"] <= report["tol_hjb"]
+    assert report["discriminative"] is False
+    assert report["passed"] is False
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.split()
@@ -254,6 +274,19 @@ def test_cli_default_experiment_requires_seed(tmp_path):
             "M": None,
             "coefficients": {"b": 1.0e308, "repeats": 2, "num_pairs": 3},
         },
+        # mean**2 overflows in the DPP running reward
+        {
+            "experiment": "dpp-lq",
+            "seed": 1,
+            "n": 8,
+            "N": 16,
+            "M": 4,
+            "control": "constant-max",
+            "coefficients": {"mean0": 1.0e200},
+        },
+        # a negative allowance is a gate that cannot pass
+        {"experiment": "dpp-lq", "n": 16, "N": 32, "M": 4, "tolerance": {"C": -5.0}},
+        {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "tolerance": {"tol_hjb": -1e-4}},
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):

@@ -332,9 +332,10 @@ def test_block_sizes_do_not_change_results(monkeypatch):
         return hjb, dpp
 
     reference = run()
-    # 7 nodes do not divide the 225 of the lattice, nor blocks of 3 rows
-    # of 64 particles the 16 cells
-    for nodes, elements in ((1, 64), (7, 3 * 64), (225, 1 << 20)):
+    # 7 nodes do not divide the 225 of the lattice; the DPP window budgets
+    # are no multiple of a batched row's 3 repetitions of 64 particles and
+    # give windows of 1, 5 (which does not divide the 16 cells) and 16 cells
+    for nodes, elements in ((1, 64), (7, 1024), (225, 1 << 20)):
         monkeypatch.setattr(mfc, "_HJB_NODE_BLOCK", nodes)
-        monkeypatch.setattr(mfc, "_DPP_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(mfc, "_WINDOW_ELEMENTS", elements)
         assert run() == reference

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from condflow import (
     simulate_ensemble,
 )
 from condflow.measures import _ustat_rows
+from condflow.mfc import AffineFeedback, RiccatiFeedback, make_lq_problem
 from condflow.paths import SdeCoefficients
 
 from helpers import pair_average_bruteforce
@@ -284,3 +287,106 @@ def test_modulus_bound_is_the_largest_over_ensembles():
         assert res.passed
     with pytest.raises(InvalidArgumentError):
         measure_flow_modulus([], 0.25, 0.75)
+
+
+def sweep_windows(coeffs, initial, n_particles, part, rng, window, control=None):
+    """Every window of one sweep, each resumed from the one before."""
+    windows = [simulate_ensemble(coeffs, initial, n_particles, part, rng, control=control, num_cells=window)]
+    while windows[-1].first_cell + windows[-1].num_cells < part.num_cells:
+        windows.append(
+            simulate_ensemble(coeffs, windows[-1], n_particles, part, rng, control=control, num_cells=window)
+        )
+    return windows
+
+
+LQ_PROBLEM, LQ_VALUE = make_lq_problem()
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize(
+    "control",
+    [RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max), AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max)],
+    ids=["riccati", "affine"],
+)
+def test_batched_windows_equal_the_per_repetition_sweeps(reps, control):
+    # repetition r of a batch is the sweep of stream r alone, bit for bit;
+    # windows of 4 cells divide neither the 10 cells nor the batch, the
+    # initial atoms come from each stream, and 19 particles fill no
+    # summation block
+    part = make_uniform_partition(1.0, 10)
+    coeffs = replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=lambda t, x, y, m, a: a)
+
+    def initial(rng, n):
+        return rng.generator().normal(size=n)
+
+    streams = [RngStream(6, 0).child(r) for r in range(reps)]
+    windows = sweep_windows(coeffs, initial, 19, part, streams, 4, control)
+    assert [w.num_cells for w in windows] == [4, 4, 2]
+    assert all(w.num_particles == reps * 19 for w in windows)
+    batched = {
+        "states": np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows]),
+        **{
+            name: np.concatenate([getattr(w, name) for w in windows])
+            for name in ("idio_increments", "control_values", "drift_values", "sigma0_values")
+        },
+    }
+    for r, stream in enumerate(streams):
+        alone = simulate_ensemble(coeffs, initial, 19, part, stream, control=control)
+        for name, values in batched.items():
+            assert values[:, r].tobytes() == getattr(alone, name).tobytes(), name
+        assert windows[0].common[r].values.tobytes() == alone.common.values.tobytes()
+
+
+def test_batched_blow_up_names_the_first_step_over_all_repetitions():
+    # b(x) = 1e100 x without noise on cells of width 1 multiplies x by about
+    # 1e100 a cell: from 1 the state overflows at step 4, from 1e10 at step
+    # 3, and from 0 never
+    part = make_uniform_partition(8.0, 8)
+    coeffs = SdeCoefficients(
+        drift=lambda t, x, y, m, a: 1e100 * x,
+        sigma=lambda t, x, y, m, a: 0.0,
+        sigma0=lambda t, x, y, m, a: 0.0,
+        k=lambda t, y: 0.0,
+        gamma=lambda t, y: 0.0,
+        gamma0=lambda t, y: 0.0,
+    )
+    starts = (0.0, 1.0, 1e10)
+
+    def initial(rng, n):  # rng is stream r's child 2
+        return np.full(n, starts[rng.path[0]])
+
+    base = RngStream(0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = []
+        for r in (1, 2):
+            with pytest.raises(BlowUpError) as err:
+                simulate_ensemble(coeffs, initial, 4, part, base.child(r))
+            alone.append(err.value.step)
+        assert alone == [4, 3]
+        for reps, expected in ((2, 4), (3, 3)):
+            for window in (None, 2):
+                with pytest.raises(BlowUpError) as err:
+                    sweep_windows(coeffs, initial, 4, part, [base.child(r) for r in range(reps)], window)
+                assert err.value.step == expected
+
+
+def test_batched_sweep_rejects_bad_initial_atoms_and_factors():
+    part = make_uniform_partition(1.0, 4)
+    coeffs = constant_coefficients(sigma=1.0)
+    streams = [RngStream(0, 0).child(r) for r in range(3)]
+
+    def initial(rng, n):  # only the second repetition starts at NaN
+        return np.full(n, np.nan if rng.path[0] == 1 else 0.0)
+
+    for window in (None, 1):
+        with pytest.raises(InvalidArgumentError):
+            simulate_ensemble(coeffs, initial, 4, part, streams, num_cells=window)
+    with pytest.raises(InvalidArgumentError):
+        simulate_ensemble(coeffs, 0.0, 4, part, streams, y0=0.0)
+    with pytest.raises(InvalidArgumentError):
+        simulate_ensemble(coeffs, 0.0, 4, part, [])
+    # finite atoms whose mean overflows are no blow-up, batched or alone
+    with np.errstate(over="ignore"):
+        batched = simulate_ensemble(constant_coefficients(), 1e308, 4, part, streams)
+        alone = simulate_ensemble(constant_coefficients(), 1e308, 4, part, streams[0])
+    assert (batched.states == 1e308).all() and (alone.states == 1e308).all()
