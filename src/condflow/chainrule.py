@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import CylindricalFunctional, TestFunction, _Tables
-from .particle import _WINDOW_ELEMENTS, ParticleEnsemble, simulate_ensemble
+from .particle import ParticleEnsemble, simulate_ensemble, window_cells
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
 
 __all__ = [
@@ -69,11 +69,10 @@ class EnsembleSpec:
 
     def windows(self, rng: RngStream):
         """Yield one run of :func:`simulate_ensemble` on this recipe, as
-        consecutive windows of max(1, 2^16 // N) cells (the last one may be
-        shorter); the budget is ``particle._WINDOW_ELEMENTS``, which
-        ``mfc.dpp_check`` shares."""
+        consecutive windows of ``particle.window_cells(N)`` cells (the last
+        one may be shorter), the budget ``mfc.dpp_check`` shares."""
         part = self.partition()
-        step = max(1, _WINDOW_ELEMENTS // self.num_particles)
+        step = window_cells(self.num_particles)
         ens = self.initial
         for _ in range(0, self.num_cells, step):
             ens = simulate_ensemble(

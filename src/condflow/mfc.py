@@ -19,7 +19,7 @@ and the terminal reward in :meth:`ControlProblem.terminal_reward`.
 
 The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
 nodes and in the particle sweep's time windows of about 2^16 particle
-steps (``particle._WINDOW_ELEMENTS``): module constants, not options,
+steps (``particle.window_cells``): fixed budgets, not options,
 that bound the memory and change no output bit.
 """
 
@@ -33,7 +33,7 @@ from scipy.special import ndtr
 
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure, empirical
-from .particle import _WINDOW_ELEMENTS, gaussian_quantile_initial, simulate_ensemble
+from .particle import gaussian_quantile_initial, simulate_ensemble, window_cells
 from .paths import RngStream, constant_coefficients, make_uniform_partition
 
 __all__ = [
@@ -75,7 +75,7 @@ class GaussianMoments:
             raise InvalidArgumentError("variance must be nonnegative")
 
 
-def measure_mean(m) -> float:
+def measure_mean(m) -> float | np.ndarray:
     """The mean of ``m``; an array is a batched sweep's column of row
     means (see ``particle.simulate_ensemble``) and is its own mean."""
     if isinstance(m, GaussianMoments):
@@ -641,12 +641,12 @@ def dpp_check(
     controls the result carries the exact linear-ansatz prediction.
 
     The ``outer_paths`` repetitions, repetition r on ``rng.child(r)``,
-    run as one batched sweep of :func:`simulate_ensemble` in time windows
-    of max(1, 2^16 // (M N)) cells; the feedback reads each repetition's
-    row means.  After each window the running reward of every repetition
-    is evaluated at once and summed cell by cell, in order, so the result
-    does not depend on the window.  A reward or value that overflows
-    raises ``NumericOverflowError``.
+    run as one batched sweep of :func:`simulate_ensemble` in windows of
+    ``particle.window_cells(M N)`` cells; the feedback reads each
+    repetition's row means.  After each window the running reward of
+    every repetition is evaluated at once and summed cell by cell, in
+    order, so the result does not depend on the window.  A reward or
+    value that overflows raises ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze V and the feedback at their end values
@@ -674,7 +674,7 @@ def dpp_check(
     # the quantile atoms do not depend on the stream: every repetition starts here
     atoms = initial(None, num_particles)
     streams = [rng.child(rep) for rep in range(outer_paths)]
-    step = max(1, _WINDOW_ELEMENTS // (outer_paths * num_particles))
+    step = window_cells(outer_paths * num_particles)
     reward = np.zeros(outer_paths)
     ens = initial
     try:  # a Python float's ** raises where * would give inf

@@ -25,6 +25,7 @@ __all__ = [
     "simulate_ensemble",
     "ModulusResult",
     "measure_flow_modulus",
+    "window_cells",
 ]
 
 
@@ -34,11 +35,16 @@ __all__ = [
 _WINDOW_ELEMENTS = 1 << 16
 
 
+def window_cells(row_elements: int) -> int:
+    """Cells per window of a sweep with ``row_elements`` particles a row."""
+    return max(1, _WINDOW_ELEMENTS // row_elements)
+
+
 class _Sweep:
     """Live state of an unfinished Euler sweep, shared by its windows.
 
     ``gens`` holds one generator per stream, ``dw0`` the common
-    increments ((n,) for one stream, (n, M, 1) for a batch).
+    increments (n, M, 1), one column per stream (M is 1 for one stream).
     ``next_cell`` is where the sweep continues; only the window ending
     there can be resumed, so a window cannot be resumed twice.
     """
@@ -76,7 +82,9 @@ class ParticleEnsemble:
     ``states`` is (num_cells+1, M, N), the increment and coefficient
     arrays (num_cells, M, N), and ``common`` is a tuple of the M shared
     paths.  ``num_particles`` counts a row's particles over the whole
-    batch, M N.
+    batch, M N.  One stream is swept as a batch of one whose arrays drop
+    the repetition axis; only the measure argument differs (see
+    :func:`simulate_ensemble`), and its run is the batch's, bit for bit.
     """
 
     partition: Partition
@@ -114,9 +122,6 @@ class ParticleEnsemble:
     def deltas(self) -> np.ndarray:
         """Widths of this window's cells."""
         return self.partition.deltas[self.cells]
-
-    def empirical_at(self, index: int) -> EmpiricalMeasure:
-        return empirical(self.states[index])
 
     def state_increments(self) -> np.ndarray:
         return np.diff(self.states, axis=0)
@@ -179,13 +184,14 @@ def simulate_ensemble(
     ``rng`` may instead be a sequence of M streams: the sweep then
     advances M independent repetitions as one (M, N) state, repetition r
     on stream r exactly as a sweep of that stream alone would, and
-    returns a batched ensemble (see :class:`ParticleEnsemble`).  In a
-    batch the measure argument is the (M, 1) column of the repetitions'
-    row means ``x.mean(axis=-1)``, which is all that a mean-reading
-    feedback such as ``mfc.RiccatiFeedback`` takes of a measure, so the
-    batch makes no ``empirical`` call.  Coefficients and controls that
-    read more of the measure than its mean, and factor paths (``y0``),
-    need one stream at a time.
+    returns a batched ensemble (see :class:`ParticleEnsemble`).  One
+    stream is set up and drawn as a batch of one, and only the measure
+    argument differs: a batch gets the (M, 1) column of its row means
+    ``x.mean(axis=-1)``, which is all that a mean-reading feedback such
+    as ``mfc.RiccatiFeedback`` takes of a measure, so it makes no
+    ``empirical`` call.  Coefficients and controls that read more of the
+    measure than its mean, and factor paths (``y0``), need one stream at
+    a time.
 
     With ``num_cells`` the sweep stops after that many cells and returns
     that window (see :class:`ParticleEnsemble`); passing the window back
@@ -219,42 +225,37 @@ def simulate_ensemble(
         if initial.partition is not partition or initial.states.shape[-1] != num_particles:
             raise InvalidArgumentError("a resumed sweep keeps its partition and particle count")
         common, factor, x_start = initial.common, initial.factor, initial.states[-1]
-    elif isinstance(rng, RngStream):
-        gen = rng.generator()
-        dw0 = gen.normal(size=n) * sqdt
-        common = SamplePath(partition, np.concatenate([[0.0], np.cumsum(dw0)]))
-        factor = None
-        if y0 is not None:
-            factor = simulate_factor(coeffs, y0, partition, common, rng.child(1))
-        x_start = _initial_atoms(initial, rng.child(2), num_particles)
-        sweep = _Sweep([gen], dw0, x_start)
-        start = 0
     else:
-        if not rng:
+        # one stream is set up as a batch of one, which drops its
+        # repetition axis once the draws are made
+        one = isinstance(rng, RngStream)
+        streams = [rng] if one else list(rng)
+        if not streams:
             raise InvalidArgumentError("a batch needs at least one stream")
-        if y0 is not None:
+        if y0 is not None and not one:
             raise InvalidArgumentError("a batch of streams takes no factor path")
-        gens = [stream.generator() for stream in rng]
-        dw0 = np.stack([g.normal(size=n) for g in gens], axis=1) * sqdt[:, None]
-        paths = np.concatenate([np.zeros((1, len(gens))), np.cumsum(dw0, axis=0)])
-        common = tuple(SamplePath(partition, paths[:, r]) for r in range(len(gens)))
-        factor = None
-        x_start = np.stack([_initial_atoms(initial, stream.child(2), num_particles) for stream in rng])
-        sweep = _Sweep(gens, dw0[:, :, None], x_start)
+        gens = [stream.generator() for stream in streams]
+        dw0 = np.stack([g.normal(size=n) for g in gens]) * sqdt
+        paths = np.concatenate([np.zeros((len(gens), 1)), np.cumsum(dw0, axis=1)], axis=1)
+        common = tuple(SamplePath(partition, path) for path in paths)
+        factor = None if y0 is None else simulate_factor(coeffs, y0, partition, common[0], streams[0].child(1))
+        x_start = np.stack([_initial_atoms(initial, stream.child(2), num_particles) for stream in streams])
+        if one:
+            common, x_start = common[0], x_start[0]
+        sweep = _Sweep(gens, dw0.T[:, :, None], x_start)
         start = 0
 
     batch = x_start.ndim == 2
     stop = n if num_cells is None else min(n, start + num_cells)
     cells = stop - start
+    dw = np.empty((cells, len(sweep.gens), num_particles))
+    for r, g in enumerate(sweep.gens):
+        np.multiply(g.normal(size=(cells, num_particles)), sqdt[start:stop, None], out=dw[:, r])
     if batch:
-        dw = np.empty((cells, *x_start.shape))
-        for r, g in enumerate(sweep.gens):
-            dw[:, r] = g.normal(size=(cells, num_particles))
-        dw *= sqdt[start:stop, None, None]
         common_steps = list(sweep.dw0[start:stop])
     else:
-        dw = sweep.gens[0].normal(size=(cells, num_particles)) * sqdt[start:stop, None]
-        common_steps = sweep.dw0[start:stop].tolist()
+        dw = dw[:, 0]
+        common_steps = sweep.dw0[start:stop, 0, 0].tolist()
     x0 = sweep.x0
     states = np.empty((cells + 1, *x_start.shape))
     states[0] = x_start
@@ -327,44 +328,38 @@ class ModulusResult:
     passed: bool
 
 
-def measure_flow_modulus(
-    ensembles: ParticleEnsemble | Sequence[ParticleEnsemble], s: float, t: float
-) -> ModulusResult:
+def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusResult:
     """Continuity modulus of the conditional-law flow between two grid times.
 
-    Per ensemble the synchronous (same-particle) coupling gives the upper
-    bound sqrt(mean_i (X_t - X_s)^2) >= W2(mu_s, mu_t); the estimate
-    averages it over the supplied ensembles and is compared against the
-    largest over the ensembles of
-    ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s) from the
-    recorded coefficient bounds, with a 3-stderr allowance.  Ensembles
-    must be whole runs, so that grid times index their ``states`` rows.
-    A bound whose square overflows raises ``NumericOverflowError``.
+    Per repetition the synchronous (same-particle) coupling gives the
+    upper bound sqrt(mean_i (X_t - X_s)^2) >= W2(mu_s, mu_t); the
+    estimate averages it over the repetitions of ``ens`` and is compared
+    against ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s)
+    from the recorded ``b``, ``sigma`` and ``sigma0`` bounds, with a
+    3-stderr allowance.  ``ens`` must be a whole run, so that grid times
+    index its ``states`` rows.  A bound whose square overflows raises
+    ``NumericOverflowError``.
     """
-    if isinstance(ensembles, ParticleEnsemble):
-        ensembles = [ensembles]
-    if not ensembles:
-        raise InvalidArgumentError("need at least one ensemble")
     if s >= t:
         raise InvalidArgumentError("need s < t")
-    values = []
-    bound = 0.0
-    for e in ensembles:
-        i_s = int(np.argmin(np.abs(e.partition.times - s)))
-        i_t = int(np.argmin(np.abs(e.partition.times - t)))
-        if abs(e.partition.times[i_s] - s) > 1e-12 or abs(e.partition.times[i_t] - t) > 1e-12:
-            raise InvalidArgumentError("s and t must be grid times")
-        diff = e.states[i_t] - e.states[i_s]
-        values.append(np.sqrt(float(np.mean(diff * diff))))
-        b = e.coeffs.bounds.get("b", 0.0)
-        sig = e.coeffs.bounds.get("sigma", 0.0)
-        sig0 = e.coeffs.bounds.get("sigma0", 0.0)
-        try:  # a Python float's ** raises where * would give inf
-            spread = np.sqrt(sig**2 + sig0**2)
-        except OverflowError:
-            raise NumericOverflowError("sigma**2 or sigma0**2 overflows") from None
-        bound = max(bound, b * (t - s) + spread * np.sqrt(t - s))
-    arr = np.asarray(values)
-    estimate = float(arr.mean())
-    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return ModulusResult(estimate, se, float(bound), estimate <= bound + 3.0 * se)
+    if ens.first_cell != 0 or ens.num_cells != ens.partition.num_cells:
+        raise InvalidArgumentError("the modulus needs a whole run, not a window of a sweep")
+    bounds = [ens.coeffs.bounds.get(key) for key in ("b", "sigma", "sigma0")]
+    if None in bounds:  # a missing bound is no bound of 0
+        raise InvalidArgumentError("the coefficients must record the b, sigma and sigma0 bounds")
+    times = ens.partition.times
+    i_s = int(np.argmin(np.abs(times - s)))
+    i_t = int(np.argmin(np.abs(times - t)))
+    if abs(times[i_s] - s) > 1e-12 or abs(times[i_t] - t) > 1e-12:
+        raise InvalidArgumentError("s and t must be grid times")
+    diff = ens.states[i_t] - ens.states[i_s]
+    values = np.atleast_1d(np.sqrt(np.mean(diff * diff, axis=-1)))
+    b, sig, sig0 = bounds
+    try:  # a Python float's ** raises where * would give inf
+        spread = np.sqrt(sig**2 + sig0**2)
+    except OverflowError:
+        raise NumericOverflowError("sigma**2 or sigma0**2 overflows") from None
+    bound = float(b * (t - s) + spread * np.sqrt(t - s))
+    estimate = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return ModulusResult(estimate, se, bound, bool(estimate <= bound + 3.0 * se))

@@ -21,7 +21,7 @@ from condflow import (
     verify_ito,
     verify_ito_wentzell,
 )
-from condflow import chainrule
+from condflow import particle
 from condflow.measures import CylindricalFunctional, OuterFunction
 from condflow.registry import (
     factor_linear_functional,
@@ -171,7 +171,7 @@ def test_single_repetition_needs_the_exact_rule():
 def test_wentzell_without_components_is_plain_ito(monkeypatch, bracket, cross):
     # a field with no drivers is a deterministic functional: the Wentzell
     # rule reduces to the Ito rule term for term, across several windows
-    monkeypatch.setattr(chainrule, "_WINDOW_ELEMENTS", 5 * 16)
+    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 5 * 16)
     spec = common_noise_spec(n=32, particles=16, sigma=0.6, sigma0=0.8)
     u = variance_functional()  # nonzero gradient, Hessian and pair kernel
     cfg = VerifyConfig(RNG.child(40), outer_paths=3, bracket=bracket, cross=cross)

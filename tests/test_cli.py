@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import condflow
 from condflow import InvalidArgumentError, list_registry
 from condflow.cli import UsageError, load_config, main, resolve_params, run
-from condflow.registry import _EXPERIMENTS, get_experiment
+from condflow.registry import _EXPERIMENTS, _FUNCTIONALS, get_experiment
 
 
 def small_config(**overrides):
@@ -195,6 +195,23 @@ def test_unperturbed_candidate_is_not_discriminative(tmp_path):
     assert report["perturbed_max_residual"] <= report["tol_hjb"]
     assert report["discriminative"] is False
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("experiment, key", [("deriv-battery", "quadrature_tol"), ("lemma-qv-bm", "l1_threshold")])
+def test_a_threshold_equal_to_its_statistic_passes(experiment, key):
+    # the gates compare with <=, so a threshold may be met exactly; at seed
+    # 3 the largest polynomial quadrature gap is a few ulps, not 0
+    code, payloads = run({"experiment": experiment, "seed": 3}, write=False)
+    assert code == 0
+    report = json.loads(payloads["report.json"])
+    if experiment == "deriv-battery":
+        polynomial = [name for name, make in _FUNCTIONALS.items() if make().outer.polynomial]
+        statistic = max(report["quadrature_gaps"][name] for name in polynomial)
+    else:
+        statistic = max(study["final_error"] for study in report["studies"].values())
+    assert statistic > 0.0
+    code, _ = run({"experiment": experiment, "seed": 3, "tolerance": {key: statistic}}, write=False)
+    assert code == 0
 
 
 def test_cli_list(capsys):

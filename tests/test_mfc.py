@@ -6,7 +6,7 @@ import pytest
 
 from condflow import RngStream, empirical, gaussian_quantile_initial
 from condflow.errors import InvalidArgumentError
-from condflow import mfc
+from condflow import mfc, particle
 from condflow.mfc import (
     AffineFeedback,
     GaussianMoments,
@@ -337,5 +337,5 @@ def test_block_sizes_do_not_change_results(monkeypatch):
     # give windows of 1, 5 (which does not divide the 16 cells) and 16 cells
     for nodes, elements in ((1, 64), (7, 1024), (225, 1 << 20)):
         monkeypatch.setattr(mfc, "_HJB_NODE_BLOCK", nodes)
-        monkeypatch.setattr(mfc, "_WINDOW_ELEMENTS", elements)
+        monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", elements)
         assert run() == reference

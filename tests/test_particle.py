@@ -133,16 +133,60 @@ def test_modulus_frozen_and_translation():
 
 def test_modulus_diffusive_within_bound():
     part = make_uniform_partition(1.0, 32)
-    coeffs = constant_coefficients(sigma=1.0)
-    ensembles = [
-        simulate_ensemble(coeffs, dirac_initial(0.0), 128, part, RngStream(8, 0).child(r))
-        for r in range(16)
-    ]
-    res = measure_flow_modulus(ensembles, 0.25, 0.75)
-    assert res.passed
+    streams = [RngStream(8, 0).child(r) for r in range(16)]
+    ens = simulate_ensemble(constant_coefficients(sigma=1.0), dirac_initial(0.0), 128, part, streams)
+    res = measure_flow_modulus(ens, 0.25, 0.75)
+    assert res.passed is True
     assert res.bound == pytest.approx(np.sqrt(0.5))
     with pytest.raises(InvalidArgumentError):
-        measure_flow_modulus(ensembles, 0.75, 0.25)
+        measure_flow_modulus(ens, 0.75, 0.25)
+
+
+@pytest.mark.parametrize("reps", [2, 5])
+def test_batched_modulus_is_the_mean_of_the_per_stream_bounds(reps):
+    # each repetition of a batch gives the bound of its stream's own sweep,
+    # and the estimate and SE are their mean and standard error, not one
+    # value pooled over the batch; 150 particles take the pairwise sum
+    # past one block
+    part = make_uniform_partition(1.0, 16)
+    coeffs = constant_coefficients(b=0.3, sigma=0.8, sigma0=0.5)
+    streams = [RngStream(9, 0).child(r) for r in range(reps)]
+    bounds = []
+    for stream in streams:
+        alone = measure_flow_modulus(simulate_ensemble(coeffs, 0.1, 150, part, stream), 0.25, 0.75)
+        assert alone.stderr == 0.0
+        bounds.append(alone.estimate)
+    res = measure_flow_modulus(simulate_ensemble(coeffs, 0.1, 150, part, streams), 0.25, 0.75)
+    values = np.array(bounds)
+    assert res.estimate == float(values.mean())
+    assert res.stderr == float(values.std(ddof=1) / np.sqrt(reps))
+    assert res.stderr > 0.0
+
+
+def test_modulus_needs_a_whole_run():
+    # a window's rows count from its first cell, not from time 0: the
+    # first window of a split sweep lacks the later rows, and a later
+    # window would read shifted ones
+    part = make_uniform_partition(1.0, 8)
+    coeffs = constant_coefficients(sigma=1.0)
+    first = simulate_ensemble(coeffs, 0.0, 16, part, RngStream(0, 0), num_cells=4)
+    later = simulate_ensemble(coeffs, first, 16, part, RngStream(0, 0), num_cells=4)
+    for window in (first, later):
+        for s, t in ((0.25, 0.5), (0.25, 0.75)):
+            with pytest.raises(InvalidArgumentError):
+                measure_flow_modulus(window, s, t)
+
+
+@pytest.mark.parametrize("key", ["b", "sigma", "sigma0"])
+def test_modulus_needs_every_coefficient_bound(key):
+    # a missing bound is no bound of 0, which would fail the gate for the
+    # wrong reason
+    part = make_uniform_partition(1.0, 8)
+    coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
+    coeffs = replace(coeffs, bounds={k: v for k, v in coeffs.bounds.items() if k != key})
+    ens = simulate_ensemble(coeffs, 0.0, 4, part, RngStream(0, 0))
+    with pytest.raises(InvalidArgumentError):
+        measure_flow_modulus(ens, 0.25, 0.75)
 
 
 def test_chaos_rate_against_refined_reference():
@@ -274,19 +318,6 @@ def test_blow_up_step_and_coefficients_see_finite_rows(window):
                 ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
     assert err.value.step == expected
     assert len(seen) == expected and all(seen)
-
-
-def test_modulus_bound_is_the_largest_over_ensembles():
-    part = make_uniform_partition(1.0, 8)
-    still = simulate_ensemble(constant_coefficients(), 0.0, 4, part, RngStream(0, 0))
-    moving = simulate_ensemble(constant_coefficients(b=1.0), 0.0, 4, part, RngStream(0, 1))
-    for ensembles in ([moving, still], [still, moving]):
-        res = measure_flow_modulus(ensembles, 0.25, 0.75)
-        assert res.bound == pytest.approx(0.5)
-        assert res.estimate == pytest.approx(0.25)
-        assert res.passed
-    with pytest.raises(InvalidArgumentError):
-        measure_flow_modulus([], 0.25, 0.75)
 
 
 def sweep_windows(coeffs, initial, n_particles, part, rng, window, control=None):

@@ -26,7 +26,7 @@ from condflow import (
     verify_ito,
     verify_ito_wentzell,
 )
-from condflow import chainrule
+from condflow import particle
 from condflow.paths import SdeCoefficients
 from condflow.registry import (
     factor_linear_functional,
@@ -69,10 +69,10 @@ def row_bytes(report):
 
 
 def assert_same_across_window_counts(monkeypatch, run):
-    monkeypatch.setattr(chainrule, "_WINDOW_ELEMENTS", ONE_WINDOW)
+    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", ONE_WINDOW)
     reference = run()
     for budget in SPLIT_BUDGETS:
-        monkeypatch.setattr(chainrule, "_WINDOW_ELEMENTS", budget)
+        monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", budget)
         report = run()
         assert row_bytes(report) == row_bytes(reference)
         assert report.aggregate == reference.aggregate
@@ -135,7 +135,7 @@ def test_verify_factor_identical_across_windows(monkeypatch):
 
 
 def test_windows_tile_the_whole_run(monkeypatch):
-    monkeypatch.setattr(chainrule, "_WINDOW_ELEMENTS", 5 * N_PARTICLES)
+    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 5 * N_PARTICLES)
     s = spec(y0=0.2)
     whole = simulate_ensemble(s.coeffs, s.initial, N_PARTICLES, s.partition(), RNG.child(6), y0=s.y0)
     windows = list(s.windows(RNG.child(6)))
