@@ -3,14 +3,19 @@
 The Ito rule, the Ito-Wentzell rule for random fields and its Brownian
 and factor-model corollaries are one identity with different driver
 terms, so one private kernel, ``_verify``, runs all four.  It simulates
-M independent common-noise repetitions, sweeps each in time windows of
-about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so memory is
-O(N) rather than O(n N)), and fills per-time buffers (length n+1) and
-per-cell term vectors (length n) from each window's test-function
-tables (``measures._Tables``, the windowed derivative calculus).  Every
-right-side term is a sum over cells of a left-endpoint quantity times
-the cell increment, and particle averages reduce each row on its own,
-so every report is the same bytes however the sweep is split.  Each
+M independent common-noise repetitions and sweeps them in time windows
+of at most about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so
+memory is O(N) rather than O(n N)).  When the coefficients ignore the
+law and there is no factor path, G repetitions at a time are swept as
+one (cells, G, N) batch (:meth:`EnsembleSpec.batch_size`), which cuts
+the per-step interpreter work of a small-N run by about G; otherwise
+one repetition at a time.  Each window fills per-time buffers (length
+n+1) and per-cell term vectors (length n) of its repetitions from its
+test-function tables (``measures._Tables``, the windowed derivative
+calculus).  Every right-side term is a sum over cells of a left-endpoint
+quantity times the cell increment, and particle averages reduce each
+row of one repetition on its own, so every report is the same bytes
+however the sweep is split or batched.  Each
 public verifier is a view: it names its functionals and the integrands
 it needs against the gradient, the Hessian and the pair U-statistic,
 and turns the buffers and its driver paths into named terms and the
@@ -23,7 +28,7 @@ pairwise increment products are available as estimator cross-checks.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -55,7 +60,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Recipe for building one ensemble repetition."""
+    """Recipe for building the ensemble of each repetition.
+
+    Repetition r runs on stream ``rng.child(r)``.  The verifiers sweep
+    the repetitions in batches of G = :meth:`batch_size` streams, one
+    (cells, G, N) state per batch, or one at a time when G is 1.  Either
+    way each repetition's run is its one-stream run, bit for bit.
+    """
 
     coeffs: SdeCoefficients
     initial: object
@@ -67,12 +78,34 @@ class EnsembleSpec:
     def partition(self) -> Partition:
         return make_uniform_partition(self.horizon, self.num_cells)
 
-    def windows(self, rng: RngStream):
+    def _cells(self) -> int:
+        # cells in one window of a one-stream sweep
+        return min(self.num_cells, window_cells(self.num_particles))
+
+    def batch_size(self, repetitions: int) -> int:
+        """Repetitions per batch, G: 1 (one stream at a time) unless the
+        coefficients are law-free and there is no factor path, and then
+        one per 16 cells of a one-stream window, so that a batch's windows
+        keep at least 16 cells and hold no more particle-steps than a
+        one-stream window."""
+        if not self.coeffs.law_free or self.y0 is not None:
+            return 1
+        return min(repetitions, max(1, self._cells() // 16))
+
+    def windows(self, rng: RngStream | Sequence[RngStream]):
         """Yield one run of :func:`simulate_ensemble` on this recipe, as
-        consecutive windows of ``particle.window_cells(N)`` cells (the last
-        one may be shorter), the budget ``mfc.dpp_check`` shares."""
+        consecutive windows (the last one may be shorter).
+
+        ``rng`` is one stream, swept in windows of
+        ``min(n, particle.window_cells(N))`` cells, the budget
+        ``mfc.dpp_check`` shares; or a batch of G streams, swept as one
+        in windows of 1/G as many cells, each a batched window with a
+        repetition axis (see :class:`particle.ParticleEnsemble`).  A
+        batch is for law-free coefficients only: its measure argument is
+        the batch's row means.
+        """
         part = self.partition()
-        step = window_cells(self.num_particles)
+        step = self._cells() if isinstance(rng, RngStream) else max(1, self._cells() // len(rng))
         ens = self.initial
         for _ in range(0, self.num_cells, step):
             ens = simulate_ensemble(
@@ -217,6 +250,14 @@ def _finalize(
 # the chain-rule kernel
 
 
+def _batch_view(ens: ParticleEnsemble) -> ParticleEnsemble:
+    """A window with a repetition axis: a one-stream window as a batch of one."""
+    if isinstance(ens.common, tuple):
+        return ens
+    arrays = ("states", "idio_increments", "drift_values", "sigma_values", "sigma0_values")
+    return replace(ens, common=(ens.common,), _sweep=None, **{a: getattr(ens, a)[:, None] for a in arrays})
+
+
 def _verify(
     name: str,
     espec: EnsembleSpec,
@@ -227,37 +268,61 @@ def _verify(
     assemble: Callable,
     **params,
 ) -> VerificationReport:
-    """Sweep every repetition window by window, then finalize the report.
+    """Sweep the repetitions batch by batch and window by window, then
+    finalize the report.
 
+    Every window is seen with a repetition axis (:func:`_batch_view`):
+    its arrays are (cells, G, N) and particle means reduce the last axis.
     ``coefficients(f, ens, v)`` maps functional ``f``'s moment rows ``v``
-    on window ``ens`` to its "value" row and the derivative rows that the
-    integrands name.  ``window(ens)`` returns the integrands, each (key,
-    _Tables method, derivative, weights, functional index or None for
-    all), and named per-cell vectors.  ``assemble(rep)`` turns one
-    repetition into its row; ``rep`` has the index ``r``, the final
-    window ``last``, per-time ``values`` (k, n+1) and ``moments``
+    (cells+1, G, k) on window ``ens`` to its "value" row and the
+    derivative rows that the integrands name.  ``window(ens)`` returns
+    the integrands, each (key, _Tables method, derivative, weights,
+    functional index or None for all), and named per-cell (cells, G)
+    vectors.  ``assemble(rep)`` turns one repetition into its row;
+    ``rep`` has the index ``r``, the ``partition``, its ``common`` and
+    ``factor`` paths, per-time ``values`` (k, n+1) and ``moments``
     (n+1, k_j), and per-cell ``cells`` (k, n) and ``extras`` (n,).
     """
-    n, k = espec.num_cells, len(funcs)
+    n, k, m = espec.num_cells, len(funcs), cfg.outer_paths
+    size = espec.batch_size(m)
     rows = []
-    for r in range(cfg.outer_paths):
-        rep = SimpleNamespace(r=r, values=np.empty((k, n + 1)), cells=defaultdict(lambda: np.empty((k, n))))
-        rep.moments = [np.empty((n + 1, len(f.tests))) for f in funcs]
-        rep.extras = defaultdict(lambda: np.empty(n))
-        for ens in espec.windows(cfg.rng.child(r)):
-            integrands, vectors = window(ens)
+    for first in range(0, m, size):
+        reps = range(first, min(m, first + size))
+        streams = [cfg.rng.child(r) for r in reps]
+        # per-repetition buffers, repetition axis first
+        values = np.empty((len(reps), k, n + 1))
+        moments = [np.empty((len(reps), n + 1, len(f.tests))) for f in funcs]
+        cells = defaultdict(lambda: np.empty((len(reps), k, n)))
+        extras = defaultdict(lambda: np.empty((len(reps), n)))
+        # with G > 1 a ragged last batch of one stream is a batch too
+        for ens in espec.windows(streams if size > 1 else streams[0]):
+            view = _batch_view(ens)
+            integrands, vectors = window(view)
+            # window rows are (time, repetition); the buffers take the transpose
             for key, vec in vectors.items():
-                rep.extras[key][ens.cells] = vec
+                extras[key][:, view.cells] = np.transpose(vec)
             for j, f in enumerate(funcs):
-                tab = _Tables(f.tests, ens.states)
-                coef = {c: np.asarray(v, dtype=float) for c, v in coefficients(f, ens, tab.moments).items()}
-                rep.values[j, ens.time_points] = coef["value"]
-                rep.moments[j][ens.time_points] = tab.moments
+                tab = _Tables(f.tests, view.states)
+                coef = {c: np.asarray(v, dtype=float) for c, v in coefficients(f, view, tab.moments).items()}
+                values[:, j, view.time_points] = np.transpose(coef["value"])
+                moments[j][:, view.time_points] = tab.moments.swapaxes(0, 1)
                 for key, mean, c, weights, only in integrands:
                     if only is None or only == j:
-                        rep.cells[key][j, ens.cells] = mean(tab, coef[c], weights)
-        rep.last = ens
-        rows.append(assemble(rep))
+                        cells[key][:, j, view.cells] = np.transpose(mean(tab, coef[c], weights))
+        for i, r in enumerate(reps):
+            rep = SimpleNamespace(
+                r=r,
+                partition=view.partition,
+                common=view.common[i],
+                factor=view.factor,
+                values=values[i],
+                moments=[mom[i] for mom in moments],
+                cells={key: buf[i] for key, buf in cells.items()},
+                extras={key: buf[i] for key, buf in extras.items()},
+            )
+            rows.append(assemble(rep))
+        # free this batch's buffers before the next batch allocates its own
+        del values, moments, cells, extras, rep
     params = {
         "n": espec.num_cells,
         "N": espec.num_particles,
@@ -276,7 +341,7 @@ def _cylindrical(u: CylindricalFunctional, ens: ParticleEnsemble, v: np.ndarray)
 
 
 def _analytic_bracket(ens: ParticleEnsemble) -> np.ndarray:
-    return (ens.sigma_values**2 + ens.sigma0_values**2) * ens.deltas[:, None]
+    return (ens.sigma_values**2 + ens.sigma0_values**2) * ens.deltas[:, None, None]
 
 
 def _state_integrands(ens: ParticleEnsemble, cfg: VerifyConfig) -> list:
@@ -303,7 +368,7 @@ def _state_terms(rep, cfg: VerifyConfig, weights: Sequence[np.ndarray]) -> tuple
     """The stochastic integral, second-order and cross terms."""
     cross = rep.cells["cross"]
     if cfg.cross == "analytic":  # sigma0 sigma0-hat dt, scaled before weighting
-        cross = cross * rep.last.partition.deltas
+        cross = cross * rep.partition.deltas
     drift, second = rep.cells["drift"], rep.cells["second"]
     return _weighted(weights, drift), 0.5 * _weighted(weights, second), 0.5 * _weighted(weights, cross)
 
@@ -384,13 +449,13 @@ class RandomFieldSpec:
 def _bracket_with_state(comp: FieldComponent, ens: ParticleEnsemble) -> np.ndarray:
     """Analytic per-particle increments of <N_c, M^i> on each cell of the window."""
     out = np.zeros(ens.idio_increments.shape)
-    dt = ens.deltas
+    dt = ens.deltas[:, None]
     if comp.driver != "martingale" or comp.tag == "independent":
         return out
     if comp.tag == "common":
-        out[:] = comp.scale * ens.sigma0_values * dt[:, None]
+        out[:] = comp.scale * ens.sigma0_values * dt[..., None]
     else:  # idiosyncratic: only the tagged particle shares the noise
-        out[:, 0] = comp.scale * ens.sigma_values[:, 0] * dt
+        out[..., 0] = comp.scale * ens.sigma_values[..., 0] * dt
     return out
 
 
@@ -443,11 +508,10 @@ def verify_ito_wentzell(
             if comp.driver == "martingale":
                 bracket = _bracket_with_state(comp, ens)
                 integrands.append(("correction", _Tables.grad_mean, "d1", bracket, offset + idx))
-        return integrands, {"tagged": ens.idio_increments[:, 0]}
+        return integrands, {"tagged": ens.idio_increments[..., 0]}
 
     def assemble(rep):
-        ens = rep.last
-        drivers = _field_drivers(spec, ens.partition, ens.common, rep.extras["tagged"], cfg.rng.child(rep.r, 1))
+        drivers = _field_drivers(spec, rep.partition, rep.common, rep.extras["tagged"], cfg.rng.child(rep.r, 1))
         weights = [np.ones(espec.num_cells + 1)] * offset + drivers
         s1, s2, s3 = _state_terms(rep, cfg, weights)
         field_fv = field_mart = correction = 0.0
@@ -516,21 +580,21 @@ def verify_brownian_corollary(
     at = {key: j for j, (key, _) in enumerate(named)}
 
     def window(ens):
-        dt = ens.deltas
-        dw0 = np.diff(ens.common.values[ens.time_points])
+        dt = ens.deltas[:, None, None]
+        dw0 = np.diff(np.stack([c.values[ens.time_points] for c in ens.common], axis=1), axis=0)
         integrands = [
-            ("drift", _Tables.grad_mean, "d1", ens.drift_values * dt[:, None], None),
-            ("common", _Tables.grad_mean, "d1", ens.sigma0_values * dw0[:, None], None),
+            ("drift", _Tables.grad_mean, "d1", ens.drift_values * dt, None),
+            ("common", _Tables.grad_mean, "d1", ens.sigma0_values * dw0[..., None], None),
             ("second", _Tables.hess_mean, "d1", _analytic_bracket(ens), None),
             ("cross", _Tables.pair_mean, "d2", ens.sigma0_values, None),
         ]
         if "psi0" in at:
-            correction = ens.sigma0_values * dt[:, None]
+            correction = ens.sigma0_values * dt
             integrands.append(("correction", _Tables.grad_mean, "d1", correction, at["psi0"]))
         return integrands, {}
 
     def assemble(rep):
-        part, common = rep.last.partition, rep.last.common
+        part, common = rep.partition, rep.common
         dt = part.deltas
         dw0 = np.diff(common.values)
         dwu = cfg.rng.child(rep.r, 1).generator().normal(size=part.num_cells) * np.sqrt(dt)
@@ -591,9 +655,11 @@ class FactorFunctional:
 
 
 def _factor(fu: FactorFunctional, ens: ParticleEnsemble, v: np.ndarray) -> dict:
+    # a factor run is swept one repetition at a time: its rows take back
+    # the window's repetition axis of length 1
     times, y = ens.partition.times[ens.time_points], ens.factor.values[ens.time_points]
     rows = {"value": fu.value, "d1": fu.dv, "d2": fu.dvv, "d1y": fu.dvy}
-    return {key: row(times, v, y) for key, row in rows.items()}
+    return {key: np.asarray(row(times, v[:, 0], y))[:, None] for key, row in rows.items()}
 
 
 def verify_factor_model(
@@ -618,14 +684,14 @@ def verify_factor_model(
         integrands = [
             ("stoch", _Tables.grad_mean, "d1", ens.state_increments(), None),
             ("second", _Tables.hess_mean, "d1", _analytic_bracket(ens), None),
-            ("mixed", _Tables.grad_mean, "d1y", ens.sigma0_values * (gam0 * ens.deltas)[:, None], None),
+            ("mixed", _Tables.grad_mean, "d1y", ens.sigma0_values * (gam0 * ens.deltas)[:, None, None], None),
             ("cross", _Tables.pair_mean, "d2", ens.sigma0_values, None),
         ]
-        return integrands, {"gamma": gam, "gamma0": gam0}
+        return integrands, {"gamma": gam[:, None], "gamma0": gam0[:, None]}
 
     def assemble(rep):
-        part, moments = rep.last.partition, rep.moments[0]
-        dt, times, y = part.deltas, part.times, rep.last.factor.values
+        part, moments = rep.partition, rep.moments[0]
+        dt, times, y = part.deltas, part.times, rep.factor.values
         d_t = np.asarray(fu.dt(times, moments, y), dtype=float)
         d_y = np.asarray(fu.dy(times, moments, y), dtype=float)
         d_yy = np.asarray(fu.dyy(times, moments, y), dtype=float)

@@ -153,32 +153,39 @@ def delta_m(u: CylindricalFunctional, m: EmpiricalMeasure, x) -> np.ndarray | fl
 
 
 def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # ordered-pair average per row of two (n, N) arrays
-    n_p = a.shape[1]
-    return (a.sum(axis=1) * b.sum(axis=1) - (a * b).sum(axis=1)) / (n_p * (n_p - 1))
+    # ordered-pair average per row (last axis) of two (..., N) arrays
+    n_p = a.shape[-1]
+    return (a.sum(axis=-1) * b.sum(axis=-1) - (a * b).sum(axis=-1)) / (n_p * (n_p - 1))
 
 
 class _Tables:
     """Values/gradients/Hessians of the test functions along one window; each
-    method is one per-cell integrand, contracted with outer-derivative rows."""
+    method is one per-cell integrand, contracted with outer-derivative rows.
+
+    ``states`` has one row of particles per grid time, (n+1, N), or (n+1,
+    M, N) for a batch of M repetitions.  Every particle mean reduces the
+    last axis only, so each repetition's numbers are the ones its own
+    (n+1, N) window gives, bit for bit.  Outer-derivative rows carry the
+    same leading axes, then the test-function axes.
+    """
 
     def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):
         self.vals = [np.asarray(t.value(states), dtype=float) for t in tests]
         self.grads = [np.asarray(t.grad(states), dtype=float) for t in tests]
         self.hesses = [np.asarray(t.hess(states), dtype=float) for t in tests]
-        self.moments = np.stack([p.mean(axis=1) for p in self.vals], axis=-1)  # (n+1, k)
+        self.moments = np.stack([p.mean(axis=-1) for p in self.vals], axis=-1)  # (n+1, [M,] k)
 
     def grad_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per-cell particle mean of sum_a dF_a grad(phi_a) * weights."""
         out = 0.0
         for a, g in enumerate(self.grads):
-            out = out + d_outer[:-1, a] * (g[:-1] * weights).mean(axis=1)
+            out = out + d_outer[:-1, ..., a] * (g[:-1] * weights).mean(axis=-1)
         return out
 
     def hess_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
         out = 0.0
         for a, h in enumerate(self.hesses):
-            out = out + d_outer[:-1, a] * (h[:-1] * weights).mean(axis=1)
+            out = out + d_outer[:-1, ..., a] * (h[:-1] * weights).mean(axis=-1)
         return out
 
     def pair_mean(self, d2_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -188,7 +195,7 @@ class _Tables:
         for a in range(k):
             wa = self.grads[a][:-1] * weights
             for b in range(k):
-                col = d2_outer[:-1, a, b]
+                col = d2_outer[:-1, ..., a, b]
                 if not np.any(col):
                     continue
                 wb = self.grads[b][:-1] * weights

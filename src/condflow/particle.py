@@ -191,7 +191,10 @@ def simulate_ensemble(
     as ``mfc.RiccatiFeedback`` takes of a measure, so it makes no
     ``empirical`` call.  Coefficients and controls that read more of the
     measure than its mean, and factor paths (``y0``), need one stream at
-    a time.
+    a time.  So ``mfc.dpp_check`` batches its mean-reading feedbacks and
+    ``modulus-lq`` its constant coefficients, and the chain-rule
+    verifiers batch law-free coefficients
+    (``SdeCoefficients.law_free``, see ``chainrule.EnsembleSpec``).
 
     With ``num_cells`` the sweep stops after that many cells and returns
     that window (see :class:`ParticleEnsemble`); passing the window back
@@ -337,13 +340,17 @@ def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusRe
     against ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s)
     from the recorded ``b``, ``sigma`` and ``sigma0`` bounds, with a
     3-stderr allowance.  ``ens`` must be a whole run, so that grid times
-    index its ``states`` rows.  A bound whose square overflows raises
+    index its ``states`` rows, and a batch of at least two repetitions:
+    one repetition has no standard error, and its gate would have no
+    allowance.  A bound whose square overflows raises
     ``NumericOverflowError``.
     """
     if s >= t:
         raise InvalidArgumentError("need s < t")
     if ens.first_cell != 0 or ens.num_cells != ens.partition.num_cells:
         raise InvalidArgumentError("the modulus needs a whole run, not a window of a sweep")
+    if ens.states.ndim != 3 or ens.states.shape[1] < 2:
+        raise InvalidArgumentError("the modulus needs a batch of at least two repetitions")
     bounds = [ens.coeffs.bounds.get(key) for key in ("b", "sigma", "sigma0")]
     if None in bounds:  # a missing bound is no bound of 0
         raise InvalidArgumentError("the coefficients must record the b, sigma and sigma0 bounds")
@@ -353,7 +360,7 @@ def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusRe
     if abs(times[i_s] - s) > 1e-12 or abs(times[i_t] - t) > 1e-12:
         raise InvalidArgumentError("s and t must be grid times")
     diff = ens.states[i_t] - ens.states[i_s]
-    values = np.atleast_1d(np.sqrt(np.mean(diff * diff, axis=-1)))
+    values = np.sqrt(np.mean(diff * diff, axis=-1))
     b, sig, sig0 = bounds
     try:  # a Python float's ** raises where * would give inf
         spread = np.sqrt(sig**2 + sig0**2)
@@ -361,5 +368,5 @@ def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusRe
         raise NumericOverflowError("sigma**2 or sigma0**2 overflows") from None
     bound = float(b * (t - s) + spread * np.sqrt(t - s))
     estimate = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    se = float(values.std(ddof=1) / np.sqrt(values.size))
     return ModulusResult(estimate, se, bound, bool(estimate <= bound + 3.0 * se))

@@ -93,6 +93,13 @@ class SdeCoefficients:
     its constant.  The Euler sweep computes with the value as returned and
     broadcasts it only where it stores it.  Factor coefficients are
     ``(t, y)``.  ``bounds`` records sup-norms used by modulus checks.
+
+    ``law_free`` says that no state coefficient reads its measure argument
+    ``m``, so the chain-rule verifiers may sweep several repetitions as
+    one batch (see ``chainrule.EnsembleSpec.batch_size``), where the
+    measure argument is only the batch's row means.  It defaults to
+    False, which is always correct; ``dataclasses.replace`` keeps it, so
+    a coefficient swapped in that reads the law must clear it.
     """
 
     drift: Callable
@@ -102,6 +109,7 @@ class SdeCoefficients:
     gamma: Callable
     gamma0: Callable
     bounds: Mapping[str, float] = field(default_factory=dict)
+    law_free: bool = False
 
     def __post_init__(self):
         for key, val in self.bounds.items():
@@ -133,6 +141,7 @@ def constant_coefficients(
             "gamma": abs(gamma),
             "gamma0": abs(gamma0),
         },
+        law_free=True,
     )
 
 

@@ -3,9 +3,11 @@ payload byte fails here and not only in a by-hand comparison.
 
 ``golden_payloads.json`` holds the sha256 of every payload file of the
 reproducibility configs, of one small sweep per non-exact verifier
-experiment, of two runs that resume a windowed sweep and of two more
-``dpp-lq`` runs (the constant control, and a later start time), with the
-numpy and scipy versions it was recorded under.
+experiment, of two runs that resume a windowed sweep, of one run swept
+in batches and of two more ``dpp-lq`` runs (the constant control, and a
+later start time), with the numpy and scipy versions it was recorded
+under.  The batched run's hash was recorded before the verifiers swept
+in batches, so it pins the bytes of the one-stream sweep.
 Other versions may draw or round differently, so there the test skips.
 A change that alters a payload on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -38,6 +40,10 @@ WINDOWED_CONFIGS = [
     {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
     {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},
 ]
+# law-free coefficients: a one-stream window would hold all 64 cells, so
+# the first four repetitions are one batch in four windows of 16 cells,
+# and the fifth a ragged last batch of one stream
+BATCHED_CONFIG = {"experiment": "brownian-corollary", "seed": 2, "n": 64, "N": 512, "M": 5}
 # the constant control reaches AffineFeedback and constant_control_gap, and
 # a later start time reads the Riccati coefficients at shifted grid times
 DPP_CONFIGS = {
@@ -49,6 +55,7 @@ CONFIGS = {
     **DPP_CONFIGS,
     **{f"sweep {name}": {"experiment": name, "seed": 2, "grid": SWEEP_GRID} for name in SWEEP_EXPERIMENTS},
     **{f"windowed {cfg['experiment']}": cfg for cfg in WINDOWED_CONFIGS},
+    f"batched {BATCHED_CONFIG['experiment']}": BATCHED_CONFIG,
 }
 
 

@@ -120,12 +120,16 @@ def test_invalid_particle_counts_and_initials():
 
 
 def test_modulus_frozen_and_translation():
-    ens = build(constant_coefficients(), dirac_initial(0.0), n_cells=8)
+    # both flows are deterministic, so the two streams agree and the SE is 0
+    part = make_uniform_partition(1.0, 8)
+    streams = [RngStream(0, 0).child(r) for r in range(2)]
+    ens = simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 32, part, streams)
     res = measure_flow_modulus(ens, 0.25, 0.75)
     assert res.estimate == 0.0
+    assert res.stderr == 0.0
     assert res.passed
 
-    ens = build(constant_coefficients(b=1.0), dirac_initial(0.0), n_cells=8)
+    ens = simulate_ensemble(constant_coefficients(b=1.0), dirac_initial(0.0), 32, part, streams)
     res = measure_flow_modulus(ens, 0.25, 0.75)
     assert res.estimate == pytest.approx(0.5, abs=1e-12)
     assert res.bound == pytest.approx(0.5)
@@ -153,9 +157,9 @@ def test_batched_modulus_is_the_mean_of_the_per_stream_bounds(reps):
     streams = [RngStream(9, 0).child(r) for r in range(reps)]
     bounds = []
     for stream in streams:
-        alone = measure_flow_modulus(simulate_ensemble(coeffs, 0.1, 150, part, stream), 0.25, 0.75)
-        assert alone.stderr == 0.0
-        bounds.append(alone.estimate)
+        states = simulate_ensemble(coeffs, 0.1, 150, part, stream).states
+        diff = states[12] - states[4]  # grid times 0.75 and 0.25
+        bounds.append(float(np.sqrt(np.mean(diff * diff))))
     res = measure_flow_modulus(simulate_ensemble(coeffs, 0.1, 150, part, streams), 0.25, 0.75)
     values = np.array(bounds)
     assert res.estimate == float(values.mean())
@@ -169,8 +173,9 @@ def test_modulus_needs_a_whole_run():
     # window would read shifted ones
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(sigma=1.0)
-    first = simulate_ensemble(coeffs, 0.0, 16, part, RngStream(0, 0), num_cells=4)
-    later = simulate_ensemble(coeffs, first, 16, part, RngStream(0, 0), num_cells=4)
+    streams = [RngStream(0, 0).child(r) for r in range(2)]
+    first = simulate_ensemble(coeffs, 0.0, 16, part, streams, num_cells=4)
+    later = simulate_ensemble(coeffs, first, 16, part, streams, num_cells=4)
     for window in (first, later):
         for s, t in ((0.25, 0.5), (0.25, 0.75)):
             with pytest.raises(InvalidArgumentError):
@@ -184,9 +189,20 @@ def test_modulus_needs_every_coefficient_bound(key):
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
     coeffs = replace(coeffs, bounds={k: v for k, v in coeffs.bounds.items() if k != key})
-    ens = simulate_ensemble(coeffs, 0.0, 4, part, RngStream(0, 0))
-    with pytest.raises(InvalidArgumentError):
+    ens = simulate_ensemble(coeffs, 0.0, 4, part, [RngStream(0, 0).child(r) for r in range(2)])
+    with pytest.raises(InvalidArgumentError, match="bounds"):
         measure_flow_modulus(ens, 0.25, 0.75)
+
+
+def test_modulus_needs_two_repetitions():
+    # one repetition has no standard error, so its gate would have no
+    # allowance: one stream and a batch of one are both refused
+    part = make_uniform_partition(1.0, 8)
+    coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
+    for rng in (RngStream(0, 0), [RngStream(0, 0)]):
+        ens = simulate_ensemble(coeffs, 0.0, 4, part, rng)
+        with pytest.raises(InvalidArgumentError, match="two repetitions"):
+            measure_flow_modulus(ens, 0.25, 0.75)
 
 
 def test_chaos_rate_against_refined_reference():

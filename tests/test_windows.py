@@ -1,10 +1,15 @@
-"""Windowed Euler sweeps: the window contract and byte-identical verifier reports.
+"""Windowed and batched Euler sweeps: the window contract and
+byte-identical verifier reports.
 
-Each verifier sweeps a repetition in windows of max(1, budget // N)
-cells.  The tests shrink the private budget so that (n, N) = (64, 128)
-splits into many windows and compare against the one-window run with
-``==``, not approximately.
+Each verifier sweeps a repetition in windows of c = min(n, budget // N)
+cells, and law-free coefficients in batches of G = min(M, c // 16)
+repetitions with windows of c // G cells.  The tests shrink the private
+budget so that (n, N) = (64, 128) splits into many windows, or into
+batches of every size, and compare against the one-window or the
+one-stream run with ``==``, not approximately.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from condflow import (
     verify_ito,
     verify_ito_wentzell,
 )
-from condflow import particle
+from condflow import chainrule, particle
 from condflow.paths import SdeCoefficients
 from condflow.registry import (
     factor_linear_functional,
@@ -54,9 +59,14 @@ MEAN_REVERTING = SdeCoefficients(
 )
 
 
-def spec(y0=None):
+# constant coefficients, all nonzero, so that the drift, bracket and
+# cross terms are nonzero; they ignore the law, so the verifiers batch them
+LAW_FREE = constant_coefficients(b=0.3, sigma=0.6, sigma0=0.4)
+
+
+def spec(y0=None, coeffs=MEAN_REVERTING):
     return EnsembleSpec(
-        coeffs=MEAN_REVERTING,
+        coeffs=coeffs,
         initial=gaussian_quantile_initial(0.3, 0.5),
         num_particles=N_PARTICLES,
         num_cells=N_CELLS,
@@ -78,6 +88,22 @@ def assert_same_across_window_counts(monkeypatch, run):
         assert report.aggregate == reference.aggregate
 
 
+def assert_same_across_batches(monkeypatch, run, m, y0=None):
+    """Law-free runs in batches of G = 1, M - 1 (a ragged last batch) and
+    M, each in several windows, equal the one-stream run of the same
+    coefficients with law_free cleared.  A factor run is never batched."""
+    batched = spec(y0, LAW_FREE)
+    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 16 * N_PARTICLES)
+    reference = run(spec(y0, replace(LAW_FREE, law_free=False)))
+    for size in (1, m - 1, m):
+        # a one-stream window of 16 G cells gives batches of G, 16 cells a window
+        monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 16 * size * N_PARTICLES)
+        assert batched.batch_size(m) == (size if y0 is None else 1)
+        report = run(batched)
+        assert row_bytes(report) == row_bytes(reference)
+        assert report.aggregate == reference.aggregate
+
+
 @pytest.mark.parametrize(
     "functional, bracket, cross",
     [
@@ -89,6 +115,7 @@ def assert_same_across_window_counts(monkeypatch, run):
 def test_verify_ito_identical_across_windows(monkeypatch, functional, bracket, cross):
     cfg = VerifyConfig(RNG.child(1), outer_paths=3, bracket=bracket, cross=cross)
     assert_same_across_window_counts(monkeypatch, lambda: verify_ito(functional, spec(), cfg))
+    assert_same_across_batches(monkeypatch, lambda s: verify_ito(functional, s, cfg), 3)
 
 
 @pytest.mark.parametrize("bracket, cross", [("analytic", "analytic"), ("realized", "pairwise")])
@@ -104,6 +131,7 @@ def test_verify_wentzell_identical_across_windows(monkeypatch, bracket, cross):
     )
     cfg = VerifyConfig(RNG.child(2), outer_paths=3, bracket=bracket, cross=cross)
     assert_same_across_window_counts(monkeypatch, lambda: verify_ito_wentzell(fspec, spec(), cfg))
+    assert_same_across_batches(monkeypatch, lambda s: verify_ito_wentzell(fspec, s, cfg), 3)
 
 
 def test_idiosyncratic_driver_carries_across_windows(monkeypatch):
@@ -111,6 +139,7 @@ def test_idiosyncratic_driver_carries_across_windows(monkeypatch):
     fspec = RandomFieldSpec(None, (FieldComponent(mean_functional(), "martingale", "idiosyncratic"),))
     cfg = VerifyConfig(RNG.child(3), outer_paths=4, rule="dt")
     assert_same_across_window_counts(monkeypatch, lambda: verify_ito_wentzell(fspec, spec(), cfg))
+    assert_same_across_batches(monkeypatch, lambda s: verify_ito_wentzell(fspec, s, cfg), 4)
 
 
 def test_verify_brownian_identical_across_windows(monkeypatch):
@@ -122,12 +151,64 @@ def test_verify_brownian_identical_across_windows(monkeypatch):
     )
     cfg = VerifyConfig(RNG.child(4), outer_paths=3, rule="dt")
     assert_same_across_window_counts(monkeypatch, lambda: verify_brownian_corollary(bspec, spec(), cfg))
+    assert_same_across_batches(monkeypatch, lambda s: verify_brownian_corollary(bspec, s, cfg), 3)
 
 
 def test_verify_factor_identical_across_windows(monkeypatch):
     cfg = VerifyConfig(RNG.child(5), outer_paths=3, rule="dt")
     fu = factor_linear_functional()
     assert_same_across_window_counts(monkeypatch, lambda: verify_factor_model(fu, spec(y0=0.2), cfg))
+    assert_same_across_batches(monkeypatch, lambda s: verify_factor_model(fu, s, cfg), 3, y0=0.2)
+
+
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_only_law_free_runs_sweep_in_batches(monkeypatch):
+    # n = N = 64: a one-stream window holds min(64, 2**16 // 64) = 64
+    # cells, so G = 4; four streams are swept as one in windows of 16
+    # cells, then the fifth alone in one window, and the batch's measure
+    # argument is its row means, not an empirical measure
+    sweeps = counted(monkeypatch, chainrule, "simulate_ensemble")
+    measures = counted(monkeypatch, particle, "empirical")
+    n, m = 64, 5
+
+    def small(coeffs, y0=None):
+        return EnsembleSpec(coeffs, gaussian_quantile_initial(0.3, 0.5), 64, n, y0=y0)
+
+    def streams(call):
+        # None for one stream, else the batch's stream count
+        rng = call[0][4]
+        return None if isinstance(rng, RngStream) else len(rng)
+
+    fspec = RandomFieldSpec(None, (FieldComponent(mean_functional(), "martingale", "common"),))
+    verify_ito_wentzell(fspec, small(LAW_FREE), VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
+    assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(4, 16)] * 4 + [(1, 64)]
+    assert len(measures) == 0
+
+    # the factor run and coefficients that read the law sweep one stream at
+    # a time, with one empirical measure a step
+    cfg = VerifyConfig(RNG.child(9), outer_paths=m, rule="dt")
+    runs = (
+        lambda: verify_factor_model(factor_linear_functional(), small(LAW_FREE, y0=0.2), cfg),
+        lambda: verify_ito(second_moment_functional(), small(MEAN_REVERTING), cfg),
+    )
+    for run in runs:
+        sweeps.clear()
+        measures.clear()
+        run()
+        assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(None, 64)] * m
+        assert len(measures) == m * n
 
 
 # ---------------------------------------------------------------------------
