@@ -5,22 +5,23 @@ and factor-model corollaries are one identity with different driver
 terms, so one private kernel, ``_verify``, runs all four.  It simulates
 M independent common-noise repetitions and sweeps them in time windows
 of at most about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so
-memory is O(N) rather than O(n N)).  When the coefficients ignore the
-law and there is no factor path, G repetitions at a time are swept as
-one (cells, G, N) batch (:meth:`EnsembleSpec.batch_size`), which cuts
-the per-step interpreter work of a small-N run by about G; otherwise
-one repetition at a time.  Each window fills per-time buffers (length
-n+1) and per-cell term vectors (length n) of its repetitions from its
-test-function tables (``measures._Tables``, the windowed derivative
-calculus).  Every right-side term is a sum over cells of a left-endpoint
-quantity times the cell increment, and particle averages reduce each
-row of one repetition on its own, so every report is the same bytes
-however the sweep is split or batched.  Each
-public verifier is a view: it names its functionals and the integrands
-it needs against the gradient, the Hessian and the pair U-statistic,
-and turns the buffers and its driver paths into named terms and the
-residual LHS - sum(terms).  That residual is an accounting identity, so
-a failure localizes to a term, not to bookkeeping.
+memory is O(N) rather than O(n N)).  Unless there is a factor path, G
+repetitions at a time are swept as one (cells, G, N) batch
+(:meth:`EnsembleSpec.batch_size`), each repetition's coefficients
+reading its own empirical measure, which cuts the per-step interpreter
+work of a small-N run by about G; a factor run goes one repetition at a
+time.  Each window fills per-time buffers (length n+1) and per-cell
+term vectors (length n) of its repetitions from its test-function
+tables (``measures._Tables``, the windowed derivative calculus).  Every
+right-side term is a sum over cells of a left-endpoint quantity times
+the cell increment, and particle averages reduce each row of one
+repetition on its own, so every report is the same bytes however the
+sweep is split or batched.  Each public verifier is a view: it names
+its functionals and the integrands it needs against the gradient, the
+Hessian and the pair U-statistic, and turns the buffers and its driver
+paths into named terms and the residual LHS - sum(terms).  That
+residual is an accounting identity, so a failure localizes to a term,
+not to bookkeeping.
 
 Bracket increments default to the analytic form implied by the known
 coefficients (sigma^2 + sigma0^2) dt; realized squared increments and
@@ -65,7 +66,8 @@ class EnsembleSpec:
     Repetition r runs on stream ``rng.child(r)``.  The verifiers sweep
     the repetitions in batches of G = :meth:`batch_size` streams, one
     (cells, G, N) state per batch, or one at a time when G is 1.  Either
-    way each repetition's run is its one-stream run, bit for bit.
+    way each repetition's run is its one-stream run, bit for bit,
+    whatever its coefficients read of the law.
     """
 
     coeffs: SdeCoefficients
@@ -83,12 +85,11 @@ class EnsembleSpec:
         return min(self.num_cells, window_cells(self.num_particles))
 
     def batch_size(self, repetitions: int) -> int:
-        """Repetitions per batch, G: 1 (one stream at a time) unless the
-        coefficients are law-free and there is no factor path, and then
-        one per 16 cells of a one-stream window, so that a batch's windows
-        keep at least 16 cells and hold no more particle-steps than a
-        one-stream window."""
-        if not self.coeffs.law_free or self.y0 is not None:
+        """Repetitions per batch, G: 1 (one stream at a time) for a factor
+        path, else one per 16 cells of a one-stream window, so that a
+        batch's windows keep at least 16 cells and hold no more
+        particle-steps than a one-stream window."""
+        if self.y0 is not None:
             return 1
         return min(repetitions, max(1, self._cells() // 16))
 
@@ -100,9 +101,8 @@ class EnsembleSpec:
         ``min(n, particle.window_cells(N))`` cells, the budget
         ``mfc.dpp_check`` shares; or a batch of G streams, swept as one
         in windows of 1/G as many cells, each a batched window with a
-        repetition axis (see :class:`particle.ParticleEnsemble`).  A
-        batch is for law-free coefficients only: its measure argument is
-        the batch's row means.
+        repetition axis (see :class:`particle.ParticleEnsemble`), whose
+        measure argument is one empirical measure per repetition.
         """
         part = self.partition()
         step = self._cells() if isinstance(rng, RngStream) else max(1, self._cells() // len(rng))
@@ -274,14 +274,15 @@ def _verify(
     Every window is seen with a repetition axis (:func:`_batch_view`):
     its arrays are (cells, G, N) and particle means reduce the last axis.
     ``coefficients(f, ens, v)`` maps functional ``f``'s moment rows ``v``
-    (cells+1, G, k) on window ``ens`` to its "value" row and the
-    derivative rows that the integrands name.  ``window(ens)`` returns
-    the integrands, each (key, _Tables method, derivative, weights,
-    functional index or None for all), and named per-cell (cells, G)
-    vectors.  ``assemble(rep)`` turns one repetition into its row;
-    ``rep`` has the index ``r``, the ``partition``, its ``common`` and
-    ``factor`` paths, per-time ``values`` (k, n+1) and ``moments``
-    (n+1, k_j), and per-cell ``cells`` (k, n) and ``extras`` (n,).
+    (cells+1, G, k) on window ``ens`` to named rows: the derivative rows
+    that the integrands name, and per-time (cells+1, G) rows, such as
+    "value", that no integrand names and that are kept for ``assemble``.
+    ``window(ens)`` returns the integrands, each (key, _Tables method,
+    derivative, weights, functional index or None for all), and named
+    per-cell (cells, G) vectors.  ``assemble(rep)`` turns one repetition
+    into its row; ``rep`` has the index ``r``, the ``partition``, its
+    ``common`` and ``factor`` paths, the kept per-time ``values`` (k,
+    n+1) by name, and per-cell ``cells`` (k, n) and ``extras`` (n,).
     """
     n, k, m = espec.num_cells, len(funcs), cfg.outer_paths
     size = espec.batch_size(m)
@@ -290,22 +291,22 @@ def _verify(
         reps = range(first, min(m, first + size))
         streams = [cfg.rng.child(r) for r in reps]
         # per-repetition buffers, repetition axis first
-        values = np.empty((len(reps), k, n + 1))
-        moments = [np.empty((len(reps), n + 1, len(f.tests))) for f in funcs]
+        values = defaultdict(lambda: np.empty((len(reps), k, n + 1)))
         cells = defaultdict(lambda: np.empty((len(reps), k, n)))
         extras = defaultdict(lambda: np.empty((len(reps), n)))
         # with G > 1 a ragged last batch of one stream is a batch too
         for ens in espec.windows(streams if size > 1 else streams[0]):
             view = _batch_view(ens)
             integrands, vectors = window(view)
+            contracted = {c for _, _, c, _, _ in integrands}
             # window rows are (time, repetition); the buffers take the transpose
             for key, vec in vectors.items():
                 extras[key][:, view.cells] = np.transpose(vec)
             for j, f in enumerate(funcs):
                 tab = _Tables(f.tests, view.states)
                 coef = {c: np.asarray(v, dtype=float) for c, v in coefficients(f, view, tab.moments).items()}
-                values[:, j, view.time_points] = np.transpose(coef["value"])
-                moments[j][:, view.time_points] = tab.moments.swapaxes(0, 1)
+                for c in coef.keys() - contracted:
+                    values[c][:, j, view.time_points] = np.transpose(coef[c])
                 for key, mean, c, weights, only in integrands:
                     if only is None or only == j:
                         cells[key][:, j, view.cells] = np.transpose(mean(tab, coef[c], weights))
@@ -315,14 +316,13 @@ def _verify(
                 partition=view.partition,
                 common=view.common[i],
                 factor=view.factor,
-                values=values[i],
-                moments=[mom[i] for mom in moments],
+                values={key: buf[i] for key, buf in values.items()},
                 cells={key: buf[i] for key, buf in cells.items()},
                 extras={key: buf[i] for key, buf in extras.items()},
             )
             rows.append(assemble(rep))
         # free this batch's buffers before the next batch allocates its own
-        del values, moments, cells, extras, rep
+        del values, cells, extras, rep
     params = {
         "n": espec.num_cells,
         "N": espec.num_particles,
@@ -397,7 +397,7 @@ def verify_ito(
 
     def assemble(rep):
         s1, s2, s3 = _state_terms(rep, cfg, [np.ones(spec.num_cells + 1)])
-        lhs = float(rep.values[0, -1] - rep.values[0, 0])
+        lhs = float(rep.values["value"][0, -1] - rep.values["value"][0, 0])
         terms = {"stochastic_integral": s1, "second_order": s2, "cross": s3}
         return PathRow(lhs, terms, lhs - s1 - s2 - s3)
 
@@ -517,13 +517,13 @@ def verify_ito_wentzell(
         field_fv = field_mart = correction = 0.0
         for idx, comp in enumerate(spec.components):
             j = offset + idx
-            contribution = float((rep.values[j, :-1] * np.diff(drivers[idx])).sum())
+            contribution = float((rep.values["value"][j, :-1] * np.diff(drivers[idx])).sum())
             if comp.driver == "fv":
                 field_fv += contribution
             else:
                 field_mart += contribution
                 correction += float(rep.cells["correction"][j].sum())
-        lhs = _weighted_lhs(weights, rep.values)
+        lhs = _weighted_lhs(weights, rep.values["value"])
         terms = {
             "stochastic_integral": s1,
             "second_order": s2,
@@ -607,7 +607,7 @@ def verify_brownian_corollary(
         weights = [drivers[key] for key, _ in named]
 
         def field_integral(key, increments):
-            return float((rep.values[at[key], :-1] * increments).sum()) if key in at else 0.0
+            return float((rep.values["value"][at[key], :-1] * increments).sum()) if key in at else 0.0
 
         cross = 0.0  # sigma0 sigma0-hat dt, scaled after weighting
         for w, row in zip(weights, rep.cells["cross"]):
@@ -622,7 +622,7 @@ def verify_brownian_corollary(
             "bracket_correction": float(rep.cells["correction"][at["psi0"]].sum()) if "psi0" in at else 0.0,
             "cross": cross,
         }
-        lhs = _weighted_lhs(weights, rep.values)
+        lhs = _weighted_lhs(weights, rep.values["value"])
         return PathRow(lhs, terms, lhs - sum(terms.values()))
 
     funcs = [f for _, f in named]
@@ -656,9 +656,10 @@ class FactorFunctional:
 
 def _factor(fu: FactorFunctional, ens: ParticleEnsemble, v: np.ndarray) -> dict:
     # a factor run is swept one repetition at a time: its rows take back
-    # the window's repetition axis of length 1
+    # the window's repetition axis of length 1; "dt", "dy" and "dyy" are
+    # per-time rows for the time and factor terms
     times, y = ens.partition.times[ens.time_points], ens.factor.values[ens.time_points]
-    rows = {"value": fu.value, "d1": fu.dv, "d2": fu.dvv, "d1y": fu.dvy}
+    rows = {"value": fu.value, "d1": fu.dv, "d2": fu.dvv, "d1y": fu.dvy, "dt": fu.dt, "dy": fu.dy, "dyy": fu.dyy}
     return {key: np.asarray(row(times, v[:, 0], y))[:, None] for key, row in rows.items()}
 
 
@@ -690,11 +691,8 @@ def verify_factor_model(
         return integrands, {"gamma": gam[:, None], "gamma0": gam0[:, None]}
 
     def assemble(rep):
-        part, moments = rep.partition, rep.moments[0]
-        dt, times, y = part.deltas, part.times, rep.factor.values
-        d_t = np.asarray(fu.dt(times, moments, y), dtype=float)
-        d_y = np.asarray(fu.dy(times, moments, y), dtype=float)
-        d_yy = np.asarray(fu.dyy(times, moments, y), dtype=float)
+        dt, y = rep.partition.deltas, rep.factor.values
+        d_t, d_y, d_yy = (rep.values[key][0] for key in ("dt", "dy", "dyy"))
         qv_y = (rep.extras["gamma"] ** 2 + rep.extras["gamma0"] ** 2) * dt
         terms = {
             "time": float((d_t[:-1] * dt).sum()),
@@ -705,7 +703,7 @@ def verify_factor_model(
             "mixed_bracket": float(rep.cells["mixed"][0].sum()),
             "cross": 0.5 * float((rep.cells["cross"][0] * dt).sum()),
         }
-        lhs = float(rep.values[0, -1] - rep.values[0, 0])
+        lhs = float(rep.values["value"][0, -1] - rep.values["value"][0, 0])
         return PathRow(lhs, terms, lhs - sum(terms.values()))
 
     params = {"functional": fu.name, "bracket": "analytic", "cross": "analytic"}

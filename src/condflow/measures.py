@@ -18,7 +18,10 @@ with rows of outer derivatives dF, d2F into the per-cell particle means
 (gradient and Hessian fields) and ordered-pair averages (mixed field)
 that the chain-rule verifiers integrate.
 
-Atoms are scalar: every measure here is a (N,) atom array.
+Atoms are scalar: a measure is a (N,) atom array, or a batch of M
+uniform measures, one per row of a (M, N) array, as a batched Euler
+sweep hands its coefficients (see ``particle.simulate_ensemble``).  The
+derivative calculus and its checks take one measure.
 """
 
 from dataclasses import dataclass
@@ -53,17 +56,26 @@ _GL_W01 = 0.5 * _GL_WEIGHTS
 
 class EmpiricalMeasure:
     """Finitely supported measure on scalar atoms (a (N,) array) with
-    uniform (or explicit) weights."""
+    uniform (or explicit) weights, or a batch of M uniform measures on
+    the rows of a (M, N) array.
+
+    :meth:`mean` and :meth:`average` reduce the last axis: a Python
+    float for one measure (and a numpy float64 for its uniform
+    :meth:`mean`), and the (M, 1) column of per-row values for a batch,
+    which broadcasts against the atoms.  A batch takes no weights.
+    """
 
     def __init__(self, atoms: np.ndarray, weights: np.ndarray | None = None):
         atoms = np.asarray(atoms, dtype=float)
-        if atoms.ndim != 1 or atoms.shape[0] == 0:
-            raise InvalidArgumentError("need a nonempty (N,) atom array")
+        if atoms.ndim not in (1, 2) or atoms.size == 0:
+            raise InvalidArgumentError("need a nonempty (N,) or (M, N) atom array")
         if not np.isfinite(atoms).all():
             raise InvalidArgumentError("atoms must be finite")
         self.atoms = atoms
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
+            if atoms.ndim != 1:
+                raise InvalidArgumentError("a batch of measures takes no weights")
             if weights.shape != (atoms.shape[0],):
                 raise InvalidArgumentError("one weight per atom required")
             if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
@@ -72,21 +84,24 @@ class EmpiricalMeasure:
 
     @property
     def num_atoms(self) -> int:
-        return self.atoms.shape[0]
+        return self.atoms.shape[-1]
 
-    def average(self, values: np.ndarray) -> float:
-        if self.weights is None:
-            return float(np.mean(values))
-        return float(np.dot(self.weights, values))
+    def average(self, values: np.ndarray) -> float | np.ndarray:
+        if self.weights is not None:
+            return float(np.dot(self.weights, values))
+        if self.atoms.ndim == 2:
+            return np.mean(values, axis=-1, keepdims=True)
+        return float(np.mean(values))
 
     def mean(self):
         if self.weights is None:
-            return self.atoms.mean(axis=0)
+            return self.atoms.mean(axis=-1, keepdims=self.atoms.ndim == 2)
         return np.tensordot(self.weights, self.atoms, axes=1)
 
 
 def empirical(atoms) -> EmpiricalMeasure:
-    """Uniform-weight measure on the given atoms (duplicates allowed)."""
+    """Uniform-weight measure on the given atoms (duplicates allowed), or
+    a batch of them on the rows of (M, N) atoms."""
     return EmpiricalMeasure(np.asarray(atoms, dtype=float))
 
 

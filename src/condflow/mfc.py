@@ -76,20 +76,19 @@ class GaussianMoments:
 
 
 def measure_mean(m) -> float | np.ndarray:
-    """The mean of ``m``; an array is a batched sweep's column of row
-    means (see ``particle.simulate_ensemble``) and is its own mean."""
+    """The mean of ``m``: a Python float, or for the batch of measures of
+    a batched sweep (see ``particle.simulate_ensemble``) the (M, 1)
+    column of its row means."""
     if isinstance(m, GaussianMoments):
         return m.mean
-    if isinstance(m, np.ndarray):
-        return m
-    return float(m.average(m.atoms))
+    return m.average(m.atoms)
 
 
-def measure_variance(m) -> float:
+def measure_variance(m) -> float | np.ndarray:
     if isinstance(m, GaussianMoments):
         return m.var
     mu = measure_mean(m)
-    return float(m.average((m.atoms - mu) ** 2))
+    return m.average((m.atoms - mu) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +642,10 @@ def dpp_check(
     The ``outer_paths`` repetitions, repetition r on ``rng.child(r)``,
     run as one batched sweep of :func:`simulate_ensemble` in windows of
     ``particle.window_cells(M N)`` cells; the feedback reads each
-    repetition's row means.  After each window the running reward of
-    every repetition is evaluated at once and summed cell by cell, in
-    order, so the result does not depend on the window.  A reward or
-    value that overflows raises ``NumericOverflowError``.
+    repetition's own empirical measure.  After each window the running
+    reward of every repetition is evaluated at once and summed cell by
+    cell, in order, so the result does not depend on the window.  A
+    reward or value that overflows raises ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze V and the feedback at their end values

@@ -83,8 +83,7 @@ class ParticleEnsemble:
     arrays (num_cells, M, N), and ``common`` is a tuple of the M shared
     paths.  ``num_particles`` counts a row's particles over the whole
     batch, M N.  One stream is swept as a batch of one whose arrays drop
-    the repetition axis; only the measure argument differs (see
-    :func:`simulate_ensemble`), and its run is the batch's, bit for bit.
+    the repetition axis, and its run is the batch's, bit for bit.
     """
 
     partition: Partition
@@ -148,12 +147,12 @@ def gaussian_quantile_initial(mean: float, var: float) -> Callable:
 
 def _initial_atoms(initial, rng: RngStream, num_particles: int) -> np.ndarray:
     if isinstance(initial, EmpiricalMeasure):
-        if initial.num_atoms == num_particles:
+        if initial.atoms.shape == (num_particles,):
             return initial.atoms.copy()
-        if initial.num_atoms == 1:
+        if initial.atoms.shape == (1,):
             return np.full(num_particles, float(initial.atoms[0]))
         raise InvalidArgumentError(
-            f"initial measure has {initial.num_atoms} atoms, ensemble wants {num_particles}"
+            f"initial measure has atoms of shape {initial.atoms.shape}, ensemble wants ({num_particles},)"
         )
     if callable(initial):
         atoms = np.asarray(initial(rng, num_particles), dtype=float)
@@ -185,16 +184,12 @@ def simulate_ensemble(
     advances M independent repetitions as one (M, N) state, repetition r
     on stream r exactly as a sweep of that stream alone would, and
     returns a batched ensemble (see :class:`ParticleEnsemble`).  One
-    stream is set up and drawn as a batch of one, and only the measure
-    argument differs: a batch gets the (M, 1) column of its row means
-    ``x.mean(axis=-1)``, which is all that a mean-reading feedback such
-    as ``mfc.RiccatiFeedback`` takes of a measure, so it makes no
-    ``empirical`` call.  Coefficients and controls that read more of the
-    measure than its mean, and factor paths (``y0``), need one stream at
-    a time.  So ``mfc.dpp_check`` batches its mean-reading feedbacks and
-    ``modulus-lq`` its constant coefficients, and the chain-rule
-    verifiers batch law-free coefficients
-    (``SdeCoefficients.law_free``, see ``chainrule.EnsembleSpec``).
+    stream is set up and drawn as a batch of one.  Either way the
+    measure argument is ``empirical(x)`` of the step's state: a batch's
+    is one uniform measure per row, whose ``mean()`` and ``average()``
+    reduce each row on its own, so a coefficient or control reads its
+    own repetition's law as it would alone.  Only factor paths (``y0``)
+    need one stream at a time.
 
     With ``num_cells`` the sweep stops after that many cells and returns
     that window (see :class:`ParticleEnsemble`); passing the window back
@@ -206,11 +201,11 @@ def simulate_ensemble(
     default one call runs every remaining cell.
 
     Each row is checked for finiteness once: a row the sweep reaches is
-    checked by the ``empirical`` call of the step it starts (in a batch,
-    through its row means), and the window's last row after the loop.  A
-    non-finite row raises ``BlowUpError`` naming its grid index, the
-    first over all repetitions of a batch, except the initial row of a
-    fresh sweep, where a non-finite atom is an ``InvalidArgumentError``.
+    checked by the ``empirical`` call of the step it starts, and the
+    window's last row after the loop.  A non-finite row raises
+    ``BlowUpError`` naming its grid index, the first over all
+    repetitions of a batch, except the initial row of a fresh sweep,
+    where a non-finite atom is an ``InvalidArgumentError``.
     """
     if num_particles < 2:
         raise InvalidArgumentError("need at least two particles")
@@ -273,21 +268,12 @@ def simulate_ensemble(
     factor_values = factor.values[start:stop].tolist() if factor is not None else [None] * cells
     for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, common_steps, factor_values)):
         x = states[j]
-        if batch:
-            m = x.mean(axis=-1, keepdims=True)
-            # a row's mean is finite only if the row is, so the rows need
-            # a look of their own only when some mean is not
-            if not np.isfinite(m).all() and not np.isfinite(x).all():
-                if start + j == 0:
-                    raise InvalidArgumentError("atoms must be finite")
-                raise BlowUpError(start + j)
-        else:
-            try:
-                m = empirical(x)
-            except InvalidArgumentError:
-                if start + j == 0:  # a bad initial atom, not a blow-up
-                    raise
-                raise BlowUpError(start + j) from None
+        try:
+            m = empirical(x)
+        except InvalidArgumentError:
+            if start + j == 0:  # a bad initial atom, not a blow-up
+                raise
+            raise BlowUpError(start + j) from None
         a = control(t, x, m) if control is not None else None
         if avals is not None:
             avals[j] = a

@@ -91,15 +91,10 @@ class SdeCoefficients:
     ``x`` (and ``a`` when present); each returns a float or a float64
     array that broadcasts against ``x``, so a constant coefficient returns
     its constant.  The Euler sweep computes with the value as returned and
-    broadcasts it only where it stores it.  Factor coefficients are
-    ``(t, y)``.  ``bounds`` records sup-norms used by modulus checks.
-
-    ``law_free`` says that no state coefficient reads its measure argument
-    ``m``, so the chain-rule verifiers may sweep several repetitions as
-    one batch (see ``chainrule.EnsembleSpec.batch_size``), where the
-    measure argument is only the batch's row means.  It defaults to
-    False, which is always correct; ``dataclasses.replace`` keeps it, so
-    a coefficient swapped in that reads the law must clear it.
+    broadcasts it only where it stores it.  The measure argument ``m`` is
+    an ``EmpiricalMeasure``, in a batched sweep one per repetition (see
+    ``particle.simulate_ensemble``).  Factor coefficients are ``(t, y)``.
+    ``bounds`` records sup-norms used by modulus checks.
     """
 
     drift: Callable
@@ -109,7 +104,6 @@ class SdeCoefficients:
     gamma: Callable
     gamma0: Callable
     bounds: Mapping[str, float] = field(default_factory=dict)
-    law_free: bool = False
 
     def __post_init__(self):
         for key, val in self.bounds.items():
@@ -141,7 +135,6 @@ def constant_coefficients(
             "gamma": abs(gamma),
             "gamma0": abs(gamma0),
         },
-        law_free=True,
     )
 
 

@@ -40,7 +40,7 @@ WINDOWED_CONFIGS = [
     {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
     {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},
 ]
-# law-free coefficients: a one-stream window would hold all 64 cells, so
+# no factor path: a one-stream window would hold all 64 cells, so
 # the first four repetitions are one batch in four windows of 16 cells,
 # and the fifth a ragged last batch of one stream
 BATCHED_CONFIG = {"experiment": "brownian-corollary", "seed": 2, "n": 64, "N": 512, "M": 5}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condflow import (
+    EmpiricalMeasure,
     InvalidArgumentError,
     MeasurePair,
     NumericOverflowError,
@@ -69,8 +70,14 @@ def test_empirical_basics():
         empirical([])
     with pytest.raises(InvalidArgumentError):
         empirical([np.inf])
+    batch = empirical([[1.0, 3.0], [2.0, 6.0]])  # one measure per row
+    assert batch.num_atoms == 2
+    np.testing.assert_array_equal(batch.mean(), [[2.0], [4.0]])
+    np.testing.assert_array_equal(batch.average(batch.atoms**2), [[5.0], [20.0]])
     with pytest.raises(InvalidArgumentError):
-        empirical(np.zeros((2, 2)))  # atoms are scalar
+        empirical(np.zeros((2, 2, 2)))  # atoms are scalar
+    with pytest.raises(InvalidArgumentError):
+        EmpiricalMeasure(np.zeros((2, 2)), np.full(2, 0.5))  # a batch takes no weights
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def test_invalid_particle_counts_and_initials():
         simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 1, part, RngStream(0, 0))
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(constant_coefficients(), empirical([0.0, 1.0, 2.0]), 4, part, RngStream(0, 0))
+    with pytest.raises(InvalidArgumentError):  # a batch of measures is no initial law
+        simulate_ensemble(constant_coefficients(), empirical(np.zeros((2, 4))), 4, part, RngStream(0, 0))
     # single-atom measures tile; exact-count measures pass through
     ens = simulate_ensemble(constant_coefficients(), empirical([1.5]), 4, part, RngStream(0, 0))
     np.testing.assert_array_equal(ens.states[0], np.full(4, 1.5))
@@ -347,21 +349,35 @@ def sweep_windows(coeffs, initial, n_particles, part, rng, window, control=None)
 
 
 LQ_PROBLEM, LQ_VALUE = make_lq_problem()
+# the drift is the feedback control
+CONTROLLED = replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=lambda t, x, y, m, a: a)
+# the drift reads the law and sigma0 the state, with no control
+LAW_READING = SdeCoefficients(
+    drift=lambda t, x, y, m, a: 0.7 * (m.mean() - x),
+    sigma=lambda t, x, y, m, a: 0.6,
+    sigma0=lambda t, x, y, m, a: 0.4 * np.cos(x),
+    k=lambda t, y: 0.0,
+    gamma=lambda t, y: 0.0,
+    gamma0=lambda t, y: 0.0,
+)
 
 
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize(
-    "control",
-    [RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max), AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max)],
-    ids=["riccati", "affine"],
+    "coeffs, control",
+    [
+        (CONTROLLED, RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max)),
+        (CONTROLLED, AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max)),
+        (LAW_READING, None),
+    ],
+    ids=["riccati", "affine", "law-reading"],
 )
-def test_batched_windows_equal_the_per_repetition_sweeps(reps, control):
-    # repetition r of a batch is the sweep of stream r alone, bit for bit;
-    # windows of 4 cells divide neither the 10 cells nor the batch, the
-    # initial atoms come from each stream, and 19 particles fill no
-    # summation block
+def test_batched_windows_equal_the_per_repetition_sweeps(reps, coeffs, control):
+    # repetition r of a batch is the sweep of stream r alone, bit for bit,
+    # its coefficients and control reading its own row's law; windows of 4
+    # cells divide neither the 10 cells nor the batch, the initial atoms
+    # come from each stream, and 19 particles fill no summation block
     part = make_uniform_partition(1.0, 10)
-    coeffs = replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=lambda t, x, y, m, a: a)
 
     def initial(rng, n):
         return rng.generator().normal(size=n)
@@ -370,12 +386,10 @@ def test_batched_windows_equal_the_per_repetition_sweeps(reps, control):
     windows = sweep_windows(coeffs, initial, 19, part, streams, 4, control)
     assert [w.num_cells for w in windows] == [4, 4, 2]
     assert all(w.num_particles == reps * 19 for w in windows)
+    names = ["idio_increments", "drift_values", "sigma0_values"] + ([] if control is None else ["control_values"])
     batched = {
         "states": np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows]),
-        **{
-            name: np.concatenate([getattr(w, name) for w in windows])
-            for name in ("idio_increments", "control_values", "drift_values", "sigma0_values")
-        },
+        **{name: np.concatenate([getattr(w, name) for w in windows]) for name in names},
     }
     for r, stream in enumerate(streams):
         alone = simulate_ensemble(coeffs, initial, 19, part, stream, control=control)

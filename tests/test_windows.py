@@ -2,14 +2,13 @@
 byte-identical verifier reports.
 
 Each verifier sweeps a repetition in windows of c = min(n, budget // N)
-cells, and law-free coefficients in batches of G = min(M, c // 16)
-repetitions with windows of c // G cells.  The tests shrink the private
-budget so that (n, N) = (64, 128) splits into many windows, or into
-batches of every size, and compare against the one-window or the
-one-stream run with ``==``, not approximately.
+cells, and, unless there is a factor path, in batches of G = min(M,
+c // 16) repetitions with windows of c // G cells, whether or not the
+coefficients read the law.  The tests shrink the private budget so that
+(n, N) = (64, 128) splits into many windows, or into batches of every
+size, and compare against the one-window or the one-stream run with
+``==``, not approximately.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +47,8 @@ ONE_WINDOW = 1 << 30
 SPLIT_BUDGETS = (5 * N_PARTICLES, N_PARTICLES)
 
 
-# measure-dependent drift, so every window must hand the right measure on
+# measure-dependent drift, so every window must hand the right measure on,
+# and every repetition of a batch must see its own
 MEAN_REVERTING = SdeCoefficients(
     drift=lambda t, x, y, m, a: 0.7 * (m.mean() - x),
     sigma=lambda t, x, y, m, a: np.full_like(x, 0.6),
@@ -60,7 +60,7 @@ MEAN_REVERTING = SdeCoefficients(
 
 
 # constant coefficients, all nonzero, so that the drift, bracket and
-# cross terms are nonzero; they ignore the law, so the verifiers batch them
+# cross terms are nonzero
 LAW_FREE = constant_coefficients(b=0.3, sigma=0.6, sigma0=0.4)
 
 
@@ -89,19 +89,22 @@ def assert_same_across_window_counts(monkeypatch, run):
 
 
 def assert_same_across_batches(monkeypatch, run, m, y0=None):
-    """Law-free runs in batches of G = 1, M - 1 (a ragged last batch) and
-    M, each in several windows, equal the one-stream run of the same
-    coefficients with law_free cleared.  A factor run is never batched."""
-    batched = spec(y0, LAW_FREE)
-    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 16 * N_PARTICLES)
-    reference = run(spec(y0, replace(LAW_FREE, law_free=False)))
-    for size in (1, m - 1, m):
-        # a one-stream window of 16 G cells gives batches of G, 16 cells a window
-        monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 16 * size * N_PARTICLES)
-        assert batched.batch_size(m) == (size if y0 is None else 1)
-        report = run(batched)
-        assert row_bytes(report) == row_bytes(reference)
-        assert report.aggregate == reference.aggregate
+    """Runs in batches of G = 1, M - 1 (a ragged last batch) and M, each
+    in several windows, equal the G = 1 run of the same spec in windows of
+    8 cells, for law-free and law-reading coefficients.  A factor run is
+    never batched."""
+    for coeffs in (LAW_FREE, MEAN_REVERTING):
+        batched = spec(y0, coeffs)
+        monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 8 * N_PARTICLES)
+        assert batched.batch_size(m) == 1
+        reference = run(batched)
+        for size in (1, m - 1, m):
+            # a one-stream window of 16 G cells gives batches of G, 16 cells a window
+            monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 16 * size * N_PARTICLES)
+            assert batched.batch_size(m) == (size if y0 is None else 1)
+            report = run(batched)
+            assert row_bytes(report) == row_bytes(reference)
+            assert report.aggregate == reference.aggregate
 
 
 @pytest.mark.parametrize(
@@ -174,11 +177,11 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def test_only_law_free_runs_sweep_in_batches(monkeypatch):
+def test_only_factor_runs_sweep_one_stream_at_a_time(monkeypatch):
     # n = N = 64: a one-stream window holds min(64, 2**16 // 64) = 64
     # cells, so G = 4; four streams are swept as one in windows of 16
-    # cells, then the fifth alone in one window, and the batch's measure
-    # argument is its row means, not an empirical measure
+    # cells, then the fifth alone in one window, with one empirical
+    # measure argument a swept step whether or not the coefficients read it
     sweeps = counted(monkeypatch, chainrule, "simulate_ensemble")
     measures = counted(monkeypatch, particle, "empirical")
     n, m = 64, 5
@@ -192,23 +195,21 @@ def test_only_law_free_runs_sweep_in_batches(monkeypatch):
         return None if isinstance(rng, RngStream) else len(rng)
 
     fspec = RandomFieldSpec(None, (FieldComponent(mean_functional(), "martingale", "common"),))
-    verify_ito_wentzell(fspec, small(LAW_FREE), VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
-    assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(4, 16)] * 4 + [(1, 64)]
-    assert len(measures) == 0
-
-    # the factor run and coefficients that read the law sweep one stream at
-    # a time, with one empirical measure a step
-    cfg = VerifyConfig(RNG.child(9), outer_paths=m, rule="dt")
-    runs = (
-        lambda: verify_factor_model(factor_linear_functional(), small(LAW_FREE, y0=0.2), cfg),
-        lambda: verify_ito(second_moment_functional(), small(MEAN_REVERTING), cfg),
-    )
-    for run in runs:
+    for coeffs in (LAW_FREE, MEAN_REVERTING):
         sweeps.clear()
         measures.clear()
-        run()
-        assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(None, 64)] * m
-        assert len(measures) == m * n
+        verify_ito_wentzell(fspec, small(coeffs), VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
+        assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(4, 16)] * 4 + [(1, 64)]
+        assert len(measures) == 4 * 16 + 64
+
+    # the factor run sweeps one stream at a time, with one empirical
+    # measure a step
+    sweeps.clear()
+    measures.clear()
+    cfg = VerifyConfig(RNG.child(9), outer_paths=m, rule="dt")
+    verify_factor_model(factor_linear_functional(), small(LAW_FREE, y0=0.2), cfg)
+    assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(None, 64)] * m
+    assert len(measures) == m * n
 
 
 # ---------------------------------------------------------------------------
