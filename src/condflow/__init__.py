@@ -39,7 +39,6 @@ from .measures import (
     fd_check_dm,
     fd_check_dm2,
     integral_identity_gap,
-    linear_combination,
 )
 from .particle import (
     ParticleEnsemble,
@@ -64,7 +63,6 @@ from .quadvar import (
     constant_weight,
     convergence_study,
     lemma_convergence_study,
-    realized_qv,
     sampled_weight,
     weighted_qv_sum,
 )

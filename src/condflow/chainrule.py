@@ -23,9 +23,10 @@ paths into named terms and the residual LHS - sum(terms).  That
 residual is an accounting identity, so a failure localizes to a term,
 not to bookkeeping.
 
-Bracket increments default to the analytic form implied by the known
-coefficients (sigma^2 + sigma0^2) dt; realized squared increments and
-pairwise increment products are available as estimator cross-checks.
+Bracket increments take the analytic form implied by the known
+coefficients, (sigma^2 + sigma0^2) dt; the cross term defaults to the
+analytic sigma0 sigma0-hat dt, and pairwise increment products are
+available as an estimator cross-check.
 """
 
 from collections import defaultdict
@@ -71,7 +72,7 @@ class EnsembleSpec:
     """
 
     coeffs: SdeCoefficients
-    initial: object
+    initial: Callable
     num_particles: int
     num_cells: int
     horizon: float = 1.0
@@ -127,12 +128,13 @@ class VerifyConfig:
     ``rule`` picks the pass criterion: "exact" (max |residual| below an
     absolute floor), "mc" (mean and 0.9-quantile of |residual| within
     3 SE + C (n^-1/2 + N^-1/2)), or "dt" (signed mean residual within
-    3 SE + C dt).
+    3 SE + C dt).  ``cross`` picks the estimator of the cross term
+    between two distinct particles: the analytic sigma0 sigma0-hat dt or
+    pairwise products of their increments.
     """
 
     rng: RngStream
     outer_paths: int = 16
-    bracket: str = "analytic"  # or "realized"
     cross: str = "analytic"  # or "pairwise"
     rule: str = "mc"
     tolerance_c: float = 0.5
@@ -140,8 +142,6 @@ class VerifyConfig:
     expected_correction: float | None = None
 
     def __post_init__(self):
-        if self.bracket not in ("analytic", "realized"):
-            raise InvalidArgumentError("bracket must be 'analytic' or 'realized'")
         if self.cross not in ("analytic", "pairwise"):
             raise InvalidArgumentError("cross must be 'analytic' or 'pairwise'")
         if self.rule not in ("exact", "mc", "dt"):
@@ -328,7 +328,7 @@ def _verify(
         "N": espec.num_particles,
         "M": cfg.outer_paths,
         "horizon": espec.horizon,
-        "bracket": cfg.bracket,
+        "bracket": "analytic",  # the state-bracket estimator; reports name it
         "cross": cfg.cross,
         "seed": cfg.rng.key(),
         **params,
@@ -345,13 +345,12 @@ def _analytic_bracket(ens: ParticleEnsemble) -> np.ndarray:
 
 
 def _state_integrands(ens: ParticleEnsemble, cfg: VerifyConfig) -> list:
-    """dX, the state bracket and the cross bracket, by cfg's estimators."""
+    """dX, the analytic state bracket and the cross bracket by cfg's estimator."""
     dx = ens.state_increments()
-    qv = _analytic_bracket(ens) if cfg.bracket == "analytic" else dx * dx
     pair = ens.sigma0_values if cfg.cross == "analytic" else dx
     return [
         ("drift", _Tables.grad_mean, "d1", dx, None),
-        ("second", _Tables.hess_mean, "d1", qv, None),
+        ("second", _Tables.hess_mean, "d1", _analytic_bracket(ens), None),
         ("cross", _Tables.pair_mean, "d2", pair, None),
     ]
 
@@ -626,7 +625,7 @@ def verify_brownian_corollary(
         return PathRow(lhs, terms, lhs - sum(terms.values()))
 
     funcs = [f for _, f in named]
-    return _verify(name, espec, cfg, funcs, _cylindrical, window, assemble, bracket="analytic", cross="analytic")
+    return _verify(name, espec, cfg, funcs, _cylindrical, window, assemble, cross="analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -706,5 +705,5 @@ def verify_factor_model(
         lhs = float(rep.values["value"][0, -1] - rep.values["value"][0, 0])
         return PathRow(lhs, terms, lhs - sum(terms.values()))
 
-    params = {"functional": fu.name, "bracket": "analytic", "cross": "analytic"}
+    params = {"functional": fu.name, "cross": "analytic"}
     return _verify(name, espec, cfg, [fu], _factor, window, assemble, **params)

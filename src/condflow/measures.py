@@ -45,7 +45,6 @@ __all__ = [
     "fd_check_dm2",
     "fd_orders_ok",
     "integral_identity_gap",
-    "linear_combination",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -357,44 +356,3 @@ def integral_identity_gap(u: CylindricalFunctional, pair: MeasurePair) -> float:
             pair.m,
         )
     return abs(lhs - rhs)
-
-
-def linear_combination(
-    terms: Sequence[tuple[float, CylindricalFunctional]], name: str | None = None
-) -> CylindricalFunctional:
-    """Cylindrical functional for sum_j c_j u_j (test lists concatenated)."""
-    if not terms:
-        raise InvalidArgumentError("need at least one term")
-    coefs = [float(c) for c, _ in terms]
-    funcs = [u for _, u in terms]
-    tests: list[TestFunction] = []
-    slices = []
-    start = 0
-    for u in funcs:
-        tests.extend(u.tests)
-        slices.append(slice(start, start + u.k))
-        start += u.k
-
-    def value(v):
-        return sum(c * f.outer.value(v[..., s]) for c, f, s in zip(coefs, funcs, slices))
-
-    def grad(v):
-        out = np.zeros(v.shape)
-        for c, f, s in zip(coefs, funcs, slices):
-            out[..., s] = c * f.outer.grad(v[..., s])
-        return out
-
-    def hess(v):
-        out = np.zeros(v.shape + (start,))
-        for c, f, s in zip(coefs, funcs, slices):
-            out[..., s, s] = c * f.outer.hess(v[..., s])
-        return out
-
-    outer = OuterFunction(
-        name or "+".join(f"{c}*{f.name}" for c, f in zip(coefs, funcs)),
-        value,
-        grad,
-        hess,
-        polynomial=all(f.outer.polynomial for f in funcs),
-    )
-    return CylindricalFunctional(outer.name, outer, tuple(tests))

@@ -13,9 +13,9 @@ with step halving.
 
 The module serves this instance only, so its reward and coefficients are
 written where they are used, from :attr:`ControlProblem.constants`: the
-running reward in :func:`dpp_check`, in :func:`generator`'s atom route,
-in :func:`_lq_generator_grid` and in :func:`constant_control_gap`'s ODE,
-and the terminal reward in :meth:`ControlProblem.terminal_reward`.
+running reward in :func:`dpp_check`, in :func:`_lq_generator_grid` and in
+:func:`constant_control_gap`'s ODE, and the terminal reward in
+:meth:`ControlProblem.terminal_reward`.
 
 The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
 nodes and in the particle sweep's time windows of about 2^16 particle
@@ -47,7 +47,6 @@ __all__ = [
     "AffineFeedback",
     "RiccatiFeedback",
     "constant_feedback",
-    "generator",
     "HjbNode",
     "HjbReport",
     "hjb_residual",
@@ -201,10 +200,6 @@ class LqValue:
     def value(self, t: float, m) -> float:
         qc = self.quad_coeffs(t)
         return qc["P"] * measure_variance(m) + qc["R"] * measure_mean(m) ** 2 + qc["c"]
-
-    def time_derivative(self, t: float, m) -> float:
-        qc = self.quad_coeffs(t)
-        return qc["dP"] * measure_variance(m) + qc["dR"] * measure_mean(m) ** 2 + qc["dc"]
 
     def d_lions(self, t: float, m, x):
         qc = self.quad_coeffs(t)
@@ -370,7 +365,13 @@ def _censored_affine_moments(alpha, beta, bound):
 
 
 def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
-    """Generator values on (c0, c1) grids under the Gaussian surrogate.
+    """Reward-augmented generator of the value candidate on (c0, c1)
+    grids of clamped affine feedbacks, under the Gaussian surrogate.
+
+    The reward and drift integrals are exact censored-Gaussian moments.
+    The second-order terms are constants, since the diffusion
+    coefficients are constant and V's second derivatives are 2P in x and
+    2(R - P) across atoms.
 
     ``nodes`` is a sequence of (t, mean, var) and ``c0``, ``c1`` hold one
     row of grid points per node.  The terms that depend on the node alone
@@ -401,38 +402,6 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
     fbar = -0.5 * ew2 - q_var - r_mean2
     drift = p_s * ewz + r_mean * ew
     return dtv + fbar + drift + second + cross
-
-
-def generator(problem: ControlProblem, value, t: float, m, control) -> float:
-    """Reward-augmented generator of the value candidate at one point.
-
-    Empirical measures evaluate the reward and drift integrals as atom
-    averages; Gaussian surrogates use exact censored-Gaussian moments and
-    require an affine feedback.  The diffusion coefficients are constant
-    and V's second derivatives are 2P in x and 2(R - P) across atoms, so
-    the second-order terms are constants on both routes.  The instance
-    has no factor, so the factor terms are absent.
-    """
-    if isinstance(m, GaussianMoments):
-        if not isinstance(control, AffineFeedback):
-            raise InvalidArgumentError("surrogate route needs an affine feedback")
-        return float(
-            _lq_generator_grid(problem, value, [(t, m.mean, m.var)], [[control.c0]], [[control.c1]])[0, 0]
-        )
-    x = m.atoms
-    a = np.asarray(control(t, x, m), dtype=float)
-    if np.max(np.abs(a)) > problem.a_max + 1e-12:
-        raise InvalidArgumentError("control values escape the control set")
-    consts = problem.constants
-    sigma, sigma0 = consts["sigma"], consts["sigma0"]
-    qc = value.quad_coeffs(t)
-    mu = measure_mean(m)
-    f_vals = -0.5 * a**2 - 0.5 * consts["q"] * (x - mu) ** 2 - 0.5 * consts["r"] * mu**2
-    total = value.time_derivative(t, m)
-    total += m.average(f_vals)
-    total += m.average(a * value.d_lions(t, m, x))
-    total += qc["P"] * (sigma**2 + sigma0**2) + sigma0**2 * (qc["R"] - qc["P"])
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

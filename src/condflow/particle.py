@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError, NumericOverflowError
-from .measures import EmpiricalMeasure, empirical
+from .measures import empirical
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, simulate_factor
 
 __all__ = [
@@ -145,26 +145,18 @@ def gaussian_quantile_initial(mean: float, var: float) -> Callable:
     return make
 
 
-def _initial_atoms(initial, rng: RngStream, num_particles: int) -> np.ndarray:
-    if isinstance(initial, EmpiricalMeasure):
-        if initial.atoms.shape == (num_particles,):
-            return initial.atoms.copy()
-        if initial.atoms.shape == (1,):
-            return np.full(num_particles, float(initial.atoms[0]))
-        raise InvalidArgumentError(
-            f"initial measure has atoms of shape {initial.atoms.shape}, ensemble wants ({num_particles},)"
-        )
-    if callable(initial):
-        atoms = np.asarray(initial(rng, num_particles), dtype=float)
-        if atoms.shape != (num_particles,):
-            raise InvalidArgumentError("initial sampler must return one atom per particle")
-        return atoms
-    return np.full(num_particles, float(initial))
+def _initial_atoms(initial: Callable, rng: RngStream, num_particles: int) -> np.ndarray:
+    if not callable(initial):
+        raise InvalidArgumentError("initial must be a sampler (rng, N) -> atoms or a window to resume")
+    atoms = np.asarray(initial(rng, num_particles), dtype=float)
+    if atoms.shape != (num_particles,):
+        raise InvalidArgumentError("initial sampler must return one atom per particle")
+    return atoms
 
 
 def simulate_ensemble(
     coeffs: SdeCoefficients,
-    initial,
+    initial: Callable | ParticleEnsemble,
     num_particles: int,
     partition: Partition,
     rng: RngStream | Sequence[RngStream],
@@ -177,8 +169,8 @@ def simulate_ensemble(
     Each particle sees the common increment dW0 and its own dW; the
     measure argument fed to the coefficients (and the optional feedback
     ``control(t, x, m)``) is the ensemble's empirical measure at the left
-    endpoint.  ``initial`` may be an EmpiricalMeasure (atom count 1 or
-    N), a sampler ``(rng, N) -> atoms``, or a number (Dirac).
+    endpoint.  ``initial`` is a sampler ``(rng, N) -> atoms`` of N atoms,
+    such as :func:`dirac_initial` or :func:`gaussian_quantile_initial`.
 
     ``rng`` may instead be a sequence of M streams: the sweep then
     advances M independent repetitions as one (M, N) state, repetition r

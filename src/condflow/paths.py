@@ -94,7 +94,8 @@ class SdeCoefficients:
     broadcasts it only where it stores it.  The measure argument ``m`` is
     an ``EmpiricalMeasure``, in a batched sweep one per repetition (see
     ``particle.simulate_ensemble``).  Factor coefficients are ``(t, y)``.
-    ``bounds`` records sup-norms used by modulus checks.
+    ``bounds`` records sup-norms; the flow modulus
+    (``particle.measure_flow_modulus``) reads those of b, sigma and sigma0.
     """
 
     drift: Callable
@@ -131,9 +132,6 @@ def constant_coefficients(
             "b": abs(b),
             "sigma": abs(sigma),
             "sigma0": abs(sigma0),
-            "k": abs(k),
-            "gamma": abs(gamma),
-            "gamma0": abs(gamma0),
         },
     )
 

@@ -24,7 +24,6 @@ from .paths import Partition, RngStream, SamplePath
 
 __all__ = [
     "WeightProcess",
-    "realized_qv",
     "weighted_qv_sum",
     "constant_weight",
     "sampled_weight",
@@ -33,12 +32,6 @@ __all__ = [
     "convergence_study",
     "lemma_convergence_study",
 ]
-
-
-def realized_qv(path: SamplePath) -> float:
-    """Sum of squared increments along the path's own grid."""
-    inc = path.increments()
-    return float(np.sum(inc * inc))
 
 
 @dataclass(frozen=True)

@@ -155,21 +155,6 @@ def factor_linear_functional() -> FactorFunctional:
     )
 
 
-def factor_time_functional() -> FactorFunctional:
-    """u(t, m, y) = t."""
-    return FactorFunctional(
-        name="factor-time",
-        tests=(identity_test(),),
-        value=lambda t, v, y: np.broadcast_to(t, np.shape(y)).astype(float),
-        dt=lambda t, v, y: np.ones_like(y),
-        dv=lambda t, v, y: np.zeros_like(v),
-        dvv=lambda t, v, y: np.zeros(v.shape + (1,)),
-        dy=lambda t, v, y: np.zeros_like(y),
-        dyy=lambda t, v, y: np.zeros_like(y),
-        dvy=lambda t, v, y: np.zeros_like(v),
-    )
-
-
 _FUNCTIONALS: dict[str, Callable[[], CylindricalFunctional]] = {
     "mean": mean_functional,
     "mean-squared": mean_squared_functional,
@@ -177,11 +162,6 @@ _FUNCTIONALS: dict[str, Callable[[], CylindricalFunctional]] = {
     "second-moment-squared": second_moment_squared_functional,
     "variance": variance_functional,
     "log-second-moment": log_second_moment_functional,
-}
-
-_FACTOR_FUNCTIONALS: dict[str, Callable[[], FactorFunctional]] = {
-    "factor-linear": factor_linear_functional,
-    "factor-time": factor_time_functional,
 }
 
 
@@ -655,5 +635,5 @@ def get_experiment(name: str) -> ExperimentDef:
 
 def list_registry() -> list[str]:
     """Stable sorted names of built-in functionals and experiments."""
-    names = set(_FUNCTIONALS) | set(_FACTOR_FUNCTIONALS) | set(_EXPERIMENTS)
+    names = set(_FUNCTIONALS) | set(_EXPERIMENTS)
     return sorted(names)

@@ -1,7 +1,11 @@
 """Shared oracles and fixtures for the test suite.
 
 The oracles are deliberately brute force and kept independent of the
-library code paths they check.
+library code paths they check: the double-loop pair average, the tanh
+Riccati solution, the hand-integrated constant-control gap, and
+:func:`generator_atom_average`, the atom-cloud route of the LQ generator
+that the Gaussian-surrogate generator ``mfc._lq_generator_grid`` is
+checked against.
 """
 
 import numpy as np
@@ -52,6 +56,30 @@ def constant_gap_closed_form(
         - sigma0**2 * (0.5 * c_m * tau + 0.25 * r * tau**2)
     )
     return p_w, r_w, s_w, c_w
+
+
+def generator_atom_average(problem, value, t: float, m, control) -> float:
+    """Reward-augmented generator of the LQ value candidate at the atom
+    cloud ``m`` under the feedback ``control(t, x, m)``.
+
+    The time slope, the reward and the drift integral are atom averages
+    over the cloud; the second-order terms are the constants
+    P (sigma^2 + sigma0^2) + sigma0^2 (R - P) of the quadratic ansatz.
+    """
+    x = m.atoms
+    a = np.asarray(control(t, x, m), dtype=float)
+    assert np.max(np.abs(a)) <= problem.a_max + 1e-12, "control values escape the control set"
+    consts = problem.constants
+    sigma, sigma0 = consts["sigma"], consts["sigma0"]
+    qc = value.quad_coeffs(t)
+    mu = m.average(x)
+    var = m.average((x - mu) ** 2)
+    f_vals = -0.5 * a**2 - 0.5 * consts["q"] * (x - mu) ** 2 - 0.5 * consts["r"] * mu**2
+    total = qc["dP"] * var + qc["dR"] * mu**2 + qc["dc"]
+    total += m.average(f_vals)
+    total += m.average(a * value.d_lions(t, m, x))
+    total += qc["P"] * (sigma**2 + sigma0**2) + sigma0**2 * (qc["R"] - qc["P"])
+    return float(total)
 
 
 def zero_value() -> LqValue:

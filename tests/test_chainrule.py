@@ -6,6 +6,7 @@ import pytest
 from condflow import (
     BrownianFieldSpec,
     EnsembleSpec,
+    FactorFunctional,
     FieldComponent,
     InvalidArgumentError,
     RandomFieldSpec,
@@ -15,7 +16,6 @@ from condflow import (
     convergence_study,
     dirac_initial,
     gaussian_quantile_initial,
-    linear_combination,
     verify_brownian_corollary,
     verify_factor_model,
     verify_ito,
@@ -25,11 +25,11 @@ from condflow import particle
 from condflow.measures import CylindricalFunctional, OuterFunction
 from condflow.registry import (
     factor_linear_functional,
-    factor_time_functional,
     identity_test,
     mean_functional,
     mean_squared_functional,
     second_moment_functional,
+    square_test,
     variance_functional,
 )
 
@@ -106,7 +106,21 @@ def test_term_linearity_on_shared_noise():
     spec = common_noise_spec(sigma=0.5, sigma0=0.5)
     u1 = mean_squared_functional()
     u2 = second_moment_functional()
-    combo = linear_combination([(2.0, u1), (-3.0, u2)])
+
+    def grad(v):
+        out = np.empty_like(v)
+        out[..., 0] = 4.0 * v[..., 0]
+        out[..., 1] = -3.0
+        return out
+
+    def hess(v):
+        out = np.zeros(v.shape + (2,))
+        out[..., 0, 0] = 4.0
+        return out
+
+    # 2 mean^2 - 3 <x^2> as one functional on the tests (x, x^2)
+    outer = OuterFunction("2*v1^2-3*v2", lambda v: 2.0 * v[..., 0] ** 2 - 3.0 * v[..., 1], grad, hess)
+    combo = CylindricalFunctional("combo", outer, (identity_test(), square_test()))
     reports = {}
     for key, u in (("u1", u1), ("u2", u2), ("combo", combo)):
         cfg = VerifyConfig(RngStream(555, 0), outer_paths=3, rule="mc", tolerance_c=10.0)
@@ -117,18 +131,6 @@ def test_term_linearity_on_shared_noise():
             assert reports["combo"].rows[i].terms[name] == pytest.approx(want, rel=1e-9, abs=1e-12)
         want_lhs = 2.0 * reports["u1"].rows[i].lhs - 3.0 * reports["u2"].rows[i].lhs
         assert reports["combo"].rows[i].lhs == pytest.approx(want_lhs, rel=1e-9, abs=1e-12)
-
-
-def test_bracket_estimator_modes_agree():
-    spec = common_noise_spec(n=256, particles=128, sigma=0.6, sigma0=0.8)
-    got = {}
-    for bracket in ("analytic", "realized"):
-        cfg = VerifyConfig(RngStream(77, 0), outer_paths=8, bracket=bracket, rule="mc", tolerance_c=1.0)
-        got[bracket] = verify_ito(second_moment_functional(), spec, cfg)
-    a = got["analytic"].aggregate["term_second_order"]
-    b = got["realized"].aggregate["term_second_order"]
-    assert a == pytest.approx(b, rel=0.05)
-    assert got["analytic"].passed and got["realized"].passed
 
 
 def test_cross_estimator_modes_agree():
@@ -147,7 +149,7 @@ def test_verify_ito_rejects_bad_config():
     with pytest.raises(InvalidArgumentError):
         VerifyConfig(RNG, outer_paths=0)
     with pytest.raises(InvalidArgumentError):
-        VerifyConfig(RNG, bracket="nope")
+        VerifyConfig(RNG, cross="nope")
     bad_spec = common_noise_spec(particles=1)
     with pytest.raises(InvalidArgumentError):
         verify_ito(mean_functional(), bad_spec, VerifyConfig(RNG, outer_paths=2))
@@ -167,14 +169,15 @@ def test_single_repetition_needs_the_exact_rule():
 # random fields
 
 
-@pytest.mark.parametrize("bracket, cross", [("analytic", "analytic"), ("realized", "pairwise")])
-def test_wentzell_without_components_is_plain_ito(monkeypatch, bracket, cross):
+# ids name the state-bracket estimator, always analytic, and the cross estimator
+@pytest.mark.parametrize("cross", ["analytic", "pairwise"], ids=["analytic-analytic", "analytic-pairwise"])
+def test_wentzell_without_components_is_plain_ito(monkeypatch, cross):
     # a field with no drivers is a deterministic functional: the Wentzell
     # rule reduces to the Ito rule term for term, across several windows
     monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 5 * 16)
     spec = common_noise_spec(n=32, particles=16, sigma=0.6, sigma0=0.8)
     u = variance_functional()  # nonzero gradient, Hessian and pair kernel
-    cfg = VerifyConfig(RNG.child(40), outer_paths=3, bracket=bracket, cross=cross)
+    cfg = VerifyConfig(RNG.child(40), outer_paths=3, cross=cross)
     plain = verify_ito(u, spec, cfg)
     field = verify_ito_wentzell(RandomFieldSpec(u, ()), spec, cfg)
     for a, b in zip(plain.rows, field.rows):
@@ -301,6 +304,18 @@ def test_factor_designed_instance():
 
 
 def test_factor_time_functional_exact():
+    # u(t, m, y) = t: only the factor view's time term moves
+    fu = FactorFunctional(
+        name="factor-time",
+        tests=(identity_test(),),
+        value=lambda t, v, y: np.broadcast_to(t, np.shape(y)).astype(float),
+        dt=lambda t, v, y: np.ones_like(y),
+        dv=lambda t, v, y: np.zeros_like(v),
+        dvv=lambda t, v, y: np.zeros(v.shape + (1,)),
+        dy=lambda t, v, y: np.zeros_like(y),
+        dyy=lambda t, v, y: np.zeros_like(y),
+        dvy=lambda t, v, y: np.zeros_like(v),
+    )
     espec = EnsembleSpec(
         coeffs=constant_coefficients(sigma=0.5, gamma=0.4),
         initial=dirac_initial(0.0),
@@ -310,7 +325,7 @@ def test_factor_time_functional_exact():
         y0=0.1,
     )
     cfg = VerifyConfig(RNG.child(21), outer_paths=4, rule="exact")
-    report = verify_factor_model(factor_time_functional(), espec, cfg)
+    report = verify_factor_model(fu, espec, cfg)
     assert report.passed
     for row in report.rows:
         assert row.lhs == pytest.approx(1.0)
@@ -320,8 +335,6 @@ def test_factor_time_functional_exact():
 def test_factor_reduces_to_plain_ito_when_y_independent():
     # y-independent functional: the factor terms vanish identically
     fu = factor_linear_functional()
-    from condflow.chainrule import FactorFunctional
-
     plain = FactorFunctional(
         name="second-moment-in-disguise",
         tests=fu.tests,

@@ -28,6 +28,13 @@ def test_registry_contains_expected_names():
     assert "lq-common-noise" in names
     assert names == sorted(names)
     assert names == list_registry()  # stable across calls
+    # every name is something a run reaches: an experiment, or a
+    # functional whose derivatives deriv-battery checks
+    _, payloads = run({"experiment": "deriv-battery", "seed": 7}, write=False)
+    checked = json.loads(payloads["report.json"])["quadrature_gaps"]
+    for name in names:
+        if name not in checked:
+            get_experiment(name)
 
 
 def test_registry_rejects_unknown_names():

@@ -14,7 +14,6 @@ from condflow import (
     fd_check_dm,
     fd_check_dm2,
     integral_identity_gap,
-    linear_combination,
 )
 from condflow.measures import _Tables, fd_orders_ok
 from condflow.registry import (
@@ -231,18 +230,3 @@ def test_integral_identity_polynomials():
     pair = MeasurePair(empirical(gen.normal(size=5)), empirical(gen.normal(size=7) - 0.4))
     for name in ("mean", "mean-squared", "second-moment", "variance", "second-moment-squared"):
         assert integral_identity_gap(FUNCTIONALS[name], pair) < 1e-10, name
-
-
-def test_linear_combination_matches_manual_sum():
-    u1 = mean_squared_functional()
-    u2 = second_moment_functional()
-    combo = linear_combination([(2.0, u1), (-0.5, u2)])
-    gen = np.random.default_rng(3)
-    m = empirical(gen.normal(size=6))
-    assert evaluate(combo, m) == pytest.approx(2.0 * evaluate(u1, m) - 0.5 * evaluate(u2, m))
-    states = gen.normal(size=(3, 6))
-    w = gen.normal(size=6)
-    parts = [tables(u, states) for u in (combo, u1, u2)]
-    for mean, order in ((_Tables.grad_mean, 1), (_Tables.hess_mean, 1), (_Tables.pair_mean, 2)):
-        got, want1, want2 = (mean(tab, d1 if order == 1 else d2, w) for tab, d1, d2 in parts)
-        np.testing.assert_allclose(got, 2.0 * want1 - 0.5 * want2, rtol=1e-12, atol=1e-12)

@@ -14,7 +14,6 @@ from condflow.mfc import (
     constant_control_gap,
     constant_feedback,
     dpp_check,
-    generator,
     hjb_residual,
     make_lq_problem,
     measure_mean,
@@ -25,9 +24,14 @@ from condflow.mfc import (
     _refined_sup,
 )
 
-from helpers import constant_gap_closed_form, riccati_closed_form, zero_value
+from helpers import constant_gap_closed_form, generator_atom_average, riccati_closed_form, zero_value
 
 PROBLEM, VALUE = make_lq_problem()
+
+
+def surrogate(t, mean, var, control, problem=PROBLEM, value=VALUE):
+    """The generator under the Gaussian surrogate at one node and one affine feedback."""
+    return _lq_generator_grid(problem, value, [(t, mean, var)], [[control.c0]], [[control.c1]])[0, 0]
 
 
 def test_riccati_against_tanh_closed_form():
@@ -80,18 +84,19 @@ def test_value_derivative_fields_consistent():
     want = VALUE.d_lions(t, m, atoms[i]) / atoms.size
     assert fd == pytest.approx(want, rel=1e-4)
     fd_t = (VALUE.value(t + 1e-4, m) - VALUE.value(t - 1e-4, m)) / 2e-4
-    assert fd_t == pytest.approx(VALUE.time_derivative(t, m), rel=1e-3, abs=1e-6)
+    qc = VALUE.quad_coeffs(t)
+    slope = qc["dP"] * measure_variance(m) + qc["dR"] * measure_mean(m) ** 2 + qc["dc"]
+    assert fd_t == pytest.approx(slope, rel=1e-3, abs=1e-6)
 
 
 def test_generator_zero_everything():
     problem, _ = make_lq_problem(q=0.0, r=0.0, c_g=0.0, c_m=0.0, sigma=0.0, sigma0=0.0, a_max=2.0)
     v0 = zero_value()
-    m = GaussianMoments(0.5, 1.0)
     for a in (-1.0, 0.0, 0.8):
-        val = generator(problem, v0, 0.3, m, constant_feedback(a, 2.0))
+        val = surrogate(0.3, 0.5, 1.0, constant_feedback(a, 2.0), problem, v0)
         assert val == pytest.approx(-0.5 * a**2)
     # maximized at a = 0 with value 0
-    assert generator(problem, v0, 0.3, m, constant_feedback(0.0, 2.0)) == 0.0
+    assert surrogate(0.3, 0.5, 1.0, constant_feedback(0.0, 2.0), problem, v0) == 0.0
 
 
 def test_degenerate_problem_zero_residual():
@@ -122,11 +127,11 @@ def test_generator_hand_expansion_constant_control():
         + consts["sigma0"] ** 2 * (qc["R"] - qc["P"])
     )
     control = constant_feedback(a, PROBLEM.a_max)
-    surrogate = generator(PROBLEM, VALUE, t, GaussianMoments(mu, var), control)
-    assert surrogate == pytest.approx(hand, rel=1e-12)
+    surrogate_val = surrogate(t, mu, var, control)
+    assert surrogate_val == pytest.approx(hand, rel=1e-12)
     atoms = gaussian_quantile_initial(mu, var)(None, 200_000)
     cloud = empirical(atoms)
-    cloud_val = generator(PROBLEM, VALUE, t, cloud, control)
+    cloud_val = generator_atom_average(PROBLEM, VALUE, t, cloud, control)
     # quantile clouds undershoot the variance slightly; compare at realized moments
     hand_cloud = (
         qc["dP"] * measure_variance(cloud) + qc["dR"] * measure_mean(cloud) ** 2 + qc["dc"]
@@ -138,31 +143,29 @@ def test_generator_hand_expansion_constant_control():
         + consts["sigma0"] ** 2 * (qc["R"] - qc["P"])
     )
     assert cloud_val == pytest.approx(hand_cloud, rel=1e-10)
-    assert cloud_val == pytest.approx(surrogate, rel=1e-3)
+    assert cloud_val == pytest.approx(surrogate_val, rel=1e-3)
 
 
 def test_generator_terminal_time_against_quantile_cloud():
     # affine feedback with a slope, checked against a 10^6-atom quadrature
     control = AffineFeedback(0.3, -0.8, PROBLEM.a_max)
     t = 1.0
-    surrogate = generator(PROBLEM, VALUE, t, GaussianMoments(0.2, 1.1), control)
     atoms = gaussian_quantile_initial(0.2, 1.1)(None, 1_000_000)
-    cloud_val = generator(PROBLEM, VALUE, t, empirical(atoms), control)
-    assert cloud_val == pytest.approx(surrogate, rel=5e-4)
+    cloud_val = generator_atom_average(PROBLEM, VALUE, t, empirical(atoms), control)
+    assert cloud_val == pytest.approx(surrogate(t, 0.2, 1.1, control), rel=5e-4)
 
 
 def test_representation_independence_random_clouds():
     control = AffineFeedback(0.2, -0.5, PROBLEM.a_max)
     t, mu, var = 0.5, -0.3, 0.9
-    surrogate = generator(PROBLEM, VALUE, t, GaussianMoments(mu, var), control)
     gen = np.random.default_rng(8)
     vals = []
     for _ in range(8):
         atoms = mu + np.sqrt(var) * gen.normal(size=100_000)
-        vals.append(generator(PROBLEM, VALUE, t, empirical(atoms), control))
+        vals.append(generator_atom_average(PROBLEM, VALUE, t, empirical(atoms), control))
     vals = np.array(vals)
     se = vals.std(ddof=1) / np.sqrt(vals.size)
-    assert abs(vals.mean() - surrogate) < 3.0 * se
+    assert abs(vals.mean() - surrogate(t, mu, var, control)) < 3.0 * se
 
 
 def test_sup_monotone_under_grid_enlargement():

@@ -31,7 +31,7 @@ def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, cont
 
 def test_frozen_dynamics():
     atoms = np.array([0.0, 1.0, -2.0, 0.5])
-    ens = build(constant_coefficients(), empirical(atoms), n_particles=4)
+    ens = build(constant_coefficients(), lambda rng, n: atoms.copy(), n_particles=4)
     np.testing.assert_array_equal(ens.states, np.tile(atoms, (17, 1)))
 
 
@@ -88,7 +88,7 @@ def test_mckean_vlasov_coupling_sees_running_mean():
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
     )
-    ens = build(coeffs, empirical(np.array([1.0, -1.0])), n_particles=2, n_cells=4)
+    ens = build(coeffs, lambda rng, n: np.array([1.0, -1.0]), n_particles=2, n_cells=4)
     np.testing.assert_allclose(ens.states[-1].mean(), 0.0, atol=1e-12)
     assert ens.states[-1, 0] < 1.0  # contraction toward the mean
 
@@ -112,12 +112,14 @@ def test_invalid_particle_counts_and_initials():
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 1, part, RngStream(0, 0))
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(constant_coefficients(), empirical([0.0, 1.0, 2.0]), 4, part, RngStream(0, 0))
-    with pytest.raises(InvalidArgumentError):  # a batch of measures is no initial law
-        simulate_ensemble(constant_coefficients(), empirical(np.zeros((2, 4))), 4, part, RngStream(0, 0))
-    # single-atom measures tile; exact-count measures pass through
-    ens = simulate_ensemble(constant_coefficients(), empirical([1.5]), 4, part, RngStream(0, 0))
+    # the initial law is a sampler (or a window to resume): no number or measure
+    for initial in (0.5, empirical([1.5]), empirical([0.0, 1.0, 2.0, 3.0]), empirical(np.zeros((2, 4)))):
+        with pytest.raises(InvalidArgumentError):
+            simulate_ensemble(constant_coefficients(), initial, 4, part, RngStream(0, 0))
+    for atoms in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(InvalidArgumentError, match="one atom per particle"):
+            simulate_ensemble(constant_coefficients(), lambda rng, n: atoms, 4, part, RngStream(0, 0))
+    ens = simulate_ensemble(constant_coefficients(), dirac_initial(1.5), 4, part, RngStream(0, 0))
     np.testing.assert_array_equal(ens.states[0], np.full(4, 1.5))
 
 
@@ -159,10 +161,10 @@ def test_batched_modulus_is_the_mean_of_the_per_stream_bounds(reps):
     streams = [RngStream(9, 0).child(r) for r in range(reps)]
     bounds = []
     for stream in streams:
-        states = simulate_ensemble(coeffs, 0.1, 150, part, stream).states
+        states = simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, stream).states
         diff = states[12] - states[4]  # grid times 0.75 and 0.25
         bounds.append(float(np.sqrt(np.mean(diff * diff))))
-    res = measure_flow_modulus(simulate_ensemble(coeffs, 0.1, 150, part, streams), 0.25, 0.75)
+    res = measure_flow_modulus(simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, streams), 0.25, 0.75)
     values = np.array(bounds)
     assert res.estimate == float(values.mean())
     assert res.stderr == float(values.std(ddof=1) / np.sqrt(reps))
@@ -176,7 +178,7 @@ def test_modulus_needs_a_whole_run():
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(sigma=1.0)
     streams = [RngStream(0, 0).child(r) for r in range(2)]
-    first = simulate_ensemble(coeffs, 0.0, 16, part, streams, num_cells=4)
+    first = simulate_ensemble(coeffs, dirac_initial(0.0), 16, part, streams, num_cells=4)
     later = simulate_ensemble(coeffs, first, 16, part, streams, num_cells=4)
     for window in (first, later):
         for s, t in ((0.25, 0.5), (0.25, 0.75)):
@@ -191,7 +193,7 @@ def test_modulus_needs_every_coefficient_bound(key):
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
     coeffs = replace(coeffs, bounds={k: v for k, v in coeffs.bounds.items() if k != key})
-    ens = simulate_ensemble(coeffs, 0.0, 4, part, [RngStream(0, 0).child(r) for r in range(2)])
+    ens = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0).child(r) for r in range(2)])
     with pytest.raises(InvalidArgumentError, match="bounds"):
         measure_flow_modulus(ens, 0.25, 0.75)
 
@@ -202,7 +204,7 @@ def test_modulus_needs_two_repetitions():
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
     for rng in (RngStream(0, 0), [RngStream(0, 0)]):
-        ens = simulate_ensemble(coeffs, 0.0, 4, part, rng)
+        ens = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, rng)
         with pytest.raises(InvalidArgumentError, match="two repetitions"):
             measure_flow_modulus(ens, 0.25, 0.75)
 
@@ -268,7 +270,7 @@ def test_non_finite_initial_atoms_are_rejected():
     part = make_uniform_partition(1.0, 4)
     coeffs = constant_coefficients(sigma=1.0)
     samplers = (
-        np.inf,
+        dirac_initial(np.inf),
         dirac_initial(np.nan),
         lambda rng, n: np.r_[np.zeros(n - 1), -np.inf],
         lambda rng, n: np.full(n, np.nan),
@@ -295,7 +297,7 @@ def test_overflow_in_the_final_cell_names_the_last_step(window):
         gamma0=lambda t, y: 0.0,
     )
     with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
-        ens = simulate_ensemble(coeffs, 1.0, 4, part, RngStream(0, 0), num_cells=window)
+        ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, RngStream(0, 0), num_cells=window)
         while ens.first_cell + ens.num_cells < n_cells:
             ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
     assert err.value.step == n_cells
@@ -331,7 +333,7 @@ def test_blow_up_step_and_coefficients_see_finite_rows(window):
         assert expected is not None and expected < n_cells
         part = make_uniform_partition(1.0, n_cells)
         with pytest.raises(BlowUpError) as err:
-            ens = simulate_ensemble(coeffs, 1.0, 4, part, RngStream(0, 0), num_cells=window)
+            ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, RngStream(0, 0), num_cells=window)
             while ens.first_cell + ens.num_cells < n_cells:
                 ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
     assert err.value.step == expected
@@ -443,11 +445,11 @@ def test_batched_sweep_rejects_bad_initial_atoms_and_factors():
         with pytest.raises(InvalidArgumentError):
             simulate_ensemble(coeffs, initial, 4, part, streams, num_cells=window)
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, 0.0, 4, part, streams, y0=0.0)
+        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, y0=0.0)
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, 0.0, 4, part, [])
+        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [])
     # finite atoms whose mean overflows are no blow-up, batched or alone
     with np.errstate(over="ignore"):
-        batched = simulate_ensemble(constant_coefficients(), 1e308, 4, part, streams)
-        alone = simulate_ensemble(constant_coefficients(), 1e308, 4, part, streams[0])
+        batched = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams)
+        alone = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams[0])
     assert (batched.states == 1e308).all() and (alone.states == 1e308).all()

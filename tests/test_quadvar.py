@@ -11,7 +11,6 @@ from condflow import (
     convergence_study,
     lemma_convergence_study,
     make_uniform_partition,
-    realized_qv,
     sampled_weight,
     simulate_brownian,
     weighted_qv_sum,
@@ -24,18 +23,24 @@ def linear_path(n=2, horizon=1.0):
     return SamplePath(p, p.times.copy())
 
 
+def realized_qv(path: SamplePath) -> float:
+    """Sum of squared increments along the path's own grid."""
+    return float(np.sum(np.diff(path.values) ** 2))
+
+
 def test_realized_qv_linear_and_constant():
     for n in (4, 16, 100):
-        assert realized_qv(linear_path(n)) == pytest.approx(1.0 / n)
+        path = linear_path(n)
+        assert weighted_qv_sum(constant_weight(path.partition), path) == pytest.approx(1.0 / n)
     p = make_uniform_partition(1.0, 3)
-    assert realized_qv(SamplePath(p, np.ones(4))) == 0.0
+    assert weighted_qv_sum(constant_weight(p), SamplePath(p, np.ones(4))) == 0.0
 
 
 def test_realized_qv_brownian():
     n = 2**14
     p = make_uniform_partition(1.0, n)
     w = simulate_brownian(p, RngStream(7, 3))
-    assert abs(realized_qv(w) - 1.0) < 3.0 * np.sqrt(2.0 / n)
+    assert abs(weighted_qv_sum(constant_weight(p), w) - 1.0) < 3.0 * np.sqrt(2.0 / n)
 
 
 def test_weighted_sum_reduces_to_realized_qv():

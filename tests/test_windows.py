@@ -22,6 +22,7 @@ from condflow import (
     RngStream,
     VerifyConfig,
     constant_coefficients,
+    dirac_initial,
     gaussian_quantile_initial,
     make_uniform_partition,
     simulate_ensemble,
@@ -107,22 +108,25 @@ def assert_same_across_batches(monkeypatch, run, m, y0=None):
             assert report.aggregate == reference.aggregate
 
 
+# ids name the functional, the state-bracket estimator, always analytic,
+# and the cross estimator
 @pytest.mark.parametrize(
-    "functional, bracket, cross",
+    "functional, cross",
     [
-        (second_moment_functional(), "analytic", "analytic"),
-        (mean_squared_functional(), "realized", "pairwise"),
-        (variance_functional(), "realized", "analytic"),
+        (second_moment_functional(), "analytic"),
+        (mean_squared_functional(), "pairwise"),
+        (variance_functional(), "analytic"),
     ],
+    ids=["functional0-analytic-analytic", "functional1-analytic-pairwise", "functional2-analytic-analytic"],
 )
-def test_verify_ito_identical_across_windows(monkeypatch, functional, bracket, cross):
-    cfg = VerifyConfig(RNG.child(1), outer_paths=3, bracket=bracket, cross=cross)
+def test_verify_ito_identical_across_windows(monkeypatch, functional, cross):
+    cfg = VerifyConfig(RNG.child(1), outer_paths=3, cross=cross)
     assert_same_across_window_counts(monkeypatch, lambda: verify_ito(functional, spec(), cfg))
     assert_same_across_batches(monkeypatch, lambda s: verify_ito(functional, s, cfg), 3)
 
 
-@pytest.mark.parametrize("bracket, cross", [("analytic", "analytic"), ("realized", "pairwise")])
-def test_verify_wentzell_identical_across_windows(monkeypatch, bracket, cross):
+@pytest.mark.parametrize("cross", ["analytic", "pairwise"], ids=["analytic-analytic", "analytic-pairwise"])
+def test_verify_wentzell_identical_across_windows(monkeypatch, cross):
     fspec = RandomFieldSpec(
         mean_squared_functional(),
         (
@@ -132,7 +136,7 @@ def test_verify_wentzell_identical_across_windows(monkeypatch, bracket, cross):
             FieldComponent(mean_squared_functional(), "martingale", "idiosyncratic", scale=0.9),
         ),
     )
-    cfg = VerifyConfig(RNG.child(2), outer_paths=3, bracket=bracket, cross=cross)
+    cfg = VerifyConfig(RNG.child(2), outer_paths=3, cross=cross)
     assert_same_across_window_counts(monkeypatch, lambda: verify_ito_wentzell(fspec, spec(), cfg))
     assert_same_across_batches(monkeypatch, lambda s: verify_ito_wentzell(fspec, s, cfg), 3)
 
@@ -249,7 +253,7 @@ def test_philox_normals_do_not_depend_on_block_size(block):
 def test_resume_rules():
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(sigma=1.0)
-    first = simulate_ensemble(coeffs, 0.0, 4, part, RNG, num_cells=3)
+    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, RNG, num_cells=3)
     second = simulate_ensemble(coeffs, first, 4, part, RNG, num_cells=3)
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(coeffs, first, 4, part, RNG)  # already resumed
@@ -262,4 +266,4 @@ def test_resume_rules():
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(coeffs, last, 4, part, RNG)  # the sweep is finished
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, 0.0, 4, part, RNG, num_cells=0)
+        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, RNG, num_cells=0)
