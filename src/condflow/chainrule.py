@@ -5,32 +5,32 @@ and factor-model corollaries are one identity with different driver
 terms, so one private kernel, ``_verify``, runs all four.  It simulates
 M independent common-noise repetitions and sweeps them in time windows
 of at most about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so
-memory is O(N) rather than O(n N)).  Unless there is a factor path, G
-repetitions at a time are swept as one (cells, G, N) batch
-(:meth:`EnsembleSpec.batch_size`), each repetition's coefficients
-reading its own empirical measure, which cuts the per-step interpreter
-work of a small-N run by about G; a factor run goes one repetition at a
-time.  Each window fills per-time buffers (length n+1) and per-cell
-term vectors (length n) of its repetitions from its test-function
-tables (``measures._Tables``, the windowed derivative calculus).  Every
-right-side term is a sum over cells of a left-endpoint quantity times
-the cell increment, and particle averages reduce each row of one
-repetition on its own, so every report is the same bytes however the
-sweep is split or batched.  Each public verifier is a view: it names
+memory is O(N) rather than O(n N)), G repetitions at a time as one
+(cells, G, N) batch (:meth:`EnsembleSpec.batch_size`).  Each repetition
+has its own common-noise and factor paths, and its coefficients read its
+own empirical measure; batching cuts the per-step interpreter work of a
+small-N run by about G.  Each window fills per-time buffers (length n+1)
+and per-cell term vectors (length n) of its repetitions from its
+test-function tables (``measures._Tables``, the windowed derivative
+calculus).  Every right-side term is a sum over cells of a left-endpoint
+quantity times the cell increment, and particle averages reduce each row
+of one repetition on its own, so every report is the same bytes however
+the sweep is split or batched.  Each public verifier is a view: it names
 its functionals and the integrands it needs against the gradient, the
 Hessian and the pair U-statistic, and turns the buffers and its driver
-paths into named terms and the residual LHS - sum(terms).  That
-residual is an accounting identity, so a failure localizes to a term,
-not to bookkeeping.
+paths into named terms and the residual LHS - sum(terms).  That residual
+is an accounting identity, so a failure localizes to a term, not to
+bookkeeping.
 
 Bracket increments take the analytic form implied by the known
 coefficients, (sigma^2 + sigma0^2) dt; the cross term defaults to the
-analytic sigma0 sigma0-hat dt, and pairwise increment products are
-available as an estimator cross-check.
+analytic sigma0 sigma0-hat dt, and the Ito and Ito-Wentzell views offer
+pairwise increment products as an estimator cross-check.  The Brownian
+and factor views display the analytic cross term and refuse the other.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -66,9 +66,9 @@ class EnsembleSpec:
 
     Repetition r runs on stream ``rng.child(r)``.  The verifiers sweep
     the repetitions in batches of G = :meth:`batch_size` streams, one
-    (cells, G, N) state per batch, or one at a time when G is 1.  Either
-    way each repetition's run is its one-stream run, bit for bit,
-    whatever its coefficients read of the law.
+    (cells, G, N) state per batch.  Each repetition's run is its run in
+    a batch of one, bit for bit, whatever its coefficients read of the
+    law or the factor.
     """
 
     coeffs: SdeCoefficients
@@ -82,31 +82,28 @@ class EnsembleSpec:
         return make_uniform_partition(self.horizon, self.num_cells)
 
     def _cells(self) -> int:
-        # cells in one window of a one-stream sweep
+        # cells in one window of a batch of one
         return min(self.num_cells, window_cells(self.num_particles))
 
     def batch_size(self, repetitions: int) -> int:
-        """Repetitions per batch, G: 1 (one stream at a time) for a factor
-        path, else one per 16 cells of a one-stream window, so that a
-        batch's windows keep at least 16 cells and hold no more
-        particle-steps than a one-stream window."""
-        if self.y0 is not None:
-            return 1
+        """Repetitions per batch, G: one per 16 cells of a batch-of-one
+        window, so that a batch's windows keep at least 16 cells and hold
+        no more particle-steps than a batch-of-one window."""
         return min(repetitions, max(1, self._cells() // 16))
 
-    def windows(self, rng: RngStream | Sequence[RngStream]):
+    def windows(self, rng: Sequence[RngStream]):
         """Yield one run of :func:`simulate_ensemble` on this recipe, as
         consecutive windows (the last one may be shorter).
 
-        ``rng`` is one stream, swept in windows of
-        ``min(n, particle.window_cells(N))`` cells, the budget
-        ``mfc.dpp_check`` shares; or a batch of G streams, swept as one
-        in windows of 1/G as many cells, each a batched window with a
-        repetition axis (see :class:`particle.ParticleEnsemble`), whose
-        measure argument is one empirical measure per repetition.
+        ``rng`` is a batch of G streams, swept as one in windows of
+        ``max(1, c // G)`` cells, where c = ``min(n,
+        particle.window_cells(N))`` is the budget ``mfc.dpp_check``
+        shares.  Each window is (cells, G, N) (see
+        :class:`particle.ParticleEnsemble`), and its measure argument is
+        one empirical measure per repetition.
         """
         part = self.partition()
-        step = self._cells() if isinstance(rng, RngStream) else max(1, self._cells() // len(rng))
+        step = max(1, self._cells() // len(rng))
         ens = self.initial
         for _ in range(0, self.num_cells, step):
             ens = simulate_ensemble(
@@ -250,12 +247,10 @@ def _finalize(
 # the chain-rule kernel
 
 
-def _batch_view(ens: ParticleEnsemble) -> ParticleEnsemble:
-    """A window with a repetition axis: a one-stream window as a batch of one."""
-    if isinstance(ens.common, tuple):
-        return ens
-    arrays = ("states", "idio_increments", "drift_values", "sigma_values", "sigma0_values")
-    return replace(ens, common=(ens.common,), _sweep=None, **{a: getattr(ens, a)[:, None] for a in arrays})
+def _path_rows(paths: Sequence[SamplePath], points: slice) -> np.ndarray:
+    """The values of a window's per-repetition paths at grid indices
+    ``points``, one column per repetition: (points, G)."""
+    return np.stack([path.values[points] for path in paths], axis=1)
 
 
 def _verify(
@@ -271,8 +266,8 @@ def _verify(
     """Sweep the repetitions batch by batch and window by window, then
     finalize the report.
 
-    Every window is seen with a repetition axis (:func:`_batch_view`):
-    its arrays are (cells, G, N) and particle means reduce the last axis.
+    Every window's arrays are (cells, G, N), and particle means reduce
+    the last axis.
     ``coefficients(f, ens, v)`` maps functional ``f``'s moment rows ``v``
     (cells+1, G, k) on window ``ens`` to named rows: the derivative rows
     that the integrands name, and per-time (cells+1, G) rows, such as
@@ -281,7 +276,7 @@ def _verify(
     derivative, weights, functional index or None for all), and named
     per-cell (cells, G) vectors.  ``assemble(rep)`` turns one repetition
     into its row; ``rep`` has the index ``r``, the ``partition``, its
-    ``common`` and ``factor`` paths, the kept per-time ``values`` (k,
+    own ``common`` and ``factor`` paths, the kept per-time ``values`` (k,
     n+1) by name, and per-cell ``cells`` (k, n) and ``extras`` (n,).
     """
     n, k, m = espec.num_cells, len(funcs), cfg.outer_paths
@@ -294,28 +289,26 @@ def _verify(
         values = defaultdict(lambda: np.empty((len(reps), k, n + 1)))
         cells = defaultdict(lambda: np.empty((len(reps), k, n)))
         extras = defaultdict(lambda: np.empty((len(reps), n)))
-        # with G > 1 a ragged last batch of one stream is a batch too
-        for ens in espec.windows(streams if size > 1 else streams[0]):
-            view = _batch_view(ens)
-            integrands, vectors = window(view)
+        for ens in espec.windows(streams):
+            integrands, vectors = window(ens)
             contracted = {c for _, _, c, _, _ in integrands}
             # window rows are (time, repetition); the buffers take the transpose
             for key, vec in vectors.items():
-                extras[key][:, view.cells] = np.transpose(vec)
+                extras[key][:, ens.cells] = np.transpose(vec)
             for j, f in enumerate(funcs):
-                tab = _Tables(f.tests, view.states)
-                coef = {c: np.asarray(v, dtype=float) for c, v in coefficients(f, view, tab.moments).items()}
+                tab = _Tables(f.tests, ens.states)
+                coef = {c: np.asarray(v, dtype=float) for c, v in coefficients(f, ens, tab.moments).items()}
                 for c in coef.keys() - contracted:
-                    values[c][:, j, view.time_points] = np.transpose(coef[c])
+                    values[c][:, j, ens.time_points] = np.transpose(coef[c])
                 for key, mean, c, weights, only in integrands:
                     if only is None or only == j:
-                        cells[key][:, j, view.cells] = np.transpose(mean(tab, coef[c], weights))
+                        cells[key][:, j, ens.cells] = np.transpose(mean(tab, coef[c], weights))
         for i, r in enumerate(reps):
             rep = SimpleNamespace(
                 r=r,
-                partition=view.partition,
-                common=view.common[i],
-                factor=view.factor,
+                partition=ens.partition,
+                common=ens.common[i],
+                factor=None if ens.factor is None else ens.factor[i],
                 values={key: buf[i] for key, buf in values.items()},
                 cells={key: buf[i] for key, buf in cells.items()},
                 extras={key: buf[i] for key, buf in extras.items()},
@@ -570,8 +563,10 @@ def verify_brownian_corollary(
     integrals of the measure derivative, the second-order term against
     (sigma^2 + sigma0^2) dt, the correction pairing the common field
     driver with sigma0, and the pair-average cross term against
-    sigma0 sigma0-hat dt.
+    sigma0 sigma0-hat dt, so ``cfg.cross`` must be "analytic".
     """
+    if cfg.cross != "analytic":
+        raise InvalidArgumentError("the Brownian view takes the analytic cross term only")
     named = [("initial", spec.initial), ("phi", spec.phi), ("psi", spec.psi), ("psi0", spec.psi0)]
     named = [(key, f) for key, f in named if f is not None]
     if not named:
@@ -580,7 +575,7 @@ def verify_brownian_corollary(
 
     def window(ens):
         dt = ens.deltas[:, None, None]
-        dw0 = np.diff(np.stack([c.values[ens.time_points] for c in ens.common], axis=1), axis=0)
+        dw0 = np.diff(_path_rows(ens.common, ens.time_points), axis=0)
         integrands = [
             ("drift", _Tables.grad_mean, "d1", ens.drift_values * dt, None),
             ("common", _Tables.grad_mean, "d1", ens.sigma0_values * dw0[..., None], None),
@@ -625,7 +620,7 @@ def verify_brownian_corollary(
         return PathRow(lhs, terms, lhs - sum(terms.values()))
 
     funcs = [f for _, f in named]
-    return _verify(name, espec, cfg, funcs, _cylindrical, window, assemble, cross="analytic")
+    return _verify(name, espec, cfg, funcs, _cylindrical, window, assemble)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +631,13 @@ def verify_brownian_corollary(
 class FactorFunctional:
     """u(t, m, y) = G(t, <phi, m>, y) with exact partial derivatives.
 
-    Outer callables are vectorized over a leading time axis and take
-    (t, v, y) with v of trailing shape (k,); ``dv``/``dvy`` return
-    trailing (k,), ``dvv`` trailing (k, k).  Each output row may depend
-    only on its own time row: the verifier passes one window at a time.
+    Outer callables take the rows of one window: times t (cells+1, 1),
+    moments v (cells+1, G, k) and factor values y (cells+1, G), one
+    column per repetition of a batch.  ``value``, ``dt``, ``dy`` and
+    ``dyy`` return (cells+1, G) rows, ``dv``/``dvy`` trailing (k,),
+    ``dvv`` trailing (k, k).  Each output entry may depend only on its
+    own time and repetition: the verifier passes one window of one batch
+    at a time.
     """
 
     name: str
@@ -654,12 +652,10 @@ class FactorFunctional:
 
 
 def _factor(fu: FactorFunctional, ens: ParticleEnsemble, v: np.ndarray) -> dict:
-    # a factor run is swept one repetition at a time: its rows take back
-    # the window's repetition axis of length 1; "dt", "dy" and "dyy" are
-    # per-time rows for the time and factor terms
-    times, y = ens.partition.times[ens.time_points], ens.factor.values[ens.time_points]
+    # "dt", "dy" and "dyy" are per-time rows for the time and factor terms
+    times, y = ens.partition.times[ens.time_points, None], _path_rows(ens.factor, ens.time_points)
     rows = {"value": fu.value, "d1": fu.dv, "d2": fu.dvv, "d1y": fu.dvy, "dt": fu.dt, "dy": fu.dy, "dyy": fu.dyy}
-    return {key: np.asarray(row(times, v[:, 0], y))[:, None] for key, row in rows.items()}
+    return {key: row(times, v, y) for key, row in rows.items()}
 
 
 def verify_factor_model(
@@ -672,22 +668,27 @@ def verify_factor_model(
 
     The factor terms use analytic bracket increments (gamma^2 +
     gamma0^2) dt and the state-factor bracket sigma0 gamma0 dt, both at
-    left endpoints.
+    left endpoints.  The cross term is the analytic sigma0 sigma0-hat
+    dt, so ``cfg.cross`` must be "analytic".
     """
     if espec.y0 is None:
         raise InvalidArgumentError("factor verification needs y0 in the ensemble spec")
+    if cfg.cross != "analytic":
+        raise InvalidArgumentError("the factor view takes the analytic cross term only")
 
     def window(ens):
-        left = list(zip(ens.partition.times[ens.cells], ens.factor.values[ens.cells]))
-        gam = np.array([ens.coeffs.gamma(float(t), float(y)) for t, y in left], dtype=float)
-        gam0 = np.array([ens.coeffs.gamma0(float(t), float(y)) for t, y in left], dtype=float)
+        # gamma and gamma0 of each (cell, repetition), called on Python floats
+        left = list(zip(ens.partition.times[ens.cells].tolist(), _path_rows(ens.factor, ens.cells).tolist()))
+        gam = np.array([[ens.coeffs.gamma(t, y) for y in ys] for t, ys in left], dtype=float)
+        gam0 = np.array([[ens.coeffs.gamma0(t, y) for y in ys] for t, ys in left], dtype=float)
+        dt = ens.deltas[:, None]
         integrands = [
             ("stoch", _Tables.grad_mean, "d1", ens.state_increments(), None),
             ("second", _Tables.hess_mean, "d1", _analytic_bracket(ens), None),
-            ("mixed", _Tables.grad_mean, "d1y", ens.sigma0_values * (gam0 * ens.deltas)[:, None, None], None),
+            ("mixed", _Tables.grad_mean, "d1y", ens.sigma0_values * (gam0 * dt)[..., None], None),
             ("cross", _Tables.pair_mean, "d2", ens.sigma0_values, None),
         ]
-        return integrands, {"gamma": gam[:, None], "gamma0": gam0[:, None]}
+        return integrands, {"gamma": gam, "gamma0": gam0}
 
     def assemble(rep):
         dt, y = rep.partition.deltas, rep.factor.values
@@ -705,5 +706,4 @@ def verify_factor_model(
         lhs = float(rep.values["value"][0, -1] - rep.values["value"][0, 0])
         return PathRow(lhs, terms, lhs - sum(terms.values()))
 
-    params = {"functional": fu.name, "cross": "analytic"}
-    return _verify(name, espec, cfg, [fu], _factor, window, assemble, **params)
+    return _verify(name, espec, cfg, [fu], _factor, window, assemble, functional=fu.name)

@@ -19,8 +19,8 @@ with rows of outer derivatives dF, d2F into the per-cell particle means
 that the chain-rule verifiers integrate.
 
 Atoms are scalar: a measure is a (N,) atom array, or a batch of M
-uniform measures, one per row of a (M, N) array, as a batched Euler
-sweep hands its coefficients (see ``particle.simulate_ensemble``).  The
+uniform measures, one per row of a (M, N) array, as an Euler sweep
+hands its coefficients (see ``particle.simulate_ensemble``).  The
 derivative calculus and its checks take one measure.
 """
 
@@ -176,11 +176,12 @@ class _Tables:
     """Values/gradients/Hessians of the test functions along one window; each
     method is one per-cell integrand, contracted with outer-derivative rows.
 
-    ``states`` has one row of particles per grid time, (n+1, N), or (n+1,
-    M, N) for a batch of M repetitions.  Every particle mean reduces the
-    last axis only, so each repetition's numbers are the ones its own
-    (n+1, N) window gives, bit for bit.  Outer-derivative rows carry the
-    same leading axes, then the test-function axes.
+    ``states`` has one row of particles per grid time: (n+1, M, N) for a
+    sweep's window of M repetitions, or (n+1, N) for one measure.  Every
+    particle mean reduces the last axis only, so each repetition's
+    numbers are the ones its own (n+1, N) rows give, bit for bit.
+    Outer-derivative rows carry the same leading axes, then the
+    test-function axes.
     """
 
     def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):

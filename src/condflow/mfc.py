@@ -76,7 +76,7 @@ class GaussianMoments:
 
 def measure_mean(m) -> float | np.ndarray:
     """The mean of ``m``: a Python float, or for the batch of measures of
-    a batched sweep (see ``particle.simulate_ensemble``) the (M, 1)
+    an Euler sweep (see ``particle.simulate_ensemble``) the (M, 1)
     column of its row means."""
     if isinstance(m, GaussianMoments):
         return m.mean
@@ -606,15 +606,18 @@ def dpp_check(
 
     The gap should vanish (within 3 SE + C dt) for the optimal feedback
     and be significantly negative for suboptimal controls; for constant
-    controls the result carries the exact linear-ansatz prediction.
+    controls the result carries the exact linear-ansatz prediction.  C =
+    ``tolerance_c`` must be nonnegative, so a gap outside the tolerance
+    is either above it ("dpp-violation") or below -3 SE ("suboptimal").
 
-    The ``outer_paths`` repetitions, repetition r on ``rng.child(r)``,
-    run as one batched sweep of :func:`simulate_ensemble` in windows of
-    ``particle.window_cells(M N)`` cells; the feedback reads each
-    repetition's own empirical measure.  After each window the running
-    reward of every repetition is evaluated at once and summed cell by
-    cell, in order, so the result does not depend on the window.  A
-    reward or value that overflows raises ``NumericOverflowError``.
+    The M = ``outer_paths`` repetitions, repetition r on
+    ``rng.child(r)``, run as one sweep of :func:`simulate_ensemble` on
+    the M streams, in windows of ``particle.window_cells(M N)`` cells;
+    the feedback reads each repetition's own empirical measure.  After
+    each window the running reward of every repetition is evaluated at
+    once and summed cell by cell, in order, so the result does not
+    depend on the window.  A reward or value that overflows raises
+    ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze V and the feedback at their end values
@@ -624,6 +627,8 @@ def dpp_check(
         )
     if outer_paths < 2:  # one repetition has no standard error
         raise InvalidArgumentError("the DPP check needs at least 2 outer repetitions")
+    if not tolerance_c >= 0:  # a negative or NaN allowance is a gate that cannot pass
+        raise InvalidArgumentError(f"tolerance_c must be nonnegative, got {tolerance_c!r}")
     part = make_uniform_partition(theta - t0, num_cells)
     dt = part.deltas
     consts = problem.constants
@@ -663,17 +668,17 @@ def dpp_check(
     except OverflowError:
         raise NumericOverflowError("the DPP reward or value overflows") from None
     gaps = np.array([reward_r + v_r - v_start for reward_r, v_r in zip(reward.tolist(), v_end)])
+    if not np.isfinite(gaps).all():  # numpy overflows to inf or NaN, where Python floats raise
+        raise NumericOverflowError("the DPP reward or value overflows")
     estimate = float(gaps.mean())
     se = float(gaps.std(ddof=1) / np.sqrt(outer_paths))
     tol = 3.0 * se + tolerance_c * float(dt.max())
     if abs(estimate) <= tol:
         verdict = "optimal-consistent"
-    elif estimate < -3.0 * se:
-        verdict = "suboptimal"
     elif estimate > tol:
         verdict = "dpp-violation"
-    else:
-        verdict = "inconclusive"
+    else:  # below -tol <= -3 SE
+        verdict = "suboptimal"
     oracle = None
     if isinstance(control, AffineFeedback) and control.c1 == 0.0:
         oracle = constant_control_gap(

@@ -9,8 +9,8 @@ the conditional law of the tagged particle, so these averages are
 not merely large-N approximations.
 """
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class _Sweep:
     """Live state of an unfinished Euler sweep, shared by its windows.
 
     ``gens`` holds one generator per stream, ``dw0`` the common
-    increments (n, M, 1), one column per stream (M is 1 for one stream).
+    increments (n, M, 1), one column per stream.
     ``next_cell`` is where the sweep continues; only the window ending
     there can be resumed, so a window cannot be resumed twice.
     """
@@ -62,39 +62,34 @@ class _Sweep:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """N scalar particle paths on one grid with one common-noise path, or
-    a batch of M such systems, each with its own.
+    """A batch of M systems of N scalar particle paths on one grid, each
+    with its own common-noise path.
 
     An ensemble is one time window of an Euler sweep: cells
     ``first_cell`` to ``first_cell + num_cells - 1`` of ``partition``.
-    ``states`` has shape (num_cells+1, N), its rows the grid times
-    ``first_cell`` to ``first_cell + num_cells``; ``idio_increments``
-    (num_cells, N) are the particles' own Brownian increments on those
-    cells and ``common`` carries the whole shared path.
-    ``drift_values``/``sigma_values``/``sigma0_values`` cache the
-    coefficient evaluations made during the Euler sweep (left endpoints),
-    which later feed analytic bracket increments.  A whole run is the one
-    window with ``first_cell == 0`` that covers every cell; a window that
-    ends before the last cell can be passed back to
-    :func:`simulate_ensemble` to continue the sweep.
-
-    A batch of M repetitions puts a repetition axis after the time axis:
-    ``states`` is (num_cells+1, M, N), the increment and coefficient
-    arrays (num_cells, M, N), and ``common`` is a tuple of the M shared
-    paths.  ``num_particles`` counts a row's particles over the whole
-    batch, M N.  One stream is swept as a batch of one whose arrays drop
-    the repetition axis, and its run is the batch's, bit for bit.
+    ``states`` has shape (num_cells+1, M, N): for each grid time
+    ``first_cell`` to ``first_cell + num_cells``, one row of N particles
+    per repetition; ``idio_increments`` (num_cells, M, N) are the
+    particles' own Brownian increments on those cells, and ``common``
+    carries the M whole shared paths, ``factor`` the M factor paths of a
+    factor run.  ``drift_values``/``sigma_values``/``sigma0_values``
+    (num_cells, M, N) cache the coefficient evaluations made during the
+    Euler sweep (left endpoints), which later feed analytic bracket
+    increments.  A whole run is the one window with ``first_cell == 0``
+    that covers every cell; a window that ends before the last cell can
+    be passed back to :func:`simulate_ensemble` to continue the sweep.
+    ``num_particles`` counts the M N particles of a time row.
     """
 
     partition: Partition
     states: np.ndarray
     idio_increments: np.ndarray
-    common: SamplePath | tuple[SamplePath, ...]
+    common: tuple[SamplePath, ...]
     drift_values: np.ndarray
     sigma_values: np.ndarray
     sigma0_values: np.ndarray
     coeffs: SdeCoefficients
-    factor: SamplePath | None = None
+    factor: tuple[SamplePath, ...] | None = None
     control_values: np.ndarray | None = None
     first_cell: int = 0
     _sweep: _Sweep | None = field(default=None, repr=False, compare=False)
@@ -159,29 +154,29 @@ def simulate_ensemble(
     initial: Callable | ParticleEnsemble,
     num_particles: int,
     partition: Partition,
-    rng: RngStream | Sequence[RngStream],
+    rng: Sequence[RngStream],
     control: Callable | None = None,
     y0: float | None = None,
     num_cells: int | None = None,
 ) -> ParticleEnsemble:
-    """Euler sweep of the interacting system with shared common noise.
+    """Euler sweep of M interacting systems, each with its own common noise.
 
-    Each particle sees the common increment dW0 and its own dW; the
-    measure argument fed to the coefficients (and the optional feedback
-    ``control(t, x, m)``) is the ensemble's empirical measure at the left
-    endpoint.  ``initial`` is a sampler ``(rng, N) -> atoms`` of N atoms,
-    such as :func:`dirac_initial` or :func:`gaussian_quantile_initial`.
-
-    ``rng`` may instead be a sequence of M streams: the sweep then
-    advances M independent repetitions as one (M, N) state, repetition r
-    on stream r exactly as a sweep of that stream alone would, and
-    returns a batched ensemble (see :class:`ParticleEnsemble`).  One
-    stream is set up and drawn as a batch of one.  Either way the
-    measure argument is ``empirical(x)`` of the step's state: a batch's
-    is one uniform measure per row, whose ``mean()`` and ``average()``
-    reduce each row on its own, so a coefficient or control reads its
-    own repetition's law as it would alone.  Only factor paths (``y0``)
-    need one stream at a time.
+    ``rng`` is a sequence of M streams, one per repetition; a lone
+    stream is refused.  The sweep advances the M independent repetitions
+    as one (M, N) state, repetition r on stream r exactly as a batch of
+    that stream alone would, and returns a (num_cells+1, M, N) ensemble
+    (see :class:`ParticleEnsemble`).  Each particle sees its repetition's
+    common increment dW0 and its own dW; the measure argument fed to the
+    coefficients (and the optional feedback ``control(t, x, m)``) is
+    ``empirical(x)`` of the step's state at the left endpoint, one
+    uniform measure per row, whose ``mean()`` and ``average()`` reduce
+    each row on its own, so a coefficient or control reads its own
+    repetition's law.  ``initial`` is a sampler ``(rng, N) -> atoms`` of
+    N atoms, such as :func:`dirac_initial` or
+    :func:`gaussian_quantile_initial`, called with each stream's child 2.
+    With ``y0`` each repetition gets its own factor path, driven by its
+    common noise and its stream's child 1, and the coefficients get the
+    step's factor values as a (M, 1) column.
 
     With ``num_cells`` the sweep stops after that many cells and returns
     that window (see :class:`ParticleEnsemble`); passing the window back
@@ -196,7 +191,7 @@ def simulate_ensemble(
     checked by the ``empirical`` call of the step it starts, and the
     window's last row after the loop.  A non-finite row raises
     ``BlowUpError`` naming its grid index, the first over all
-    repetitions of a batch, except the initial row of a fresh sweep,
+    repetitions, except the initial row of a fresh sweep,
     where a non-finite atom is an ``InvalidArgumentError``.
     """
     if num_particles < 2:
@@ -216,36 +211,29 @@ def simulate_ensemble(
             raise InvalidArgumentError("a resumed sweep keeps its partition and particle count")
         common, factor, x_start = initial.common, initial.factor, initial.states[-1]
     else:
-        # one stream is set up as a batch of one, which drops its
-        # repetition axis once the draws are made
-        one = isinstance(rng, RngStream)
-        streams = [rng] if one else list(rng)
+        if not isinstance(rng, Sequence):
+            raise InvalidArgumentError("rng must be a sequence of streams, one per repetition")
+        streams = list(rng)
         if not streams:
             raise InvalidArgumentError("a batch needs at least one stream")
-        if y0 is not None and not one:
-            raise InvalidArgumentError("a batch of streams takes no factor path")
         gens = [stream.generator() for stream in streams]
         dw0 = np.stack([g.normal(size=n) for g in gens]) * sqdt
         paths = np.concatenate([np.zeros((len(gens), 1)), np.cumsum(dw0, axis=1)], axis=1)
         common = tuple(SamplePath(partition, path) for path in paths)
-        factor = None if y0 is None else simulate_factor(coeffs, y0, partition, common[0], streams[0].child(1))
+        factor = None
+        if y0 is not None:
+            factor = tuple(
+                simulate_factor(coeffs, y0, partition, w0, s.child(1)) for w0, s in zip(common, streams)
+            )
         x_start = np.stack([_initial_atoms(initial, stream.child(2), num_particles) for stream in streams])
-        if one:
-            common, x_start = common[0], x_start[0]
         sweep = _Sweep(gens, dw0.T[:, :, None], x_start)
         start = 0
 
-    batch = x_start.ndim == 2
     stop = n if num_cells is None else min(n, start + num_cells)
     cells = stop - start
     dw = np.empty((cells, len(sweep.gens), num_particles))
     for r, g in enumerate(sweep.gens):
         np.multiply(g.normal(size=(cells, num_particles)), sqdt[start:stop, None], out=dw[:, r])
-    if batch:
-        common_steps = list(sweep.dw0[start:stop])
-    else:
-        dw = dw[:, 0]
-        common_steps = sweep.dw0[start:stop, 0, 0].tolist()
     x0 = sweep.x0
     states = np.empty((cells + 1, *x_start.shape))
     states[0] = x_start
@@ -257,8 +245,10 @@ def simulate_ensemble(
     fv, mart = sweep.fv, sweep.mart
     times = partition.times[start:stop].tolist()
     widths = dt[start:stop].tolist()
-    factor_values = factor.values[start:stop].tolist() if factor is not None else [None] * cells
-    for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, common_steps, factor_values)):
+    factor_values = [None] * cells
+    if factor is not None:  # a step's factor values are a (M, 1) column, like its dW0
+        factor_values = np.stack([f.values[start:stop] for f in factor], axis=1)[..., None]
+    for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, sweep.dw0[start:stop], factor_values)):
         x = states[j]
         try:
             m = empirical(x)
@@ -318,7 +308,7 @@ def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusRe
     against ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s)
     from the recorded ``b``, ``sigma`` and ``sigma0`` bounds, with a
     3-stderr allowance.  ``ens`` must be a whole run, so that grid times
-    index its ``states`` rows, and a batch of at least two repetitions:
+    index its ``states`` rows, with at least two repetitions:
     one repetition has no standard error, and its gate would have no
     allowance.  A bound whose square overflows raises
     ``NumericOverflowError``.
@@ -327,7 +317,7 @@ def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusRe
         raise InvalidArgumentError("need s < t")
     if ens.first_cell != 0 or ens.num_cells != ens.partition.num_cells:
         raise InvalidArgumentError("the modulus needs a whole run, not a window of a sweep")
-    if ens.states.ndim != 3 or ens.states.shape[1] < 2:
+    if ens.states.shape[1] < 2:
         raise InvalidArgumentError("the modulus needs a batch of at least two repetitions")
     bounds = [ens.coeffs.bounds.get(key) for key in ("b", "sigma", "sigma0")]
     if None in bounds:  # a missing bound is no bound of 0

@@ -91,9 +91,12 @@ class SdeCoefficients:
     ``x`` (and ``a`` when present); each returns a float or a float64
     array that broadcasts against ``x``, so a constant coefficient returns
     its constant.  The Euler sweep computes with the value as returned and
-    broadcasts it only where it stores it.  The measure argument ``m`` is
-    an ``EmpiricalMeasure``, in a batched sweep one per repetition (see
-    ``particle.simulate_ensemble``).  Factor coefficients are ``(t, y)``.
+    broadcasts it only where it stores it.  A sweep of M repetitions
+    hands them its (M, N) state ``x``, a batch of M empirical measures
+    ``m``, one per repetition, and as ``y`` the (M, 1) column of the
+    repetitions' factor values, or None without a factor path (see
+    ``particle.simulate_ensemble``).  Factor coefficients are ``(t, y)``
+    on scalars.
     ``bounds`` records sup-norms; the flow modulus
     (``particle.measure_flow_modulus``) reads those of b, sigma and sigma0.
     """

@@ -367,6 +367,19 @@ def test_factor_requires_y0():
         verify_factor_model(factor_linear_functional(), espec, VerifyConfig(RNG, outer_paths=2))
 
 
+@pytest.mark.parametrize("view", ["brownian", "factor"])
+def test_brownian_and_factor_views_refuse_the_pairwise_cross(view):
+    # both views display the analytic cross term, so a pairwise request
+    # would go unheeded and the report would still name "analytic"
+    cfg = VerifyConfig(RNG.child(23), outer_paths=2, cross="pairwise", rule="dt")
+    espec = common_noise_spec(n=8, particles=8, y0=0.1)
+    with pytest.raises(InvalidArgumentError, match="analytic cross"):
+        if view == "brownian":
+            verify_brownian_corollary(BrownianFieldSpec(initial=mean_squared_functional()), espec, cfg)
+        else:
+            verify_factor_model(factor_linear_functional(), espec, cfg)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

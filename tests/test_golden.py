@@ -3,11 +3,12 @@ payload byte fails here and not only in a by-hand comparison.
 
 ``golden_payloads.json`` holds the sha256 of every payload file of the
 reproducibility configs, of one small sweep per non-exact verifier
-experiment, of two runs that resume a windowed sweep, of one run swept
+experiment, of two runs that resume a windowed sweep, of two runs swept
 in batches and of two more ``dpp-lq`` runs (the constant control, and a
 later start time), with the numpy and scipy versions it was recorded
-under.  The batched run's hash was recorded before the verifiers swept
-in batches, so it pins the bytes of the one-stream sweep.
+under.  Each batched run's hash was recorded before its verifier swept
+in batches (the factor run's before the factor view batched), so it pins
+the bytes of the sweep that took one stream at a time.
 Other versions may draw or round differently, so there the test skips.
 A change that alters a payload on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -33,17 +34,22 @@ SWEEP_EXPERIMENTS = (
     "brownian-corollary",
     "factor-linear",
 )
-# a sweep runs in windows of max(1, 2**16 // N) cells, so these two runs
-# resume it (4 and 2 windows), and the factor verifier reads its factor
-# path through a resumed window; every other config here is one window
+# a batch-of-one window holds max(1, 2**16 // N) cells, so these two runs
+# resume their sweeps (4 windows each, the factor run's two repetitions as
+# one batch of 16-cell windows), and the factor verifier reads its factor
+# paths through resumed windows; every other config here is one window
 WINDOWED_CONFIGS = [
     {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
     {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},
 ]
-# no factor path: a one-stream window would hold all 64 cells, so
-# the first four repetitions are one batch in four windows of 16 cells,
-# and the fifth a ragged last batch of one stream
-BATCHED_CONFIG = {"experiment": "brownian-corollary", "seed": 2, "n": 64, "N": 512, "M": 5}
+# a batch-of-one window would hold all 64 cells, so the first four
+# repetitions are one batch in four windows of 16 cells, and the fifth a
+# ragged last batch of one stream; the factor run gives each repetition
+# of a batch its own factor path
+BATCHED_CONFIGS = [
+    {"experiment": "brownian-corollary", "seed": 2, "n": 64, "N": 512, "M": 5},
+    {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 512, "M": 5},
+]
 # the constant control reaches AffineFeedback and constant_control_gap, and
 # a later start time reads the Riccati coefficients at shifted grid times
 DPP_CONFIGS = {
@@ -55,7 +61,7 @@ CONFIGS = {
     **DPP_CONFIGS,
     **{f"sweep {name}": {"experiment": name, "seed": 2, "grid": SWEEP_GRID} for name in SWEEP_EXPERIMENTS},
     **{f"windowed {cfg['experiment']}": cfg for cfg in WINDOWED_CONFIGS},
-    f"batched {BATCHED_CONFIG['experiment']}": BATCHED_CONFIG,
+    **{f"batched {cfg['experiment']}": cfg for cfg in BATCHED_CONFIGS},
 }
 
 

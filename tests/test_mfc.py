@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from condflow import RngStream, empirical, gaussian_quantile_initial
-from condflow.errors import InvalidArgumentError
+from condflow.errors import InvalidArgumentError, NumericOverflowError
 from condflow import mfc, particle
 from condflow.mfc import (
     AffineFeedback,
@@ -288,6 +288,25 @@ def test_dpp_rejects_bad_horizon():
     for t0, theta in ((0.5, 0.5), (0.0, 3.0), (-2.0, 1.0), (0.5, PROBLEM.horizon + 0.25)):
         with pytest.raises(InvalidArgumentError):
             dpp_check(PROBLEM, VALUE, control, t0, theta, 0.0, 1.0, 16, 8, 2, RngStream(0, 0))
+
+
+def test_dpp_rejects_a_negative_tolerance():
+    # a negative (or NaN) allowance is a gate that cannot pass; with C >= 0
+    # a gap outside the tolerance is a violation or suboptimal, never neither
+    control = RiccatiFeedback(VALUE, PROBLEM.a_max)
+    for c in (-0.5, -1e-12, float("nan")):
+        with pytest.raises(InvalidArgumentError, match="tolerance_c"):
+            dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.5, 1.0, 16, 8, 2, RngStream(0, 0), tolerance_c=c)
+    res = dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.5, 1.0, 16, 8, 2, RngStream(0, 0), tolerance_c=0.0)
+    assert res.verdict in ("optimal-consistent", "suboptimal", "dpp-violation")
+
+
+def test_dpp_non_finite_gap_overflows():
+    # a spread of 1.5e308 squares to inf in the array reward, and the gap
+    # is NaN: that is an overflow, not a verdict
+    control = RiccatiFeedback(VALUE, PROBLEM.a_max)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflowError):
+        dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.0, 1.5e308, 16, 8, 2, RngStream(0, 0))
 
 
 def test_constant_feedback_respects_control_set():

@@ -25,21 +25,22 @@ from helpers import pair_average_bruteforce
 
 
 def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, control=None):
+    """A batch of one on stream (seed, 0)."""
     part = make_uniform_partition(horizon, n_cells)
-    return simulate_ensemble(coeffs, initial, n_particles, part, RngStream(seed, 0), control=control)
+    return simulate_ensemble(coeffs, initial, n_particles, part, [RngStream(seed, 0)], control=control)
 
 
 def test_frozen_dynamics():
     atoms = np.array([0.0, 1.0, -2.0, 0.5])
     ens = build(constant_coefficients(), lambda rng, n: atoms.copy(), n_particles=4)
-    np.testing.assert_array_equal(ens.states, np.tile(atoms, (17, 1)))
+    np.testing.assert_array_equal(ens.states, np.tile(atoms, (17, 1, 1)))
 
 
 def test_pure_common_noise_moving_dirac():
     ens = build(constant_coefficients(sigma0=1.0), dirac_initial(0.7), n_particles=8)
-    expected = 0.7 + ens.common.values
+    expected = 0.7 + ens.common[0].values
     for i in range(8):
-        np.testing.assert_array_equal(ens.states[:, i], expected)
+        np.testing.assert_array_equal(ens.states[:, 0, i], expected)
 
 
 def test_idio_noise_empirical_variance():
@@ -48,16 +49,17 @@ def test_idio_noise_empirical_variance():
     part = make_uniform_partition(1.0, 16)
     for r in range(reps):
         ens = simulate_ensemble(
-            constant_coefficients(sigma=1.0), dirac_initial(0.0), 256, part, RngStream(5, 0).child(r)
+            constant_coefficients(sigma=1.0), dirac_initial(0.0), 256, part, [RngStream(5, 0).child(r)]
         )
-        vals[r] = ens.states[-1].var()
+        vals[r] = ens.states[-1, 0].var()
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - 1.0) < 3.0 * se
 
 
 def test_pair_product_identity_vs_double_loop():
     ens = build(constant_coefficients(sigma=1.0), dirac_initial(0.0), n_particles=12, seed=3)
-    f, g = ens.states, ens.states**2
+    f = ens.states[:, 0]
+    g = f**2
     fast = _ustat_rows(f, g)
     for k in range(f.shape[0]):
         assert fast[k] == pytest.approx(pair_average_bruteforce(f[k], g[k]), rel=1e-12, abs=1e-15)
@@ -71,7 +73,8 @@ def test_exchangeability(seed):
         n_particles=16, n_cells=8, seed=seed,
     )
     perm = np.random.default_rng(seed).permutation(16)
-    states, permuted = ens.states, ens.states[:, perm]
+    states = ens.states[:, 0]
+    permuted = states[:, perm]
     np.testing.assert_allclose(permuted.mean(axis=1), states.mean(axis=1), rtol=1e-12, atol=1e-15)
     pair = _ustat_rows(states, states**2)
     np.testing.assert_allclose(_ustat_rows(permuted, permuted**2), pair, rtol=1e-12, atol=1e-15)
@@ -89,8 +92,8 @@ def test_mckean_vlasov_coupling_sees_running_mean():
         gamma0=lambda t, y: 0.0,
     )
     ens = build(coeffs, lambda rng, n: np.array([1.0, -1.0]), n_particles=2, n_cells=4)
-    np.testing.assert_allclose(ens.states[-1].mean(), 0.0, atol=1e-12)
-    assert ens.states[-1, 0] < 1.0  # contraction toward the mean
+    np.testing.assert_allclose(ens.states[-1, 0].mean(), 0.0, atol=1e-12)
+    assert ens.states[-1, 0, 0] < 1.0  # contraction toward the mean
 
 
 def test_blow_up_names_step():
@@ -110,17 +113,18 @@ def test_blow_up_names_step():
 
 def test_invalid_particle_counts_and_initials():
     part = make_uniform_partition(1.0, 4)
+    streams = [RngStream(0, 0)]
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 1, part, RngStream(0, 0))
+        simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 1, part, streams)
     # the initial law is a sampler (or a window to resume): no number or measure
     for initial in (0.5, empirical([1.5]), empirical([0.0, 1.0, 2.0, 3.0]), empirical(np.zeros((2, 4)))):
         with pytest.raises(InvalidArgumentError):
-            simulate_ensemble(constant_coefficients(), initial, 4, part, RngStream(0, 0))
+            simulate_ensemble(constant_coefficients(), initial, 4, part, streams)
     for atoms in (np.zeros(3), np.zeros((2, 4))):
         with pytest.raises(InvalidArgumentError, match="one atom per particle"):
-            simulate_ensemble(constant_coefficients(), lambda rng, n: atoms, 4, part, RngStream(0, 0))
-    ens = simulate_ensemble(constant_coefficients(), dirac_initial(1.5), 4, part, RngStream(0, 0))
-    np.testing.assert_array_equal(ens.states[0], np.full(4, 1.5))
+            simulate_ensemble(constant_coefficients(), lambda rng, n: atoms, 4, part, streams)
+    ens = simulate_ensemble(constant_coefficients(), dirac_initial(1.5), 4, part, streams)
+    np.testing.assert_array_equal(ens.states[0, 0], np.full(4, 1.5))
 
 
 def test_modulus_frozen_and_translation():
@@ -161,7 +165,7 @@ def test_batched_modulus_is_the_mean_of_the_per_stream_bounds(reps):
     streams = [RngStream(9, 0).child(r) for r in range(reps)]
     bounds = []
     for stream in streams:
-        states = simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, stream).states
+        states = simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, [stream]).states[:, 0]
         diff = states[12] - states[4]  # grid times 0.75 and 0.25
         bounds.append(float(np.sqrt(np.mean(diff * diff))))
     res = measure_flow_modulus(simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, streams), 0.25, 0.75)
@@ -200,13 +204,12 @@ def test_modulus_needs_every_coefficient_bound(key):
 
 def test_modulus_needs_two_repetitions():
     # one repetition has no standard error, so its gate would have no
-    # allowance: one stream and a batch of one are both refused
+    # allowance: a batch of one is refused
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
-    for rng in (RngStream(0, 0), [RngStream(0, 0)]):
-        ens = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, rng)
-        with pytest.raises(InvalidArgumentError, match="two repetitions"):
-            measure_flow_modulus(ens, 0.25, 0.75)
+    ens = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0)])
+    with pytest.raises(InvalidArgumentError, match="two repetitions"):
+        measure_flow_modulus(ens, 0.25, 0.75)
 
 
 def test_chaos_rate_against_refined_reference():
@@ -230,9 +233,9 @@ def test_chaos_rate_against_refined_reference():
         for r in range(reps):
             # same stream -> same common-noise path; the estimator is
             # conditional on it, so the reference must share it
-            small = simulate_ensemble(coeffs, dirac_initial(0.0), n, part, base.child(n, r))
-            big = simulate_ensemble(coeffs, dirac_initial(0.0), 8 * n, part, base.child(n, r))
-            gaps[r] = abs(small.states[-1].mean() - big.states[-1].mean())
+            small = simulate_ensemble(coeffs, dirac_initial(0.0), n, part, [base.child(n, r)])
+            big = simulate_ensemble(coeffs, dirac_initial(0.0), 8 * n, part, [base.child(n, r)])
+            gaps[r] = abs(small.states[-1, 0].mean() - big.states[-1, 0].mean())
         devs.append(gaps.mean())
     slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
     assert -0.7 <= slope <= -0.3
@@ -252,11 +255,12 @@ def test_scalar_and_per_particle_coefficients_sweep_alike(window):
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
     )
+    streams = [RngStream(4, 0)]
     runs = []
     for coeffs in (constant_coefficients(b, sigma, sigma0), full):
-        windows = [simulate_ensemble(coeffs, dirac_initial(0.2), 6, part, RngStream(4, 0), num_cells=window)]
+        windows = [simulate_ensemble(coeffs, dirac_initial(0.2), 6, part, streams, num_cells=window)]
         while windows[-1].first_cell + windows[-1].num_cells < part.num_cells:
-            windows.append(simulate_ensemble(coeffs, windows[-1], 6, part, RngStream(4, 0), num_cells=window))
+            windows.append(simulate_ensemble(coeffs, windows[-1], 6, part, streams, num_cells=window))
         runs.append(windows)
     assert len(runs[0]) == (1 if window is None else 3)
     for scalar, per_particle in zip(*runs):
@@ -278,7 +282,7 @@ def test_non_finite_initial_atoms_are_rejected():
     for initial in samplers:
         for window in (None, 1):
             with pytest.raises(InvalidArgumentError):
-                simulate_ensemble(coeffs, initial, 4, part, RngStream(0, 0), num_cells=window)
+                simulate_ensemble(coeffs, initial, 4, part, [RngStream(0, 0)], num_cells=window)
 
 
 @pytest.mark.parametrize("window", [None, 1, 2, 3])
@@ -297,9 +301,9 @@ def test_overflow_in_the_final_cell_names_the_last_step(window):
         gamma0=lambda t, y: 0.0,
     )
     with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
-        ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, RngStream(0, 0), num_cells=window)
+        ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, [RngStream(0, 0)], num_cells=window)
         while ens.first_cell + ens.num_cells < n_cells:
-            ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
+            ens = simulate_ensemble(coeffs, ens, 4, part, [RngStream(0, 0)], num_cells=window)
     assert err.value.step == n_cells
 
 
@@ -333,16 +337,18 @@ def test_blow_up_step_and_coefficients_see_finite_rows(window):
         assert expected is not None and expected < n_cells
         part = make_uniform_partition(1.0, n_cells)
         with pytest.raises(BlowUpError) as err:
-            ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, RngStream(0, 0), num_cells=window)
+            ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, [RngStream(0, 0)], num_cells=window)
             while ens.first_cell + ens.num_cells < n_cells:
-                ens = simulate_ensemble(coeffs, ens, 4, part, RngStream(0, 0), num_cells=window)
+                ens = simulate_ensemble(coeffs, ens, 4, part, [RngStream(0, 0)], num_cells=window)
     assert err.value.step == expected
     assert len(seen) == expected and all(seen)
 
 
-def sweep_windows(coeffs, initial, n_particles, part, rng, window, control=None):
+def sweep_windows(coeffs, initial, n_particles, part, rng, window, control=None, y0=None):
     """Every window of one sweep, each resumed from the one before."""
-    windows = [simulate_ensemble(coeffs, initial, n_particles, part, rng, control=control, num_cells=window)]
+    windows = [
+        simulate_ensemble(coeffs, initial, n_particles, part, rng, control=control, y0=y0, num_cells=window)
+    ]
     while windows[-1].first_cell + windows[-1].num_cells < part.num_cells:
         windows.append(
             simulate_ensemble(coeffs, windows[-1], n_particles, part, rng, control=control, num_cells=window)
@@ -362,30 +368,42 @@ LAW_READING = SdeCoefficients(
     gamma=lambda t, y: 0.0,
     gamma0=lambda t, y: 0.0,
 )
+# the drift pulls toward the factor, and the factor reverts to 0 through
+# both of its noises
+FACTOR_READING = SdeCoefficients(
+    drift=lambda t, x, y, m, a: 0.5 * (y - x),
+    sigma=lambda t, x, y, m, a: 0.6,
+    sigma0=lambda t, x, y, m, a: 0.4 * np.cos(x),
+    k=lambda t, y: -0.3 * y,
+    gamma=lambda t, y: 0.2 + 0.1 * y * y,
+    gamma0=lambda t, y: 0.5,
+)
 
 
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize(
-    "coeffs, control",
+    "coeffs, control, y0",
     [
-        (CONTROLLED, RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max)),
-        (CONTROLLED, AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max)),
-        (LAW_READING, None),
+        (CONTROLLED, RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max), None),
+        (CONTROLLED, AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max), None),
+        (LAW_READING, None, None),
+        (FACTOR_READING, None, 0.3),
     ],
-    ids=["riccati", "affine", "law-reading"],
+    ids=["riccati", "affine", "law-reading", "factor-reading"],
 )
-def test_batched_windows_equal_the_per_repetition_sweeps(reps, coeffs, control):
-    # repetition r of a batch is the sweep of stream r alone, bit for bit,
-    # its coefficients and control reading its own row's law; windows of 4
-    # cells divide neither the 10 cells nor the batch, the initial atoms
-    # come from each stream, and 19 particles fill no summation block
+def test_batched_windows_equal_the_per_repetition_sweeps(reps, coeffs, control, y0):
+    # repetition r of a batch is stream r's batch of one, bit for bit, its
+    # coefficients and control reading its own row's law and factor, and
+    # its factor path its own; windows of 4 cells divide neither the 10
+    # cells nor the batch, the initial atoms come from each stream, and 19
+    # particles fill no summation block
     part = make_uniform_partition(1.0, 10)
 
     def initial(rng, n):
         return rng.generator().normal(size=n)
 
     streams = [RngStream(6, 0).child(r) for r in range(reps)]
-    windows = sweep_windows(coeffs, initial, 19, part, streams, 4, control)
+    windows = sweep_windows(coeffs, initial, 19, part, streams, 4, control, y0)
     assert [w.num_cells for w in windows] == [4, 4, 2]
     assert all(w.num_particles == reps * 19 for w in windows)
     names = ["idio_increments", "drift_values", "sigma0_values"] + ([] if control is None else ["control_values"])
@@ -394,10 +412,14 @@ def test_batched_windows_equal_the_per_repetition_sweeps(reps, coeffs, control):
         **{name: np.concatenate([getattr(w, name) for w in windows]) for name in names},
     }
     for r, stream in enumerate(streams):
-        alone = simulate_ensemble(coeffs, initial, 19, part, stream, control=control)
+        alone = simulate_ensemble(coeffs, initial, 19, part, [stream], control=control, y0=y0)
         for name, values in batched.items():
-            assert values[:, r].tobytes() == getattr(alone, name).tobytes(), name
-        assert windows[0].common[r].values.tobytes() == alone.common.values.tobytes()
+            assert values[:, r].tobytes() == getattr(alone, name)[:, 0].tobytes(), name
+        assert windows[0].common[r].values.tobytes() == alone.common[0].values.tobytes()
+        if y0 is None:
+            assert windows[0].factor is None and alone.factor is None
+        else:
+            assert windows[-1].factor[r].values.tobytes() == alone.factor[0].values.tobytes()
 
 
 def test_batched_blow_up_names_the_first_step_over_all_repetitions():
@@ -423,7 +445,7 @@ def test_batched_blow_up_names_the_first_step_over_all_repetitions():
         alone = []
         for r in (1, 2):
             with pytest.raises(BlowUpError) as err:
-                simulate_ensemble(coeffs, initial, 4, part, base.child(r))
+                simulate_ensemble(coeffs, initial, 4, part, [base.child(r)])
             alone.append(err.value.step)
         assert alone == [4, 3]
         for reps, expected in ((2, 4), (3, 3)):
@@ -433,7 +455,7 @@ def test_batched_blow_up_names_the_first_step_over_all_repetitions():
                 assert err.value.step == expected
 
 
-def test_batched_sweep_rejects_bad_initial_atoms_and_factors():
+def test_batched_sweep_rejects_bad_initial_atoms_and_lone_streams():
     part = make_uniform_partition(1.0, 4)
     coeffs = constant_coefficients(sigma=1.0)
     streams = [RngStream(0, 0).child(r) for r in range(3)]
@@ -444,12 +466,13 @@ def test_batched_sweep_rejects_bad_initial_atoms_and_factors():
     for window in (None, 1):
         with pytest.raises(InvalidArgumentError):
             simulate_ensemble(coeffs, initial, 4, part, streams, num_cells=window)
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, y0=0.0)
+    # a lone stream is no sequence of streams, and an empty batch has none
+    with pytest.raises(InvalidArgumentError, match="sequence of streams"):
+        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams[0])
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [])
     # finite atoms whose mean overflows are no blow-up, batched or alone
     with np.errstate(over="ignore"):
         batched = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams)
-        alone = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams[0])
+        alone = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams[:1])
     assert (batched.states == 1e308).all() and (alone.states == 1e308).all()

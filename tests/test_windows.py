@@ -1,13 +1,13 @@
 """Windowed and batched Euler sweeps: the window contract and
 byte-identical verifier reports.
 
-Each verifier sweeps a repetition in windows of c = min(n, budget // N)
-cells, and, unless there is a factor path, in batches of G = min(M,
-c // 16) repetitions with windows of c // G cells, whether or not the
-coefficients read the law.  The tests shrink the private budget so that
-(n, N) = (64, 128) splits into many windows, or into batches of every
-size, and compare against the one-window or the one-stream run with
-``==``, not approximately.
+Each verifier sweeps its repetitions in batches of G = min(M, c // 16)
+streams, where c = min(n, budget // N) is the window of a batch of one,
+and each batch in windows of max(1, c // G) cells, whether or not the
+coefficients read the law or there is a factor path.  The tests shrink
+the private budget so that (n, N) = (64, 128) splits into many windows,
+or into batches of every size, and compare against the one-window or
+the batch-of-one run with ``==``, not approximately.
 """
 
 import numpy as np
@@ -92,17 +92,17 @@ def assert_same_across_window_counts(monkeypatch, run):
 def assert_same_across_batches(monkeypatch, run, m, y0=None):
     """Runs in batches of G = 1, M - 1 (a ragged last batch) and M, each
     in several windows, equal the G = 1 run of the same spec in windows of
-    8 cells, for law-free and law-reading coefficients.  A factor run is
-    never batched."""
+    8 cells, for law-free and law-reading coefficients, with or without a
+    factor path."""
     for coeffs in (LAW_FREE, MEAN_REVERTING):
         batched = spec(y0, coeffs)
         monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 8 * N_PARTICLES)
         assert batched.batch_size(m) == 1
         reference = run(batched)
         for size in (1, m - 1, m):
-            # a one-stream window of 16 G cells gives batches of G, 16 cells a window
+            # a batch-of-one window of 16 G cells gives batches of G, 16 cells a window
             monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 16 * size * N_PARTICLES)
-            assert batched.batch_size(m) == (size if y0 is None else 1)
+            assert batched.batch_size(m) == size
             report = run(batched)
             assert row_bytes(report) == row_bytes(reference)
             assert report.aggregate == reference.aggregate
@@ -181,11 +181,12 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def test_only_factor_runs_sweep_one_stream_at_a_time(monkeypatch):
-    # n = N = 64: a one-stream window holds min(64, 2**16 // 64) = 64
+def test_every_verifier_sweeps_in_batches(monkeypatch):
+    # n = N = 64: a batch-of-one window holds min(64, 2**16 // 64) = 64
     # cells, so G = 4; four streams are swept as one in windows of 16
     # cells, then the fifth alone in one window, with one empirical
-    # measure argument a swept step whether or not the coefficients read it
+    # measure argument a swept step whether or not the coefficients read
+    # the law and whether or not there is a factor path
     sweeps = counted(monkeypatch, chainrule, "simulate_ensemble")
     measures = counted(monkeypatch, particle, "empirical")
     n, m = 64, 5
@@ -193,27 +194,21 @@ def test_only_factor_runs_sweep_one_stream_at_a_time(monkeypatch):
     def small(coeffs, y0=None):
         return EnsembleSpec(coeffs, gaussian_quantile_initial(0.3, 0.5), 64, n, y0=y0)
 
-    def streams(call):
-        # None for one stream, else the batch's stream count
-        rng = call[0][4]
-        return None if isinstance(rng, RngStream) else len(rng)
-
     fspec = RandomFieldSpec(None, (FieldComponent(mean_functional(), "martingale", "common"),))
-    for coeffs in (LAW_FREE, MEAN_REVERTING):
-        sweeps.clear()
-        measures.clear()
-        verify_ito_wentzell(fspec, small(coeffs), VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
-        assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(4, 16)] * 4 + [(1, 64)]
-        assert len(measures) == 4 * 16 + 64
-
-    # the factor run sweeps one stream at a time, with one empirical
-    # measure a step
-    sweeps.clear()
-    measures.clear()
-    cfg = VerifyConfig(RNG.child(9), outer_paths=m, rule="dt")
-    verify_factor_model(factor_linear_functional(), small(LAW_FREE, y0=0.2), cfg)
-    assert [(streams(c), c[1]["num_cells"]) for c in sweeps] == [(None, 64)] * m
-    assert len(measures) == m * n
+    bspec = BrownianFieldSpec(initial=mean_squared_functional(), psi0=mean_functional())
+    runs = [
+        lambda coeffs, cfg: verify_ito(second_moment_functional(), small(coeffs), cfg),
+        lambda coeffs, cfg: verify_ito_wentzell(fspec, small(coeffs), cfg),
+        lambda coeffs, cfg: verify_brownian_corollary(bspec, small(coeffs), cfg),
+        lambda coeffs, cfg: verify_factor_model(factor_linear_functional(), small(coeffs, y0=0.2), cfg),
+    ]
+    for run in runs:
+        for coeffs in (LAW_FREE, MEAN_REVERTING):
+            sweeps.clear()
+            measures.clear()
+            run(coeffs, VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
+            assert [(len(c[0][4]), c[1]["num_cells"]) for c in sweeps] == [(4, 16)] * 4 + [(1, 64)]
+            assert len(measures) == 4 * 16 + 64
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +218,8 @@ def test_only_factor_runs_sweep_one_stream_at_a_time(monkeypatch):
 def test_windows_tile_the_whole_run(monkeypatch):
     monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 5 * N_PARTICLES)
     s = spec(y0=0.2)
-    whole = simulate_ensemble(s.coeffs, s.initial, N_PARTICLES, s.partition(), RNG.child(6), y0=s.y0)
-    windows = list(s.windows(RNG.child(6)))
+    whole = simulate_ensemble(s.coeffs, s.initial, N_PARTICLES, s.partition(), [RNG.child(6)], y0=s.y0)
+    windows = list(s.windows([RNG.child(6)]))
     assert len(windows) == 13
     assert sum(w.num_cells * w.num_particles for w in windows) == N_CELLS * N_PARTICLES
     assert [w.first_cell for w in windows] == list(range(0, N_CELLS, 5))
@@ -235,8 +230,8 @@ def test_windows_tile_the_whole_run(monkeypatch):
         np.testing.assert_array_equal(joined, getattr(whole, name))
     joined_states = np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows])
     np.testing.assert_array_equal(joined_states, whole.states)
-    np.testing.assert_array_equal(windows[-1].common.values, whole.common.values)
-    np.testing.assert_array_equal(windows[-1].factor.values, whole.factor.values)
+    np.testing.assert_array_equal(windows[-1].common[0].values, whole.common[0].values)
+    np.testing.assert_array_equal(windows[-1].factor[0].values, whole.factor[0].values)
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
@@ -253,17 +248,18 @@ def test_philox_normals_do_not_depend_on_block_size(block):
 def test_resume_rules():
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(sigma=1.0)
-    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, RNG, num_cells=3)
-    second = simulate_ensemble(coeffs, first, 4, part, RNG, num_cells=3)
+    streams = [RNG]
+    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, num_cells=3)
+    second = simulate_ensemble(coeffs, first, 4, part, streams, num_cells=3)
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, first, 4, part, RNG)  # already resumed
+        simulate_ensemble(coeffs, first, 4, part, streams)  # already resumed
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, second, 5, part, RNG)  # other particle count
+        simulate_ensemble(coeffs, second, 5, part, streams)  # other particle count
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, second, 4, make_uniform_partition(1.0, 8), RNG)
-    last = simulate_ensemble(coeffs, second, 4, part, RNG)
+        simulate_ensemble(coeffs, second, 4, make_uniform_partition(1.0, 8), streams)
+    last = simulate_ensemble(coeffs, second, 4, part, streams)
     assert (last.first_cell, last.num_cells) == (6, 2)
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, last, 4, part, RNG)  # the sweep is finished
+        simulate_ensemble(coeffs, last, 4, part, streams)  # the sweep is finished
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, RNG, num_cells=0)
+        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, num_cells=0)
