@@ -3,12 +3,13 @@
 The Ito rule, the Ito-Wentzell rule for random fields and its Brownian
 and factor-model corollaries are one identity with different driver
 terms, so one private kernel, ``_verify``, runs all four.  It simulates
-M independent common-noise repetitions and sweeps them in time windows
-of at most about 2^16 particle-steps (:meth:`EnsembleSpec.windows`, so
-memory is O(N) rather than O(n N)), G repetitions at a time as one
-(cells, G, N) batch (:meth:`EnsembleSpec.batch_size`).  Each repetition
-has its own common-noise and factor paths, and its coefficients read its
-own empirical measure; batching cuts the per-step interpreter work of a
+M independent common-noise repetitions, G repetitions at a time as one
+(cells, G, N) batch (:meth:`EnsembleSpec.batch_size`), and walks each
+batch through the time windows of ``particle.simulate_ensemble``, at
+most about 2^16 particle-steps each (:meth:`EnsembleSpec.windows`, so
+memory is O(N) rather than O(n N)).  Each repetition has its own
+common-noise and factor paths, and its coefficients read its own
+empirical measure; batching cuts the per-step interpreter work of a
 small-N run by about G.  Each window fills per-time buffers (length n+1)
 and per-cell term vectors (length n) of its repetitions from its
 test-function tables (``measures._Tables``, the windowed derivative
@@ -81,40 +82,29 @@ class EnsembleSpec:
     def partition(self) -> Partition:
         return make_uniform_partition(self.horizon, self.num_cells)
 
-    def _cells(self) -> int:
-        # cells in one window of a batch of one
-        return min(self.num_cells, window_cells(self.num_particles))
-
     def batch_size(self, repetitions: int) -> int:
         """Repetitions per batch, G: one per 16 cells of a batch-of-one
         window, so that a batch's windows keep at least 16 cells and hold
         no more particle-steps than a batch-of-one window."""
-        return min(repetitions, max(1, self._cells() // 16))
+        cells = min(self.num_cells, window_cells(self.num_particles))
+        return min(repetitions, max(1, cells // 16))
 
     def windows(self, rng: Sequence[RngStream]):
         """Yield one run of :func:`simulate_ensemble` on this recipe, as
         consecutive windows (the last one may be shorter).
 
-        ``rng`` is a batch of G streams, swept as one in windows of
-        ``max(1, c // G)`` cells, where c = ``min(n,
-        particle.window_cells(N))`` is the budget ``mfc.dpp_check``
-        shares.  Each window is (cells, G, N) (see
+        ``rng`` is a batch of G streams, swept as one in the windows
+        :func:`simulate_ensemble` chooses: ``max(1, c // G)`` cells each,
+        where c = ``min(n, particle.window_cells(N))`` is the window of a
+        batch of one.  Each window is (cells, G, N) (see
         :class:`particle.ParticleEnsemble`), and its measure argument is
         one empirical measure per repetition.
         """
         part = self.partition()
-        step = max(1, self._cells() // len(rng))
-        ens = self.initial
-        for _ in range(0, self.num_cells, step):
-            ens = simulate_ensemble(
-                self.coeffs,
-                ens,
-                self.num_particles,
-                part,
-                rng,
-                y0=self.y0,
-                num_cells=step,
-            )
+        ens, stop = self.initial, 0
+        while stop < self.num_cells:
+            ens = simulate_ensemble(self.coeffs, ens, self.num_particles, part, rng, y0=self.y0)
+            stop = ens.cells.stop
             yield ens
 
 

@@ -18,8 +18,8 @@ running reward in :func:`dpp_check`, in :func:`_lq_generator_grid` and in
 :meth:`ControlProblem.terminal_reward`.
 
 The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
-nodes and in the particle sweep's time windows of about 2^16 particle
-steps (``particle.window_cells``): fixed budgets, not options,
+nodes and in the time windows of about 2^16 particle steps that
+``particle.simulate_ensemble`` chooses: fixed budgets, not options,
 that bound the memory and change no output bit.
 """
 
@@ -33,7 +33,7 @@ from scipy.special import ndtr
 
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure, empirical
-from .particle import gaussian_quantile_initial, simulate_ensemble, window_cells
+from .particle import gaussian_quantile_initial, simulate_ensemble
 from .paths import RngStream, constant_coefficients, make_uniform_partition
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "DppResult",
     "dpp_check",
     "constant_control_gap",
-    "default_lattice",
 ]
 
 
@@ -131,15 +130,15 @@ def make_lq_problem(
     value candidate from one Riccati solve.
 
     When ``a_max`` is omitted it is set to twice the sup of the optimal
-    feedback over the default residual lattice, so the clamp never binds
-    there; the solve does not depend on ``a_max``.
+    feedback over the lattice of :func:`hjb_residual`, so the clamp never
+    binds there; the solve does not depend on ``a_max``.
     """
     constants = {"q": q, "r": r, "c_g": c_g, "c_m": c_m, "sigma": sigma, "sigma0": sigma0}
     bound = 1.0 if a_max is None else float(a_max)
     problem = ControlProblem(constants, horizon, bound)
     value = solve_lq_value(problem)
     if a_max is None:
-        # the feedback is 2P (x - mean) + 2R mean, and the default lattice
+        # the feedback is 2P (x - mean) + 2R mean, and the residual lattice
         # box has |mean| <= 1 and var <= 2, with atoms within 3 standard
         # deviations of the mean
         p_max = float(np.max(np.abs(value.p)))
@@ -427,17 +426,9 @@ class HjbReport:
     passed: bool
 
 
-def default_lattice(horizon: float = 1.0):
-    return (
-        np.linspace(0.0, horizon, 9),
-        np.linspace(-1.0, 1.0, 5),
-        np.linspace(0.25, 2.0, 5),
-    )
-
-
 # lattice nodes per generator call: a node's grid has 41^2 = 1,681 points
 # and the generator holds a few dozen temporaries of that size; on the
-# default lattice a block of 5 raised the peak RSS of hjb_residual by
+# residual lattice a block of 5 raised the peak RSS of hjb_residual by
 # 1.6 MiB (one node: 0.5 MiB) and all 225 nodes at once by 68 MiB
 _HJB_NODE_BLOCK = 5
 
@@ -487,20 +478,15 @@ def _refined_sup(objective: Callable, num_nodes: int, c0_span: float, c1_span: f
     return best, best0, best1
 
 
-def hjb_residual(
-    problem: ControlProblem,
-    value,
-    t_nodes: np.ndarray | None = None,
-    mean_nodes: np.ndarray | None = None,
-    var_nodes: np.ndarray | None = None,
-    tol: float = 1e-4,
-) -> HjbReport:
+def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport:
     """Residual of the dynamic-programming equation over the moment lattice.
 
-    At each (t, mean, var) node the inner sup runs over the clamped
-    affine feedback family on a refined (c0, c1) grid; the optimizer of
-    the instance is itself a clamped affine map, so the family is exact
-    up to grid resolution.  The residual is minus the sup of the
+    The lattice takes 9 evenly spaced times in [0, horizon], 5 means in
+    [-1, 1] and 5 variances in [0.25, 2], 225 nodes.  At each
+    (t, mean, var) node the inner sup runs over the clamped affine
+    feedback family on a refined (c0, c1) grid; the optimizer of the
+    instance is itself a clamped affine map, so the family is exact up
+    to grid resolution.  The residual is minus the sup of the
     reward-augmented generator; terminal exactness |V(T) - g| is checked
     on the same (mean, var) nodes.
 
@@ -509,17 +495,9 @@ def hjb_residual(
     block and stage instead of one per node and stage; the block size
     bounds the memory and does not change the result.
     """
-    if t_nodes is None or mean_nodes is None or var_nodes is None:
-        t_def, m_def, v_def = default_lattice(problem.horizon)
-        t_nodes = t_def if t_nodes is None else t_nodes
-        mean_nodes = m_def if mean_nodes is None else mean_nodes
-        var_nodes = v_def if var_nodes is None else var_nodes
-    if len(t_nodes) == 0 or len(mean_nodes) == 0 or len(var_nodes) == 0:
-        raise InvalidArgumentError("lattice must be nonempty")
-    # the value function is solved on [0, horizon]; outside it np.interp
-    # would freeze V at its end values and the residual would vanish there
-    if not all(0.0 <= t <= problem.horizon for t in t_nodes):
-        raise InvalidArgumentError(f"lattice times must lie in [0, horizon = {problem.horizon}]")
+    t_nodes = np.linspace(0.0, problem.horizon, 9)
+    mean_nodes = np.linspace(-1.0, 1.0, 5)
+    var_nodes = np.linspace(0.25, 2.0, 5)
     lattice = [(float(t), float(mu), float(var)) for t in t_nodes for mu in mean_nodes for var in var_nodes]
     nodes = []
     for start in range(0, len(lattice), _HJB_NODE_BLOCK):
@@ -612,11 +590,11 @@ def dpp_check(
 
     The M = ``outer_paths`` repetitions, repetition r on
     ``rng.child(r)``, run as one sweep of :func:`simulate_ensemble` on
-    the M streams, in windows of ``particle.window_cells(M N)`` cells;
-    the feedback reads each repetition's own empirical measure.  After
-    each window the running reward of every repetition is evaluated at
-    once and summed cell by cell, in order, so the result does not
-    depend on the window.  A reward or value that overflows raises
+    the M streams, window by window as the sweep chooses; the feedback
+    reads each repetition's own empirical measure.  After each window
+    the running reward of every repetition is evaluated at once and
+    summed cell by cell, in order, so the result does not depend on the
+    window.  A reward or value that overflows raises
     ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
@@ -647,14 +625,12 @@ def dpp_check(
     # the quantile atoms do not depend on the stream: every repetition starts here
     atoms = initial(None, num_particles)
     streams = [rng.child(rep) for rep in range(outer_paths)]
-    step = window_cells(outer_paths * num_particles)
     reward = np.zeros(outer_paths)
-    ens = initial
+    ens, stop = initial, 0
     try:  # a Python float's ** raises where * would give inf
-        for _ in range(0, num_cells, step):
-            ens = simulate_ensemble(
-                coeffs, ens, num_particles, part, streams, control=shifted_control, num_cells=step
-            )
+        while stop < num_cells:
+            ens = simulate_ensemble(coeffs, ens, num_particles, part, streams, control=shifted_control)
+            stop = ens.cells.stop
             x, a = ens.states[:-1], ens.control_values
             # the row means as Python floats, so that mean**2 is each row's
             # own pow, as in _lq_generator_grid

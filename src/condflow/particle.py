@@ -44,17 +44,19 @@ class _Sweep:
     """Live state of an unfinished Euler sweep, shared by its windows.
 
     ``gens`` holds one generator per stream, ``dw0`` the common
-    increments (n, M, 1), one column per stream.
+    increments (n, M, 1), one column per stream, and ``control`` the
+    feedback every window applies.
     ``next_cell`` is where the sweep continues; only the window ending
     there can be resumed, so a window cannot be resumed twice.
     """
 
-    __slots__ = ("gens", "dw0", "x0", "fv", "mart", "next_cell")
+    __slots__ = ("gens", "dw0", "x0", "control", "fv", "mart", "next_cell")
 
-    def __init__(self, gens, dw0, x0):
+    def __init__(self, gens, dw0, x0, control):
         self.gens = gens
         self.dw0 = dw0
         self.x0 = x0
+        self.control = control
         self.fv = np.zeros(x0.shape)
         self.mart = np.zeros(x0.shape)
         self.next_cell = 0
@@ -75,9 +77,8 @@ class ParticleEnsemble:
     factor run.  ``drift_values``/``sigma_values``/``sigma0_values``
     (num_cells, M, N) cache the coefficient evaluations made during the
     Euler sweep (left endpoints), which later feed analytic bracket
-    increments.  A whole run is the one window with ``first_cell == 0``
-    that covers every cell; a window that ends before the last cell can
-    be passed back to :func:`simulate_ensemble` to continue the sweep.
+    increments.  A window that ends before the last cell can be passed
+    back to :func:`simulate_ensemble` to continue the sweep.
     ``num_particles`` counts the M N particles of a time row.
     """
 
@@ -157,35 +158,37 @@ def simulate_ensemble(
     rng: Sequence[RngStream],
     control: Callable | None = None,
     y0: float | None = None,
-    num_cells: int | None = None,
 ) -> ParticleEnsemble:
-    """Euler sweep of M interacting systems, each with its own common noise.
+    """One time window of the Euler sweep of M interacting systems, each
+    with its own common noise.
 
     ``rng`` is a sequence of M streams, one per repetition; a lone
     stream is refused.  The sweep advances the M independent repetitions
     as one (M, N) state, repetition r on stream r exactly as a batch of
-    that stream alone would, and returns a (num_cells+1, M, N) ensemble
-    (see :class:`ParticleEnsemble`).  Each particle sees its repetition's
-    common increment dW0 and its own dW; the measure argument fed to the
-    coefficients (and the optional feedback ``control(t, x, m)``) is
-    ``empirical(x)`` of the step's state at the left endpoint, one
-    uniform measure per row, whose ``mean()`` and ``average()`` reduce
-    each row on its own, so a coefficient or control reads its own
-    repetition's law.  ``initial`` is a sampler ``(rng, N) -> atoms`` of
-    N atoms, such as :func:`dirac_initial` or
+    that stream alone would.  Each call runs one window of
+    ``max(1, min(n, window_cells(N)) // M)`` cells from where the sweep
+    stands, at most about 2^16 particle steps, and returns it as a
+    (cells+1, M, N) ensemble (see :class:`ParticleEnsemble`).  A caller
+    resumes the sweep until a window reaches the last cell, so a sweep
+    holds one window at a time, whatever n.  Each particle sees its
+    repetition's common increment dW0 and its own dW; the measure
+    argument fed to the coefficients (and the optional feedback
+    ``control(t, x, m)``) is ``empirical(x)`` of the step's state at the
+    left endpoint, one uniform measure per row, whose ``mean()`` and
+    ``average()`` reduce each row on its own, so a coefficient or
+    control reads its own repetition's law.  ``initial`` is a sampler
+    ``(rng, N) -> atoms`` of N atoms, such as :func:`dirac_initial` or
     :func:`gaussian_quantile_initial`, called with each stream's child 2.
     With ``y0`` each repetition gets its own factor path, driven by its
     common noise and its stream's child 1, and the coefficients get the
     step's factor values as a (M, 1) column.
 
-    With ``num_cells`` the sweep stops after that many cells and returns
-    that window (see :class:`ParticleEnsemble`); passing the window back
-    as ``initial``, with the same ``partition`` and particle count,
-    continues the sweep, and ``rng`` and ``y0`` then go unused.  Each
-    stream is drawn in one order however the sweep is split or batched:
-    all of its dW0 first, then its dW rows window by window, so the
-    windows of a split sweep hold exactly the rows of the whole run.  By
-    default one call runs every remaining cell.
+    Passing a window back as ``initial``, with the same ``coeffs``,
+    ``partition``, particle count and ``control``, continues the sweep,
+    and ``rng`` and ``y0`` then go unused.  Each stream is drawn in one
+    order however the sweep is split or batched: all of its dW0 first,
+    then its dW rows window by window, so its rows do not depend on the
+    window size.
 
     Each row is checked for finiteness once: a row the sweep reaches is
     checked by the ``empirical`` call of the step it starts, and the
@@ -196,8 +199,6 @@ def simulate_ensemble(
     """
     if num_particles < 2:
         raise InvalidArgumentError("need at least two particles")
-    if num_cells is not None and num_cells < 1:
-        raise InvalidArgumentError("a window needs at least one cell")
     dt = partition.deltas
     n = dt.size
     sqdt = np.sqrt(dt)
@@ -209,6 +210,8 @@ def simulate_ensemble(
             raise InvalidArgumentError("only the latest window of an unfinished sweep can be resumed")
         if initial.partition is not partition or initial.states.shape[-1] != num_particles:
             raise InvalidArgumentError("a resumed sweep keeps its partition and particle count")
+        if coeffs is not initial.coeffs or control is not sweep.control:
+            raise InvalidArgumentError("a resumed sweep keeps its coefficients and control")
         common, factor, x_start = initial.common, initial.factor, initial.states[-1]
     else:
         if not isinstance(rng, Sequence):
@@ -226,10 +229,10 @@ def simulate_ensemble(
                 simulate_factor(coeffs, y0, partition, w0, s.child(1)) for w0, s in zip(common, streams)
             )
         x_start = np.stack([_initial_atoms(initial, stream.child(2), num_particles) for stream in streams])
-        sweep = _Sweep(gens, dw0.T[:, :, None], x_start)
+        sweep = _Sweep(gens, dw0.T[:, :, None], x_start, control)
         start = 0
 
-    stop = n if num_cells is None else min(n, start + num_cells)
+    stop = min(n, start + max(1, min(n, window_cells(num_particles)) // len(sweep.gens)))
     cells = stop - start
     dw = np.empty((cells, len(sweep.gens), num_particles))
     for r, g in enumerate(sweep.gens):
@@ -299,35 +302,33 @@ class ModulusResult:
     passed: bool
 
 
-def measure_flow_modulus(ens: ParticleEnsemble, s: float, t: float) -> ModulusResult:
-    """Continuity modulus of the conditional-law flow between two grid times.
+def measure_flow_modulus(
+    coeffs: SdeCoefficients, x_s: np.ndarray, x_t: np.ndarray, s: float, t: float
+) -> ModulusResult:
+    """Continuity modulus of the conditional-law flow between times s < t.
 
-    Per repetition the synchronous (same-particle) coupling gives the
-    upper bound sqrt(mean_i (X_t - X_s)^2) >= W2(mu_s, mu_t); the
-    estimate averages it over the repetitions of ``ens`` and is compared
-    against ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s)
-    from the recorded ``b``, ``sigma`` and ``sigma0`` bounds, with a
-    3-stderr allowance.  ``ens`` must be a whole run, so that grid times
-    index its ``states`` rows, with at least two repetitions:
-    one repetition has no standard error, and its gate would have no
+    ``x_s`` and ``x_t`` are the (M, N) state rows of one sweep at s and
+    t, one row of N particles per repetition.  Per repetition the
+    synchronous (same-particle) coupling gives the upper bound
+    sqrt(mean_i (X_t - X_s)^2) >= W2(mu_s, mu_t); the estimate averages
+    it over the repetitions and is compared against
+    ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s) from the
+    ``b``, ``sigma`` and ``sigma0`` bounds recorded in ``coeffs``, with a
+    3-stderr allowance.  It needs at least two repetitions: one
+    repetition has no standard error, and its gate would have no
     allowance.  A bound whose square overflows raises
     ``NumericOverflowError``.
     """
     if s >= t:
         raise InvalidArgumentError("need s < t")
-    if ens.first_cell != 0 or ens.num_cells != ens.partition.num_cells:
-        raise InvalidArgumentError("the modulus needs a whole run, not a window of a sweep")
-    if ens.states.shape[1] < 2:
-        raise InvalidArgumentError("the modulus needs a batch of at least two repetitions")
-    bounds = [ens.coeffs.bounds.get(key) for key in ("b", "sigma", "sigma0")]
+    if x_s.shape != x_t.shape:
+        raise InvalidArgumentError("the two state rows must have one shape")
+    if x_s.ndim != 2 or len(x_s) < 2:
+        raise InvalidArgumentError("the modulus needs (M, N) rows of at least two repetitions")
+    bounds = [coeffs.bounds.get(key) for key in ("b", "sigma", "sigma0")]
     if None in bounds:  # a missing bound is no bound of 0
         raise InvalidArgumentError("the coefficients must record the b, sigma and sigma0 bounds")
-    times = ens.partition.times
-    i_s = int(np.argmin(np.abs(times - s)))
-    i_t = int(np.argmin(np.abs(times - t)))
-    if abs(times[i_s] - s) > 1e-12 or abs(times[i_t] - t) > 1e-12:
-        raise InvalidArgumentError("s and t must be grid times")
-    diff = ens.states[i_t] - ens.states[i_s]
+    diff = x_t - x_s
     values = np.sqrt(np.mean(diff * diff, axis=-1))
     b, sig, sig0 = bounds
     try:  # a Python float's ** raises where * would give inf

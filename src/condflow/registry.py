@@ -493,20 +493,38 @@ def _dpp_lq(params: dict, rng: RngStream) -> RunOutput:
 
 
 def _modulus(params: dict, rng: RngStream) -> RunOutput:
-    if params["n"] < 2:  # the pair draw below takes s from the first n - 1 grid times
+    """Flow modulus at ``num_pairs`` random grid-time pairs s < t of one
+    sweep of ``repeats`` repetitions.
+
+    The pairs are drawn first, from ``rng.child(999)``, which the sweep
+    does not read.  The sweep then runs window by window and copies only
+    the (M, N) state rows the pairs read, so it holds one window and
+    those rows at a time.
+    """
+    n = params["n"]
+    if n < 2:  # the pair draw below takes s from the first n - 1 grid times
         raise InvalidArgumentError("modulus-lq needs n >= 2")
-    coeffs = constant_coefficients(b=params["b"], sigma=params["sigma"], sigma0=params["sigma0"])
-    part = make_uniform_partition(params["horizon"], params["n"])
-    streams = [rng.child(r) for r in range(params["repeats"])]
-    ens = simulate_ensemble(coeffs, dirac_initial(0.0), params["N"], part, streams)
-    times = part.times
     gen = rng.child(999).generator()
+    pairs = []
+    for _ in range(params["num_pairs"]):
+        i = int(gen.integers(0, n - 1))
+        pairs.append((i, int(gen.integers(i + 1, n + 1))))
+    coeffs = constant_coefficients(b=params["b"], sigma=params["sigma"], sigma0=params["sigma0"])
+    part = make_uniform_partition(params["horizon"], n)
+    streams = [rng.child(r) for r in range(params["repeats"])]
+    read = {k for pair in pairs for k in pair}
+    states = {}
+    ens, stop = dirac_initial(0.0), 0
+    while stop < n:
+        ens = simulate_ensemble(coeffs, ens, params["N"], part, streams)
+        stop = ens.cells.stop
+        for k in read & set(range(ens.first_cell, stop + 1)):
+            states[k] = ens.states[k - ens.first_cell].copy()
+    times = part.times
     rows = []
     passed = True
-    for _ in range(params["num_pairs"]):
-        i = int(gen.integers(0, params["n"] - 1))
-        j = int(gen.integers(i + 1, params["n"] + 1))
-        res = measure_flow_modulus(ens, float(times[i]), float(times[j]))
+    for i, j in pairs:
+        res = measure_flow_modulus(coeffs, states[i], states[j], float(times[i]), float(times[j]))
         rows.append([times[i], times[j], res.estimate, res.stderr, res.bound, "ok" if res.passed else "off"])
         passed = passed and res.passed
     header = ["s", "t", "estimate", "stderr", "bound", "flag"]

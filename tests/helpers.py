@@ -5,12 +5,17 @@ library code paths they check: the double-loop pair average, the tanh
 Riccati solution, the hand-integrated constant-control gap, and
 :func:`generator_atom_average`, the atom-cloud route of the LQ generator
 that the Gaussian-surrogate generator ``mfc._lq_generator_grid`` is
-checked against.
+checked against.  :func:`set_window`, :func:`sweep_windows` and
+:func:`whole_run` drive the particle sweep's one window rule.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
+from condflow import particle
 from condflow.mfc import LqValue
+from condflow.particle import simulate_ensemble
 
 
 def pair_average_bruteforce(f: np.ndarray, g: np.ndarray) -> float:
@@ -88,6 +93,36 @@ def zero_value() -> LqValue:
     zero = np.zeros(2)
     consts = {"q": 0.0, "r": 0.0, "sigma": 0.0, "sigma0": 0.0}
     return LqValue(ts, zero, zero.copy(), zero.copy(), consts, 0.0)
+
+
+def set_window(monkeypatch, cells: int, streams: int, particles: int) -> None:
+    """Set the sweep's budget to ``cells`` x ``streams`` x ``particles``
+    elements, so that a batch of ``streams`` streams of ``particles``
+    particles runs windows of ``cells`` cells on a grid of at least
+    ``cells * streams`` cells (a shorter grid of n cells gives windows
+    of n // streams)."""
+    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", cells * streams * particles)
+
+
+def sweep_windows(coeffs, initial, num_particles, partition, rng, control=None, y0=None) -> list:
+    """Every window of one sweep, each resumed from the one before."""
+    windows = [simulate_ensemble(coeffs, initial, num_particles, partition, rng, control=control, y0=y0)]
+    while windows[-1].cells.stop < partition.num_cells:
+        windows.append(simulate_ensemble(coeffs, windows[-1], num_particles, partition, rng, control=control))
+    return windows
+
+
+def whole_run(*args, **kwargs):
+    """One sweep run to its end (arguments as :func:`sweep_windows`), its
+    windows joined into one ensemble that covers every cell."""
+    windows = sweep_windows(*args, **kwargs)
+    last = windows[-1]
+    names = ["idio_increments", "drift_values", "sigma_values", "sigma0_values"]
+    if last.control_values is not None:
+        names.append("control_values")
+    joined = {name: np.concatenate([getattr(w, name) for w in windows]) for name in names}
+    states = np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows])
+    return replace(last, states=states, first_cell=0, **joined)
 
 
 # one small config per experiment family, run twice by criterion 9 and

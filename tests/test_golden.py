@@ -37,7 +37,8 @@ SWEEP_EXPERIMENTS = (
 # a batch-of-one window holds max(1, 2**16 // N) cells, so these two runs
 # resume their sweeps (4 windows each, the factor run's two repetitions as
 # one batch of 16-cell windows), and the factor verifier reads its factor
-# paths through resumed windows; every other config here is one window
+# paths through resumed windows; a batch of G streams runs windows of at
+# most n // G cells, so the dpp-lq and modulus-lq configs resume too
 WINDOWED_CONFIGS = [
     {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
     {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},

@@ -21,13 +21,19 @@ from condflow.measures import _ustat_rows
 from condflow.mfc import AffineFeedback, RiccatiFeedback, make_lq_problem
 from condflow.paths import SdeCoefficients
 
-from helpers import pair_average_bruteforce
+from helpers import pair_average_bruteforce, set_window, sweep_windows, whole_run
 
 
 def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, control=None):
     """A batch of one on stream (seed, 0)."""
     part = make_uniform_partition(horizon, n_cells)
     return simulate_ensemble(coeffs, initial, n_particles, part, [RngStream(seed, 0)], control=control)
+
+
+def modulus_at(ens, i, j):
+    """The flow modulus of a whole run between its grid indices i and j."""
+    times = ens.partition.times
+    return measure_flow_modulus(ens.coeffs, ens.states[i], ens.states[j], float(times[i]), float(times[j]))
 
 
 def test_frozen_dynamics():
@@ -131,14 +137,14 @@ def test_modulus_frozen_and_translation():
     # both flows are deterministic, so the two streams agree and the SE is 0
     part = make_uniform_partition(1.0, 8)
     streams = [RngStream(0, 0).child(r) for r in range(2)]
-    ens = simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 32, part, streams)
-    res = measure_flow_modulus(ens, 0.25, 0.75)
+    ens = whole_run(constant_coefficients(), dirac_initial(0.0), 32, part, streams)
+    res = modulus_at(ens, 2, 6)  # grid times 0.25 and 0.75
     assert res.estimate == 0.0
     assert res.stderr == 0.0
     assert res.passed
 
-    ens = simulate_ensemble(constant_coefficients(b=1.0), dirac_initial(0.0), 32, part, streams)
-    res = measure_flow_modulus(ens, 0.25, 0.75)
+    ens = whole_run(constant_coefficients(b=1.0), dirac_initial(0.0), 32, part, streams)
+    res = modulus_at(ens, 2, 6)
     assert res.estimate == pytest.approx(0.5, abs=1e-12)
     assert res.bound == pytest.approx(0.5)
 
@@ -146,12 +152,12 @@ def test_modulus_frozen_and_translation():
 def test_modulus_diffusive_within_bound():
     part = make_uniform_partition(1.0, 32)
     streams = [RngStream(8, 0).child(r) for r in range(16)]
-    ens = simulate_ensemble(constant_coefficients(sigma=1.0), dirac_initial(0.0), 128, part, streams)
-    res = measure_flow_modulus(ens, 0.25, 0.75)
+    ens = whole_run(constant_coefficients(sigma=1.0), dirac_initial(0.0), 128, part, streams)
+    res = modulus_at(ens, 8, 24)  # grid times 0.25 and 0.75
     assert res.passed is True
     assert res.bound == pytest.approx(np.sqrt(0.5))
     with pytest.raises(InvalidArgumentError):
-        measure_flow_modulus(ens, 0.75, 0.25)
+        modulus_at(ens, 24, 8)
 
 
 @pytest.mark.parametrize("reps", [2, 5])
@@ -165,29 +171,24 @@ def test_batched_modulus_is_the_mean_of_the_per_stream_bounds(reps):
     streams = [RngStream(9, 0).child(r) for r in range(reps)]
     bounds = []
     for stream in streams:
-        states = simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, [stream]).states[:, 0]
+        states = whole_run(coeffs, dirac_initial(0.1), 150, part, [stream]).states[:, 0]
         diff = states[12] - states[4]  # grid times 0.75 and 0.25
         bounds.append(float(np.sqrt(np.mean(diff * diff))))
-    res = measure_flow_modulus(simulate_ensemble(coeffs, dirac_initial(0.1), 150, part, streams), 0.25, 0.75)
+    res = modulus_at(whole_run(coeffs, dirac_initial(0.1), 150, part, streams), 4, 12)
     values = np.array(bounds)
     assert res.estimate == float(values.mean())
     assert res.stderr == float(values.std(ddof=1) / np.sqrt(reps))
     assert res.stderr > 0.0
 
 
-def test_modulus_needs_a_whole_run():
-    # a window's rows count from its first cell, not from time 0: the
-    # first window of a split sweep lacks the later rows, and a later
-    # window would read shifted ones
-    part = make_uniform_partition(1.0, 8)
+def test_modulus_needs_rows_of_one_shape():
+    # rows of different repetition or particle counts are no two times of
+    # one sweep
     coeffs = constant_coefficients(sigma=1.0)
-    streams = [RngStream(0, 0).child(r) for r in range(2)]
-    first = simulate_ensemble(coeffs, dirac_initial(0.0), 16, part, streams, num_cells=4)
-    later = simulate_ensemble(coeffs, first, 16, part, streams, num_cells=4)
-    for window in (first, later):
-        for s, t in ((0.25, 0.5), (0.25, 0.75)):
-            with pytest.raises(InvalidArgumentError):
-                measure_flow_modulus(window, s, t)
+    rows = np.zeros((2, 16))
+    for other in (np.zeros((3, 16)), np.zeros((2, 8)), np.zeros(16)):
+        with pytest.raises(InvalidArgumentError, match="one shape"):
+            measure_flow_modulus(coeffs, rows, other, 0.25, 0.75)
 
 
 @pytest.mark.parametrize("key", ["b", "sigma", "sigma0"])
@@ -197,9 +198,9 @@ def test_modulus_needs_every_coefficient_bound(key):
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
     coeffs = replace(coeffs, bounds={k: v for k, v in coeffs.bounds.items() if k != key})
-    ens = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0).child(r) for r in range(2)])
+    ens = whole_run(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0).child(r) for r in range(2)])
     with pytest.raises(InvalidArgumentError, match="bounds"):
-        measure_flow_modulus(ens, 0.25, 0.75)
+        modulus_at(ens, 2, 6)
 
 
 def test_modulus_needs_two_repetitions():
@@ -207,9 +208,9 @@ def test_modulus_needs_two_repetitions():
     # allowance: a batch of one is refused
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
-    ens = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0)])
+    ens = whole_run(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0)])
     with pytest.raises(InvalidArgumentError, match="two repetitions"):
-        measure_flow_modulus(ens, 0.25, 0.75)
+        modulus_at(ens, 2, 6)
 
 
 def test_chaos_rate_against_refined_reference():
@@ -242,7 +243,7 @@ def test_chaos_rate_against_refined_reference():
 
 
 @pytest.mark.parametrize("window", [None, 3])
-def test_scalar_and_per_particle_coefficients_sweep_alike(window):
+def test_scalar_and_per_particle_coefficients_sweep_alike(monkeypatch, window):
     # a constant coefficient returns its scalar and the sweep broadcasts it,
     # so the run matches one whose coefficients return one value per particle
     part = make_uniform_partition(1.0, 8)
@@ -255,20 +256,19 @@ def test_scalar_and_per_particle_coefficients_sweep_alike(window):
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
     )
-    streams = [RngStream(4, 0)]
-    runs = []
-    for coeffs in (constant_coefficients(b, sigma, sigma0), full):
-        windows = [simulate_ensemble(coeffs, dirac_initial(0.2), 6, part, streams, num_cells=window)]
-        while windows[-1].first_cell + windows[-1].num_cells < part.num_cells:
-            windows.append(simulate_ensemble(coeffs, windows[-1], 6, part, streams, num_cells=window))
-        runs.append(windows)
+    if window is not None:
+        set_window(monkeypatch, window, 1, 6)
+    runs = [
+        sweep_windows(coeffs, dirac_initial(0.2), 6, part, [RngStream(4, 0)])
+        for coeffs in (constant_coefficients(b, sigma, sigma0), full)
+    ]
     assert len(runs[0]) == (1 if window is None else 3)
     for scalar, per_particle in zip(*runs):
         for name in ("states", "drift_values", "sigma_values", "sigma0_values"):
             np.testing.assert_array_equal(getattr(scalar, name), getattr(per_particle, name))
 
 
-def test_non_finite_initial_atoms_are_rejected():
+def test_non_finite_initial_atoms_are_rejected(monkeypatch):
     # the step's own measure check sees the initial row; there a non-finite
     # atom is a bad argument, not a blow-up
     part = make_uniform_partition(1.0, 4)
@@ -280,13 +280,14 @@ def test_non_finite_initial_atoms_are_rejected():
         lambda rng, n: np.full(n, np.nan),
     )
     for initial in samplers:
-        for window in (None, 1):
+        for window in (4, 1):  # the whole run, then one cell a window
+            set_window(monkeypatch, window, 1, 4)
             with pytest.raises(InvalidArgumentError):
-                simulate_ensemble(coeffs, initial, 4, part, [RngStream(0, 0)], num_cells=window)
+                simulate_ensemble(coeffs, initial, 4, part, [RngStream(0, 0)])
 
 
 @pytest.mark.parametrize("window", [None, 1, 2, 3])
-def test_overflow_in_the_final_cell_names_the_last_step(window):
+def test_overflow_in_the_final_cell_names_the_last_step(monkeypatch, window):
     # only the last cell's drift, 1e308 over a cell of width 2, overflows,
     # so the one check of the last row after the loop must catch it
     n_cells = 4
@@ -300,15 +301,15 @@ def test_overflow_in_the_final_cell_names_the_last_step(window):
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
     )
+    if window is not None:
+        set_window(monkeypatch, window, 1, 4)
     with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
-        ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, [RngStream(0, 0)], num_cells=window)
-        while ens.first_cell + ens.num_cells < n_cells:
-            ens = simulate_ensemble(coeffs, ens, 4, part, [RngStream(0, 0)], num_cells=window)
+        sweep_windows(coeffs, dirac_initial(1.0), 4, part, [RngStream(0, 0)])
     assert err.value.step == n_cells
 
 
 @pytest.mark.parametrize("window", [None, 1, 3])
-def test_blow_up_step_and_coefficients_see_finite_rows(window):
+def test_blow_up_step_and_coefficients_see_finite_rows(monkeypatch, window):
     # b(x) = 1e100 x from x0 = 1 overflows after a few cells; the scalar
     # recursion below gives the first non-finite step independently
     n_cells, dt = 16, 1.0 / 16
@@ -336,24 +337,12 @@ def test_blow_up_step_and_coefficients_see_finite_rows(window):
                 break
         assert expected is not None and expected < n_cells
         part = make_uniform_partition(1.0, n_cells)
+        if window is not None:
+            set_window(monkeypatch, window, 1, 4)
         with pytest.raises(BlowUpError) as err:
-            ens = simulate_ensemble(coeffs, dirac_initial(1.0), 4, part, [RngStream(0, 0)], num_cells=window)
-            while ens.first_cell + ens.num_cells < n_cells:
-                ens = simulate_ensemble(coeffs, ens, 4, part, [RngStream(0, 0)], num_cells=window)
+            sweep_windows(coeffs, dirac_initial(1.0), 4, part, [RngStream(0, 0)])
     assert err.value.step == expected
     assert len(seen) == expected and all(seen)
-
-
-def sweep_windows(coeffs, initial, n_particles, part, rng, window, control=None, y0=None):
-    """Every window of one sweep, each resumed from the one before."""
-    windows = [
-        simulate_ensemble(coeffs, initial, n_particles, part, rng, control=control, y0=y0, num_cells=window)
-    ]
-    while windows[-1].first_cell + windows[-1].num_cells < part.num_cells:
-        windows.append(
-            simulate_ensemble(coeffs, windows[-1], n_particles, part, rng, control=control, num_cells=window)
-        )
-    return windows
 
 
 LQ_PROBLEM, LQ_VALUE = make_lq_problem()
@@ -391,28 +380,31 @@ FACTOR_READING = SdeCoefficients(
     ],
     ids=["riccati", "affine", "law-reading", "factor-reading"],
 )
-def test_batched_windows_equal_the_per_repetition_sweeps(reps, coeffs, control, y0):
+def test_batched_windows_equal_the_per_repetition_sweeps(monkeypatch, reps, coeffs, control, y0):
     # repetition r of a batch is stream r's batch of one, bit for bit, its
     # coefficients and control reading its own row's law and factor, and
-    # its factor path its own; windows of 4 cells divide neither the 10
+    # its factor path its own; windows of 4 cells divide neither the 14
     # cells nor the batch, the initial atoms come from each stream, and 19
     # particles fill no summation block
-    part = make_uniform_partition(1.0, 10)
+    part = make_uniform_partition(1.0, 14)
 
     def initial(rng, n):
         return rng.generator().normal(size=n)
 
     streams = [RngStream(6, 0).child(r) for r in range(reps)]
-    windows = sweep_windows(coeffs, initial, 19, part, streams, 4, control, y0)
-    assert [w.num_cells for w in windows] == [4, 4, 2]
+    set_window(monkeypatch, 4, reps, 19)
+    windows = sweep_windows(coeffs, initial, 19, part, streams, control, y0)
+    assert [w.num_cells for w in windows] == [4, 4, 4, 2]
     assert all(w.num_particles == reps * 19 for w in windows)
     names = ["idio_increments", "drift_values", "sigma0_values"] + ([] if control is None else ["control_values"])
     batched = {
         "states": np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows]),
         **{name: np.concatenate([getattr(w, name) for w in windows]) for name in names},
     }
+    set_window(monkeypatch, 14, 1, 19)  # each stream alone in one window
     for r, stream in enumerate(streams):
         alone = simulate_ensemble(coeffs, initial, 19, part, [stream], control=control, y0=y0)
+        assert alone.num_cells == 14
         for name, values in batched.items():
             assert values[:, r].tobytes() == getattr(alone, name)[:, 0].tobytes(), name
         assert windows[0].common[r].values.tobytes() == alone.common[0].values.tobytes()
@@ -422,7 +414,7 @@ def test_batched_windows_equal_the_per_repetition_sweeps(reps, coeffs, control, 
             assert windows[-1].factor[r].values.tobytes() == alone.factor[0].values.tobytes()
 
 
-def test_batched_blow_up_names_the_first_step_over_all_repetitions():
+def test_batched_blow_up_names_the_first_step_over_all_repetitions(monkeypatch):
     # b(x) = 1e100 x without noise on cells of width 1 multiplies x by about
     # 1e100 a cell: from 1 the state overflows at step 4, from 1e10 at step
     # 3, and from 0 never
@@ -449,9 +441,11 @@ def test_batched_blow_up_names_the_first_step_over_all_repetitions():
             alone.append(err.value.step)
         assert alone == [4, 3]
         for reps, expected in ((2, 4), (3, 3)):
-            for window in (None, 2):
+            # the widest window the rule allows (8 // reps cells), then one cell
+            for window in (8, 1):
+                set_window(monkeypatch, window, reps, 4)
                 with pytest.raises(BlowUpError) as err:
-                    sweep_windows(coeffs, initial, 4, part, [base.child(r) for r in range(reps)], window)
+                    sweep_windows(coeffs, initial, 4, part, [base.child(r) for r in range(reps)])
                 assert err.value.step == expected
 
 
@@ -463,9 +457,9 @@ def test_batched_sweep_rejects_bad_initial_atoms_and_lone_streams():
     def initial(rng, n):  # only the second repetition starts at NaN
         return np.full(n, np.nan if rng.path[0] == 1 else 0.0)
 
-    for window in (None, 1):
-        with pytest.raises(InvalidArgumentError):
-            simulate_ensemble(coeffs, initial, 4, part, streams, num_cells=window)
+    # a batch of three on four cells runs windows of one cell
+    with pytest.raises(InvalidArgumentError):
+        simulate_ensemble(coeffs, initial, 4, part, streams)
     # a lone stream is no sequence of streams, and an empty batch has none
     with pytest.raises(InvalidArgumentError, match="sequence of streams"):
         simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams[0])
@@ -473,6 +467,6 @@ def test_batched_sweep_rejects_bad_initial_atoms_and_lone_streams():
         simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [])
     # finite atoms whose mean overflows are no blow-up, batched or alone
     with np.errstate(over="ignore"):
-        batched = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams)
-        alone = simulate_ensemble(constant_coefficients(), dirac_initial(1e308), 4, part, streams[:1])
+        batched = whole_run(constant_coefficients(), dirac_initial(1e308), 4, part, streams)
+        alone = whole_run(constant_coefficients(), dirac_initial(1e308), 4, part, streams[:1])
     assert (batched.states == 1e308).all() and (alone.states == 1e308).all()

@@ -3,12 +3,15 @@ byte-identical verifier reports.
 
 Each verifier sweeps its repetitions in batches of G = min(M, c // 16)
 streams, where c = min(n, budget // N) is the window of a batch of one,
-and each batch in windows of max(1, c // G) cells, whether or not the
-coefficients read the law or there is a factor path.  The tests shrink
+and the sweep runs each batch in windows of max(1, c // G) cells, whether
+or not the coefficients read the law or there is a factor path; every
+other caller of the sweep gets the same windows.  The tests shrink
 the private budget so that (n, N) = (64, 128) splits into many windows,
 or into batches of every size, and compare against the one-window or
 the batch-of-one run with ``==``, not approximately.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -31,7 +34,8 @@ from condflow import (
     verify_ito,
     verify_ito_wentzell,
 )
-from condflow import chainrule, particle
+from condflow import chainrule, mfc, particle, registry
+from condflow.cli import run as run_config
 from condflow.paths import SdeCoefficients
 from condflow.registry import (
     factor_linear_functional,
@@ -40,6 +44,8 @@ from condflow.registry import (
     second_moment_functional,
     variance_functional,
 )
+
+from helpers import REPRO_CONFIGS, set_window
 
 RNG = RngStream(2024, 0)
 N_CELLS, N_PARTICLES = 64, 128
@@ -168,16 +174,20 @@ def test_verify_factor_identical_across_windows(monkeypatch):
     assert_same_across_batches(monkeypatch, lambda s: verify_factor_model(fu, s, cfg), 3, y0=0.2)
 
 
-def counted(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+def counted(monkeypatch, modules, name):
+    """Replace ``name`` in each of ``modules`` by one wrapper that records
+    each call's bound arguments and its result."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(modules[0], name)
+    signature = inspect.signature(original)
 
     def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append((signature.bind(*args, **kwargs).arguments, result))
+        return result
 
-    monkeypatch.setattr(module, name, wrapper)
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -187,8 +197,8 @@ def test_every_verifier_sweeps_in_batches(monkeypatch):
     # cells, then the fifth alone in one window, with one empirical
     # measure argument a swept step whether or not the coefficients read
     # the law and whether or not there is a factor path
-    sweeps = counted(monkeypatch, chainrule, "simulate_ensemble")
-    measures = counted(monkeypatch, particle, "empirical")
+    sweeps = counted(monkeypatch, [chainrule], "simulate_ensemble")
+    measures = counted(monkeypatch, [particle], "empirical")
     n, m = 64, 5
 
     def small(coeffs, y0=None):
@@ -207,8 +217,28 @@ def test_every_verifier_sweeps_in_batches(monkeypatch):
             sweeps.clear()
             measures.clear()
             run(coeffs, VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
-            assert [(len(c[0][4]), c[1]["num_cells"]) for c in sweeps] == [(4, 16)] * 4 + [(1, 64)]
+            assert [(len(call["rng"]), ens.num_cells) for call, ens in sweeps] == [(4, 16)] * 4 + [(1, 64)]
             assert len(measures) == 4 * 16 + 64
+
+
+def test_every_window_keeps_the_budget(monkeypatch):
+    # every caller of the sweep, at every registry experiment's smoke size,
+    # gets windows of at most max(1, min(n, window_cells(N)) // G) cells;
+    # modulus-lq (n 32, N 32, 4 repetitions) sweeps 8-cell windows, and
+    # dpp-lq (n 16 < window_cells(32), N 32, M 4) 4-cell windows
+    sweeps = counted(monkeypatch, [chainrule, mfc, registry], "simulate_ensemble")
+    swept = set()
+    for cfg in REPRO_CONFIGS:
+        sweeps.clear()
+        run_config(dict(cfg), write=False)
+        for call, ens in sweeps:
+            n, big_n, g = call["partition"].num_cells, call["num_particles"], len(call["rng"])
+            assert ens.num_cells <= max(1, min(n, particle.window_cells(big_n)) // g), cfg
+        if sweeps:
+            swept.add(cfg["experiment"])
+        if cfg["experiment"] in ("modulus-lq", "dpp-lq"):
+            assert {ens.num_cells for _, ens in sweeps} == {8 if cfg["experiment"] == "modulus-lq" else 4}
+    assert swept == {cfg["experiment"] for cfg in REPRO_CONFIGS} - {"lemma-qv-bm", "deriv-battery"}
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +246,11 @@ def test_every_verifier_sweeps_in_batches(monkeypatch):
 
 
 def test_windows_tile_the_whole_run(monkeypatch):
-    monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", 5 * N_PARTICLES)
     s = spec(y0=0.2)
+    set_window(monkeypatch, N_CELLS, 1, N_PARTICLES)
     whole = simulate_ensemble(s.coeffs, s.initial, N_PARTICLES, s.partition(), [RNG.child(6)], y0=s.y0)
+    assert whole.num_cells == N_CELLS
+    set_window(monkeypatch, 5, 1, N_PARTICLES)
     windows = list(s.windows([RNG.child(6)]))
     assert len(windows) == 13
     assert sum(w.num_cells * w.num_particles for w in windows) == N_CELLS * N_PARTICLES
@@ -245,12 +277,13 @@ def test_philox_normals_do_not_depend_on_block_size(block):
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
 
-def test_resume_rules():
+def test_resume_rules(monkeypatch):
     part = make_uniform_partition(1.0, 8)
     coeffs = constant_coefficients(sigma=1.0)
     streams = [RNG]
-    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, num_cells=3)
-    second = simulate_ensemble(coeffs, first, 4, part, streams, num_cells=3)
+    set_window(monkeypatch, 3, 1, 4)
+    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams)
+    second = simulate_ensemble(coeffs, first, 4, part, streams)
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(coeffs, first, 4, part, streams)  # already resumed
     with pytest.raises(InvalidArgumentError):
@@ -261,5 +294,29 @@ def test_resume_rules():
     assert (last.first_cell, last.num_cells) == (6, 2)
     with pytest.raises(InvalidArgumentError):
         simulate_ensemble(coeffs, last, 4, part, streams)  # the sweep is finished
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, num_cells=0)
+
+
+def test_a_resumed_sweep_keeps_its_coefficients_and_control(monkeypatch):
+    # a window hands on the state its coefficients and control made, so a
+    # resume with other ones, even equal ones, would mix two dynamics
+    part = make_uniform_partition(1.0, 8)
+    coeffs = constant_coefficients(sigma=1.0)
+    streams = [RNG]
+
+    def control(t, x, m):
+        return 0.0
+
+    set_window(monkeypatch, 3, 1, 4)
+    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, control=control)
+    for other_coeffs, other_control in (
+        (constant_coefficients(sigma=1.0), control),
+        (coeffs, None),
+        (coeffs, lambda t, x, m: 0.0),
+    ):
+        with pytest.raises(InvalidArgumentError, match="coefficients and control"):
+            simulate_ensemble(other_coeffs, first, 4, part, streams, control=other_control)
+    second = simulate_ensemble(coeffs, first, 4, part, streams, control=control)
+    assert second.first_cell == 3
+    uncontrolled = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams)
+    with pytest.raises(InvalidArgumentError, match="coefficients and control"):
+        simulate_ensemble(coeffs, uncontrolled, 4, part, streams, control=control)
