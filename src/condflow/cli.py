@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .errors import BlowUpError, InvalidArgumentError, NumericOverflowError
@@ -91,6 +90,8 @@ def _fits(value, default) -> bool:
 
 def load_config(path: str | Path) -> dict:
     """Read a YAML config; a manifest (with a ``config`` key) replays its echo."""
+    import yaml  # here, not at module level: a run from a dict reads no YAML
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError as exc:

@@ -29,8 +29,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure, empirical
 from .particle import gaussian_quantile_initial, simulate_ensemble
@@ -363,7 +363,7 @@ def _censored_affine_moments(alpha, beta, bound):
     return ew, ewz, ew2
 
 
-def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
+def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1, moments=None):
     """Reward-augmented generator of the value candidate on (c0, c1)
     grids of clamped affine feedbacks, under the Gaussian surrogate.
 
@@ -378,6 +378,9 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
     row is what its node alone gives: a Python float's ``mean**2`` goes
     through libm ``pow`` and numpy's ``x**2`` through x*x, which differ in
     the last bit for some inputs.
+
+    ``moments``, if given, is what :func:`_censored_affine_moments` gives
+    on these grids, computed beforehand; the grids are then not read.
     """
     consts = problem.constants
     q, r = consts["q"], consts["r"]
@@ -397,7 +400,9 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
             qc["dP"] * var + qc["dR"] * mean**2 + qc["dc"],
         ))
     s, q_var, r_mean2, p_s, r_mean, second, cross, dtv = np.array(columns).T[:, :, None]
-    ew, ewz, ew2 = _censored_affine_moments(np.asarray(c0, dtype=float), np.asarray(c1, dtype=float) * s, problem.a_max)
+    if moments is None:
+        moments = _censored_affine_moments(np.asarray(c0, dtype=float), np.asarray(c1, dtype=float) * s, problem.a_max)
+    ew, ewz, ew2 = moments
     fbar = -0.5 * ew2 - q_var - r_mean2
     drift = p_s * ewz + r_mean * ew
     return dtv + fbar + drift + second + cross
@@ -449,24 +454,35 @@ def _linspace_rows(lo: np.ndarray, hi: np.ndarray, pts: int) -> np.ndarray:
     return rows
 
 
-def _refined_sup(objective: Callable, num_nodes: int, c0_span: float, c1_span: float):
+# points per axis of each stage of the refined sup
+_SUP_POINTS = (41, 21, 21)
+
+
+def _mesh_rows(c0_lo, c0_hi, c1_lo, c1_hi, pts: int):
+    """Row k is node k's (c0, c1) meshgrid in "ij" order, raveled."""
+    grid0 = np.repeat(_linspace_rows(c0_lo, c0_hi, pts), pts, axis=1)
+    grid1 = np.tile(_linspace_rows(c1_lo, c1_hi, pts), pts)
+    return grid0, grid1
+
+
+def _refined_sup(objective: Callable, num_nodes: int, c0_span: float, c1_span: float, first: Callable | None = None):
     """Per node, (sup, c0, c1) of ``objective`` over a 41-point grid on
     [-span, span]^2, refined twice on 21-point grids around the best point.
 
     ``objective(c0s, c1s)`` takes and returns (num_nodes, points) arrays,
     row k being node k's grid, so a block of nodes takes one call per
-    stage and each row gets what its node alone would.  Returns three
-    (num_nodes,) arrays.
+    stage and each row gets what its node alone would.  ``first``, if
+    given, stands in for ``objective`` on the first stage, whose grid is
+    the same for every node, so that a caller can reuse what it computed
+    on that grid once.  Returns three (num_nodes,) arrays.
     """
     rows = np.arange(num_nodes)
     c0_lo, c0_hi = np.full(num_nodes, -c0_span), np.full(num_nodes, c0_span)
     c1_lo, c1_hi = np.full(num_nodes, -c1_span), np.full(num_nodes, c1_span)
     best, best0, best1 = np.full(num_nodes, -np.inf), np.zeros(num_nodes), np.zeros(num_nodes)
-    for pts in (41, 21, 21):
-        # each row is its node's (c0, c1) meshgrid in "ij" order, raveled
-        grid0 = np.repeat(_linspace_rows(c0_lo, c0_hi, pts), pts, axis=1)
-        grid1 = np.tile(_linspace_rows(c1_lo, c1_hi, pts), pts)
-        vals = objective(grid0, grid1)
+    for stage, pts in enumerate(_SUP_POINTS):
+        grid0, grid1 = _mesh_rows(c0_lo, c0_hi, c1_lo, c1_hi, pts)
+        vals = (objective if stage or first is None else first)(grid0, grid1)
         idx = np.argmax(vals, axis=1)
         top, b0, b1 = vals[rows, idx], grid0[rows, idx], grid1[rows, idx]
         better = top > best
@@ -493,17 +509,27 @@ def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport
     The nodes run through the refined sup in blocks of
     :data:`_HJB_NODE_BLOCK`, in lattice order, one generator call per
     block and stage instead of one per node and stage; the block size
-    bounds the memory and does not change the result.
+    bounds the memory and does not change the result.  The first stage
+    runs one grid for every node, so there a node's censored moments
+    (the generator's ``ndtr`` calls) depend on its variance alone: they
+    are computed once per variance and call, not once per node.
+    Elementwise, they are the same bits either way.
     """
     t_nodes = np.linspace(0.0, problem.horizon, 9)
     mean_nodes = np.linspace(-1.0, 1.0, 5)
     var_nodes = np.linspace(0.25, 2.0, 5)
     lattice = [(float(t), float(mu), float(var)) for t in t_nodes for mu in mean_nodes for var in var_nodes]
+    span = np.array([problem.a_max])
+    c0, c1 = _mesh_rows(-span, span, -span, span, _SUP_POINTS[0])
+    first_moments = _censored_affine_moments(c0, c1 * np.sqrt(var_nodes)[:, None], problem.a_max)
+    var_row = {float(var): k for k, var in enumerate(var_nodes)}
     nodes = []
     for start in range(0, len(lattice), _HJB_NODE_BLOCK):
         block = lattice[start : start + _HJB_NODE_BLOCK]
         grid = partial(_lq_generator_grid, problem, value, block)
-        sups, b0s, b1s = _refined_sup(grid, len(block), problem.a_max, problem.a_max)
+        rows = [var_row[var] for _, _, var in block]
+        first = partial(grid, moments=tuple(m[rows] for m in first_moments))
+        sups, b0s, b1s = _refined_sup(grid, len(block), problem.a_max, problem.a_max, first)
         for (t, mu, var), sup, b0, b1 in zip(block, sups.tolist(), b0s.tolist(), b1s.tolist()):
             nodes.append(HjbNode(t, mu, var, -sup, b0, b1))
     terminal_gap = 0.0

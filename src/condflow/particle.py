@@ -11,9 +11,11 @@ not merely large-N approximations.
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from ._normal import ndtri
 from .errors import BlowUpError, InvalidArgumentError, NumericOverflowError
 from .measures import empirical
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, simulate_factor
@@ -126,17 +128,29 @@ def dirac_initial(x0: float) -> Callable:
     return lambda rng, n: np.full(n, float(x0))
 
 
-def gaussian_quantile_initial(mean: float, var: float) -> Callable:
-    """Deterministic Gaussian quantile atoms (midpoint ranks)."""
-    from scipy.special import ndtri
+@lru_cache(maxsize=16)
+def _standard_quantiles(n: int) -> np.ndarray:
+    """N(0, 1) quantiles at the n midpoint ranks (i + 1/2) / n, read-only,
+    since every caller with this n shares the one array."""
+    q = ndtri((np.arange(n) + 0.5) / n)
+    q.flags.writeable = False
+    return q
 
+
+def gaussian_quantile_initial(mean: float, var: float) -> Callable:
+    """Deterministic Gaussian quantile atoms (midpoint ranks).
+
+    The sampler returns ``mean + sd * q``, with q the N(0, 1) quantiles of
+    the n midpoint ranks.  The quantiles of each n are computed once per
+    process and kept (for the 16 most recent n), since a run draws the
+    atoms of every repetition at one or a few particle counts.
+    """
     if var < 0:
         raise InvalidArgumentError("variance must be nonnegative")
     sd = np.sqrt(var)
 
     def make(rng, n):
-        ranks = (np.arange(n) + 0.5) / n
-        return mean + sd * ndtri(ranks)
+        return mean + sd * _standard_quantiles(n)
 
     return make
 

@@ -228,10 +228,23 @@ def test_cli_list(capsys):
     assert "lq-common-noise" in out
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter, so modules that other tests imported do not count
+def test_cli_import_and_run_leave_scipy_unloaded():
+    # a fresh interpreter, so modules that other tests imported do not
+    # count; the run reaches ndtr (the HJB sup) and ndtri (the Gaussian
+    # quantile atoms), which condflow ports instead of importing scipy
     src = str(Path(condflow.__file__).resolve().parents[1])
-    code = "import sys, condflow.cli; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'"
+    config = {"experiment": "lq-common-noise", "seed": 7, "coefficients": {"mc_particles": 64, "mc_cells": 16, "mc_paths": 4}}
+    code = f"""
+import sys
+from condflow import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+assert cli.run({config!r}, write=False)[0] == 0
+assert not scipy_modules(), scipy_modules()
+"""
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
