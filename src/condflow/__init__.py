@@ -33,9 +33,7 @@ from .measures import (
     MeasurePair,
     OuterFunction,
     TestFunction,
-    delta_m,
     empirical,
-    evaluate,
     fd_check_dm,
     fd_check_dm2,
     integral_identity_gap,

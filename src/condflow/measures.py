@@ -9,19 +9,20 @@ The functional linear derivative of a cylindrical u has the closed form
 with v_a(m) = <phi_a, m>.  The chain rules need three more fields: the
 x-gradient of the first expression (the measure derivative in the Lions
 sense), that gradient's own x-derivative, and the mixed x, xh gradient
-of the second.  The calculus exists in two forms.  :func:`delta_m`
-evaluates the first derivative pointwise; the finite-difference and
-quadrature checks below validate it against the defining directional
-limits.  :class:`_Tables` evaluates the test functions and their x-
-derivatives once along a window of particle states, and contracts them
-with rows of outer derivatives dF, d2F into the per-cell particle means
+of the second.  The calculus exists once, in :class:`_Tables`: it
+evaluates the test functions and their x-derivatives once on a set of
+atoms, and contracts them with rows of outer derivatives dF, d2F.  Along
+a window of particle states it gives the per-cell particle means
 (gradient and Hessian fields) and ordered-pair averages (mixed field)
-that the chain-rule verifiers integrate.
+that the chain-rule verifiers integrate.  On the atoms of a
+:class:`MeasurePair` it gives the moments and flat derivatives of m, m'
+and their mixtures, which the finite-difference and quadrature checks
+below validate against the defining directional limits.
 
-Atoms are scalar: a measure is a (N,) atom array, or a batch of M
-uniform measures, one per row of a (M, N) array, as an Euler sweep
-hands its coefficients (see ``particle.simulate_ensemble``).  The
-derivative calculus and its checks take one measure.
+Atoms are scalar: a measure is one uniform (N,) atom row, or a batch of
+M uniform measures, one per row of a (M, N) array, as an Euler sweep
+hands its coefficients (see ``particle.simulate_ensemble``).  A mixture
+of a pair is a weight row on the pair's atoms.
 """
 
 from dataclasses import dataclass
@@ -38,8 +39,6 @@ __all__ = [
     "CylindricalFunctional",
     "MeasurePair",
     "empirical",
-    "evaluate",
-    "delta_m",
     "FdRow",
     "fd_check_dm",
     "fd_check_dm2",
@@ -54,48 +53,33 @@ _GL_W01 = 0.5 * _GL_WEIGHTS
 
 
 class EmpiricalMeasure:
-    """Finitely supported measure on scalar atoms (a (N,) array) with
-    uniform (or explicit) weights, or a batch of M uniform measures on
-    the rows of a (M, N) array.
+    """Uniform measure on scalar atoms (a (N,) array), or a batch of M
+    uniform measures on the rows of a (M, N) array.
 
-    :meth:`mean` and :meth:`average` reduce the last axis: a Python
-    float for one measure (and a numpy float64 for its uniform
-    :meth:`mean`), and the (M, 1) column of per-row values for a batch,
-    which broadcasts against the atoms.  A batch takes no weights.
+    :meth:`mean` and :meth:`average` reduce the last axis: a numpy
+    float64 and a Python float for one measure, and the (M, 1) column of
+    per-row values for a batch, which broadcasts against the atoms.
     """
 
-    def __init__(self, atoms: np.ndarray, weights: np.ndarray | None = None):
+    def __init__(self, atoms: np.ndarray):
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim not in (1, 2) or atoms.size == 0:
             raise InvalidArgumentError("need a nonempty (N,) or (M, N) atom array")
         if not np.isfinite(atoms).all():
             raise InvalidArgumentError("atoms must be finite")
         self.atoms = atoms
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if atoms.ndim != 1:
-                raise InvalidArgumentError("a batch of measures takes no weights")
-            if weights.shape != (atoms.shape[0],):
-                raise InvalidArgumentError("one weight per atom required")
-            if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-                raise InvalidArgumentError("weights must be nonnegative and sum to 1")
-        self.weights = weights
 
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[-1]
 
     def average(self, values: np.ndarray) -> float | np.ndarray:
-        if self.weights is not None:
-            return float(np.dot(self.weights, values))
         if self.atoms.ndim == 2:
             return np.mean(values, axis=-1, keepdims=True)
         return float(np.mean(values))
 
     def mean(self):
-        if self.weights is None:
-            return self.atoms.mean(axis=-1, keepdims=self.atoms.ndim == 2)
-        return np.tensordot(self.weights, self.atoms, axes=1)
+        return self.atoms.mean(axis=-1, keepdims=self.atoms.ndim == 2)
 
 
 def empirical(atoms) -> EmpiricalMeasure:
@@ -145,27 +129,6 @@ class CylindricalFunctional:
         return len(self.tests)
 
 
-def moments(u: CylindricalFunctional, m: EmpiricalMeasure) -> np.ndarray:
-    v = np.array([m.average(t.value(m.atoms)) for t in u.tests])
-    if not np.all(np.isfinite(v)):
-        raise NumericOverflowError("non-finite test-function averages")
-    return v
-
-
-def evaluate(u: CylindricalFunctional, m: EmpiricalMeasure) -> float:
-    """u(m) = F of the test-function averages."""
-    val = float(u.outer.value(moments(u, m)))
-    if not np.isfinite(val):
-        raise NumericOverflowError("non-finite functional value")
-    return val
-
-
-def delta_m(u: CylindricalFunctional, m: EmpiricalMeasure, x) -> np.ndarray | float:
-    """Canonical representative of the first functional derivative at x."""
-    g = u.outer.grad(moments(u, m))
-    return sum(g[a] * u.tests[a].value(x) for a in range(u.k))
-
-
 def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # ordered-pair average per row (last axis) of two (..., N) arrays
     n_p = a.shape[-1]
@@ -173,15 +136,22 @@ def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """Values/gradients/Hessians of the test functions along one window; each
-    method is one per-cell integrand, contracted with outer-derivative rows.
+    """Values/gradients/Hessians of the test functions on a set of atoms,
+    contracted with outer-derivative rows; the only code that evaluates
+    the test functions.
 
-    ``states`` has one row of particles per grid time: (n+1, M, N) for a
-    sweep's window of M repetitions, or (n+1, N) for one measure.  Every
-    particle mean reduces the last axis only, so each repetition's
-    numbers are the ones its own (n+1, N) rows give, bit for bit.
-    Outer-derivative rows carry the same leading axes, then the
-    test-function axes.
+    Along a window, ``states`` has one row of particles per grid time:
+    (n+1, M, N) for a sweep's window of M repetitions, or (n+1, N) for
+    one measure.  Each of :meth:`grad_mean`, :meth:`hess_mean` and
+    :meth:`pair_mean` is one per-cell integrand.  Every particle mean
+    reduces the last axis only, so each repetition's numbers are the ones
+    its own (n+1, N) rows give, bit for bit.  Outer-derivative rows carry
+    the same leading axes, then the test-function axes.
+
+    On a pair's atoms (``MeasurePair.atoms``, a (N + N',) row),
+    :meth:`averages` reads the moments of m, m' or a mixture, and
+    :meth:`flat` and :meth:`flat2_pairing` give the flat derivatives
+    at every atom.
     """
 
     def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):
@@ -217,37 +187,76 @@ class _Tables:
                 out = out + col * _ustat_rows(wa, wb)
         return out
 
+    def averages(self, measure: np.ndarray | slice) -> np.ndarray:
+        """The test-function averages v_a(m), (k,), of one measure on a
+        row of atoms: a slice of them, the uniform measure there (a
+        mean), or a weight row on all of them (a dot product)."""
+        if isinstance(measure, slice):
+            v = np.array([np.mean(p[measure]) for p in self.vals])
+        else:
+            v = np.array([np.dot(measure, p) for p in self.vals])
+        if not np.all(np.isfinite(v)):
+            raise NumericOverflowError("non-finite test-function averages")
+        return v
+
+    def flat(self, d_outer: np.ndarray) -> np.ndarray:
+        """delta_m u = sum_a dF_a phi_a at every atom, for dF = ``d_outer``."""
+        return sum(d * p for d, p in zip(d_outer, self.vals))
+
+    def flat2_pairing(self, d2_outer: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """delta_m^2 u paired with m' - m in its second argument,
+        sum_ab d2F_ab phi_a gaps_b at every atom, for gaps_b =
+        <phi_b, m' - m>."""
+        out = np.zeros_like(self.vals[0])
+        for a, p in enumerate(self.vals):
+            for b, gap in enumerate(gaps):
+                if d2_outer[a, b] != 0.0:
+                    out = out + d2_outer[a, b] * p * gap
+        return out
+
 
 @dataclass(frozen=True)
 class MeasurePair:
-    """Pair (m, m') with the exact mixture lambda m' + (1 - lambda) m."""
+    """Pair (m, m') of single measures and their exact mixtures
+    lambda m' + (1 - lambda) m, all on :attr:`atoms`, the atoms of m
+    followed by those of m'."""
 
     m: EmpiricalMeasure
     m_prime: EmpiricalMeasure
 
-    def mixture(self, lam: float) -> EmpiricalMeasure:
-        if lam < 0.0 or lam > 1.0:
+    def __post_init__(self):
+        if self.m.atoms.ndim != 1 or self.m_prime.atoms.ndim != 1:
+            raise InvalidArgumentError("a measure pair takes two single measures, not batches")
+
+    @property
+    def atoms(self) -> np.ndarray:
+        return np.concatenate([self.m.atoms, self.m_prime.atoms])
+
+    def mixture(self, lam: float) -> np.ndarray | slice:
+        """The mixture at ``lam`` on :attr:`atoms`: its weight row, or
+        at lam = 0 and 1, where it is m or m' itself, the slice of that
+        measure's atoms."""
+        if not 0.0 <= lam <= 1.0:  # NaN fails too
             raise InvalidArgumentError("mixture parameter must lie in [0, 1]")
+        n, n_p = self.m.num_atoms, self.m_prime.num_atoms
         if lam == 0.0:
-            return self.m
+            return slice(None, n)
         if lam == 1.0:
-            return self.m_prime
-        wm = (1.0 - lam) * (
-            self.m.weights if self.m.weights is not None else np.full(self.m.num_atoms, 1.0 / self.m.num_atoms)
-        )
-        wp = lam * (
-            self.m_prime.weights
-            if self.m_prime.weights is not None
-            else np.full(self.m_prime.num_atoms, 1.0 / self.m_prime.num_atoms)
-        )
-        return EmpiricalMeasure(
-            np.concatenate([self.m.atoms, self.m_prime.atoms]), np.concatenate([wm, wp])
-        )
+            return slice(n, None)
+        return np.concatenate([(1.0 - lam) * np.full(n, 1.0 / n), lam * np.full(n_p, 1.0 / n_p)])
+
+    def pairing(self, values: np.ndarray) -> float:
+        """<f, m' - m> for f given by its values on :attr:`atoms`."""
+        n = self.m.num_atoms
+        return float(np.mean(values[n:])) - float(np.mean(values[:n]))
 
 
-def _pairing(values_on_mp: np.ndarray, mp: EmpiricalMeasure, values_on_m: np.ndarray, m: EmpiricalMeasure) -> float:
-    # <f, m' - m> for f given by its values on each atom set
-    return mp.average(values_on_mp) - m.average(values_on_m)
+def _value(u: CylindricalFunctional, v: np.ndarray) -> float:
+    """u = F(v) at the test-function averages v."""
+    val = float(u.outer.value(v))
+    if not np.isfinite(val):
+        raise NumericOverflowError("non-finite functional value")
+    return val
 
 
 @dataclass(frozen=True)
@@ -273,7 +282,8 @@ def _check_eps(eps_list: Sequence[float]) -> None:
     # an observed order needs two step sizes; with fewer the check passes unseen
     if len(eps_list) < 2:
         raise InvalidArgumentError("eps_list needs at least two step sizes")
-    if any(e <= 0 for e in eps_list) or any(np.diff(eps_list) >= 0):
+    eps = np.asarray(eps_list, dtype=float)
+    if not (np.all(eps > 0) and np.all(np.diff(eps) < 0)):  # NaN fails too
         raise InvalidArgumentError("eps_list must be positive and decreasing")
 
 
@@ -286,16 +296,13 @@ def fd_check_dm(
     and the observed decay order between consecutive eps values.
     """
     _check_eps(eps_list)
-    base = evaluate(u, pair.m)
-    pairing = _pairing(
-        np.asarray(delta_m(u, pair.m, pair.m_prime.atoms)),
-        pair.m_prime,
-        np.asarray(delta_m(u, pair.m, pair.m.atoms)),
-        pair.m,
-    )
+    tab = _Tables(u.tests, pair.atoms)
+    v = tab.averages(pair.mixture(0.0))
+    base = _value(u, v)
+    pairing = pair.pairing(tab.flat(u.outer.grad(v)))
     rows = []
     for eps in eps_list:
-        fd = (evaluate(u, pair.mixture(eps)) - base) / eps
+        fd = (_value(u, tab.averages(pair.mixture(eps))) - base) / eps
         rows.append((float(eps), abs(fd - pairing)))
     return _attach_orders(rows)
 
@@ -305,25 +312,18 @@ def fd_check_dm2(
 ) -> list[FdRow]:
     """Same check one level down: differences of delta_m u against delta_m^2.
 
-    The error at each eps is maximized over probe points x drawn from the
-    atoms of both measures.
+    The error at each eps is maximized over probe points x, the atoms of
+    both measures.
     """
     _check_eps(eps_list)
-    probes = np.concatenate([np.atleast_1d(pair.m.atoms), np.atleast_1d(pair.m_prime.atoms)])
-    base = np.asarray(delta_m(u, pair.m, probes))
-    h = u.outer.hess(moments(u, pair.m))
-    pairing = np.zeros_like(probes)
-    for a in range(u.k):
-        for b in range(u.k):
-            if h[a, b] != 0.0:
-                gap = pair.m_prime.average(u.tests[b].value(pair.m_prime.atoms)) - pair.m.average(
-                    u.tests[b].value(pair.m.atoms)
-                )
-                pairing = pairing + h[a, b] * u.tests[a].value(probes) * gap
+    tab = _Tables(u.tests, pair.atoms)
+    v = tab.averages(pair.mixture(0.0))
+    base = tab.flat(u.outer.grad(v))
+    gaps = tab.averages(pair.mixture(1.0)) - v
+    pairing = tab.flat2_pairing(u.outer.hess(v), gaps)
     rows = []
     for eps in eps_list:
-        mixed = pair.mixture(eps)
-        fd = (np.asarray(delta_m(u, mixed, probes)) - base) / eps
+        fd = (tab.flat(u.outer.grad(tab.averages(pair.mixture(eps)))) - base) / eps
         rows.append((float(eps), float(np.max(np.abs(fd - pairing)))))
     return _attach_orders(rows)
 
@@ -346,14 +346,9 @@ def integral_identity_gap(u: CylindricalFunctional, pair: MeasurePair) -> float:
     The lambda integral uses 16-point Gauss-Legendre, exact for the
     polynomial-in-lambda integrands of polynomial outer maps.
     """
-    lhs = evaluate(u, pair.m_prime) - evaluate(u, pair.m)
+    tab = _Tables(u.tests, pair.atoms)
+    lhs = _value(u, tab.averages(pair.mixture(1.0))) - _value(u, tab.averages(pair.mixture(0.0)))
     rhs = 0.0
     for lam, w in zip(_GL_LAMBDAS, _GL_W01):
-        mixed = pair.mixture(float(lam))
-        rhs += w * _pairing(
-            np.asarray(delta_m(u, mixed, pair.m_prime.atoms)),
-            pair.m_prime,
-            np.asarray(delta_m(u, mixed, pair.m.atoms)),
-            pair.m,
-        )
+        rhs += w * pair.pairing(tab.flat(u.outer.grad(tab.averages(pair.mixture(float(lam))))))
     return abs(lhs - rhs)

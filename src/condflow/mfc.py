@@ -37,7 +37,6 @@ from .particle import gaussian_quantile_initial, simulate_ensemble
 from .paths import RngStream, constant_coefficients, make_uniform_partition
 
 __all__ = [
-    "GaussianMoments",
     "measure_mean",
     "measure_variance",
     "ControlProblem",
@@ -61,30 +60,14 @@ __all__ = [
 # measure arguments
 
 
-@dataclass(frozen=True)
-class GaussianMoments:
-    """Gaussian surrogate for a measure that only enters through (mean, var)."""
-
-    mean: float
-    var: float
-
-    def __post_init__(self):
-        if self.var < 0:
-            raise InvalidArgumentError("variance must be nonnegative")
-
-
-def measure_mean(m) -> float | np.ndarray:
+def measure_mean(m: EmpiricalMeasure) -> float | np.ndarray:
     """The mean of ``m``: a Python float, or for the batch of measures of
     an Euler sweep (see ``particle.simulate_ensemble``) the (M, 1)
     column of its row means."""
-    if isinstance(m, GaussianMoments):
-        return m.mean
     return m.average(m.atoms)
 
 
-def measure_variance(m) -> float | np.ndarray:
-    if isinstance(m, GaussianMoments):
-        return m.var
+def measure_variance(m: EmpiricalMeasure) -> float | np.ndarray:
     mu = measure_mean(m)
     return m.average((m.atoms - mu) ** 2)
 
@@ -111,9 +94,10 @@ class ControlProblem:
         if not np.isfinite(self.a_max) or self.a_max <= 0:
             raise InvalidArgumentError("control bound must be positive and finite")
 
-    def terminal_reward(self, m) -> float:
+    def terminal_reward(self, mean: float, var: float) -> float:
+        """The terminal reward of a measure with this mean and variance."""
         consts = self.constants
-        return -0.5 * consts["c_g"] * measure_variance(m) - 0.5 * consts["c_m"] * measure_mean(m) ** 2
+        return -0.5 * consts["c_g"] * var - 0.5 * consts["c_m"] * mean**2
 
 
 def make_lq_problem(
@@ -196,9 +180,10 @@ class LqValue:
         })
         return qc
 
-    def value(self, t: float, m) -> float:
+    def value(self, t: float, mean: float, var: float) -> float:
+        """V at ``t`` of a measure with this mean and variance."""
         qc = self.quad_coeffs(t)
-        return qc["P"] * measure_variance(m) + qc["R"] * measure_mean(m) ** 2 + qc["c"]
+        return qc["P"] * var + qc["R"] * mean**2 + qc["c"]
 
     def d_lions(self, t: float, m, x):
         qc = self.quad_coeffs(t)
@@ -533,10 +518,9 @@ def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport
         for (t, mu, var), sup, b0, b1 in zip(block, sups.tolist(), b0s.tolist(), b1s.tolist()):
             nodes.append(HjbNode(t, mu, var, -sup, b0, b1))
     terminal_gap = 0.0
-    for mu in mean_nodes:
-        for var in var_nodes:
-            m = GaussianMoments(float(mu), float(var))
-            gap = abs(value.value(problem.horizon, m) - problem.terminal_reward(m))
+    for mu in mean_nodes.tolist():
+        for var in var_nodes.tolist():
+            gap = abs(value.value(problem.horizon, mu, var) - problem.terminal_reward(mu, var))
             terminal_gap = max(terminal_gap, gap)
     max_abs = max(abs(nd.residual) for nd in nodes)
     return HjbReport(tuple(nodes), max_abs, terminal_gap, tol, max_abs <= tol and terminal_gap == 0.0)
@@ -665,8 +649,9 @@ def dpp_check(
             f_vals = -0.5 * a**2 - 0.5 * q * (x - means[..., None]) ** 2 - r_mean2[..., None]
             for f_k, h in zip(f_vals.mean(axis=-1), ens.deltas.tolist()):
                 reward += f_k * h
-        v_start = value.value(t0, empirical(atoms))
-        v_end = [value.value(theta, empirical(row)) for row in ens.states[-1]]
+        m0 = empirical(atoms)
+        v_start = value.value(t0, measure_mean(m0), measure_variance(m0))
+        v_end = [value.value(theta, measure_mean(m), measure_variance(m)) for m in map(empirical, ens.states[-1])]
     except OverflowError:
         raise NumericOverflowError("the DPP reward or value overflows") from None
     gaps = np.array([reward_r + v_r - v_start for reward_r, v_r in zip(reward.tolist(), v_end)])

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condflow import (
     BrownianFieldSpec,
@@ -22,6 +24,7 @@ from condflow import (
     verify_ito_wentzell,
 )
 from condflow import particle
+from condflow.chainrule import _quantile_90
 from condflow.measures import CylindricalFunctional, OuterFunction
 from condflow.registry import (
     factor_linear_functional,
@@ -92,6 +95,17 @@ def test_second_moment_idiosyncratic_case():
     s1 = report.aggregate["term_stochastic_integral"]
     se = np.std([row.terms["stochastic_integral"] for row in report.rows], ddof=1) / np.sqrt(24)
     assert abs(s1) < 4.0 * se
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64), st.integers(1, 4096), st.integers(0, 2**32 - 1))
+def test_quantile_90_is_numpys_bit_for_bit(drawn, size, seed):
+    # the drawn floats reach NaN, the infinities, signed zeros and ties;
+    # the seeded draws reach long arrays of absolute residuals
+    rows = [np.array(drawn), np.abs(np.random.default_rng(seed).standard_cauchy(size))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in rows:
+            assert _quantile_90(x).hex() == float(np.quantile(x, 0.9)).hex()
 
 
 def test_row_accounting_identity():

@@ -15,6 +15,8 @@ from condflow import InvalidArgumentError, list_registry
 from condflow.cli import UsageError, load_config, main, resolve_params, run
 from condflow.registry import _EXPERIMENTS, _FUNCTIONALS, get_experiment
 
+from helpers import REPRO_CONFIGS
+
 
 def small_config(**overrides):
     cfg = {"experiment": "ito-telescoping", "seed": 11, "n": 16, "N": 32, "M": 3}
@@ -244,6 +246,24 @@ def scipy_modules():
 assert not scipy_modules(), scipy_modules()
 assert cli.run({config!r}, write=False)[0] == 0
 assert not scipy_modules(), scipy_modules()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_repro_runs_leave_numpy_ma_unloaded():
+    # np.quantile imports numpy.ma on its first call in a process, about
+    # 15 ms inside a run's wall time; a fresh interpreter, so modules that
+    # other tests imported do not count
+    src = str(Path(condflow.__file__).resolve().parents[1])
+    code = f"""
+import sys
+from condflow import cli
+
+assert "numpy.ma" not in sys.modules
+for config in {REPRO_CONFIGS!r}:
+    cli.run(config, write=False)
+assert "numpy.ma" not in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

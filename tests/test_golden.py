@@ -5,16 +5,20 @@ payload byte fails here and not only in a by-hand comparison.
 reproducibility configs, of one small sweep per non-exact verifier
 experiment, of two runs that resume a windowed sweep, of two runs swept
 in batches and of two more ``dpp-lq`` runs (the constant control, and a
-later start time), with the numpy and scipy versions it was recorded
-under.  Each batched run's hash was recorded before its verifier swept
-in batches (the factor run's before the factor view batched), so it pins
-the bytes of the sweep that took one stream at a time.
+later start time), and of every config of the benchmark's workloads
+(``bench/workloads.py``) at seed 1, so that byte identity at the sizes
+the benchmark measures is a test too.  It records the numpy and scipy
+versions it was recorded under.  Each batched run's hash was recorded
+before its verifier swept in batches (the factor run's before the factor
+view batched), so it pins the bytes of the sweep that took one stream at
+a time.
 Other versions may draw or round differently, so there the test skips.
 A change that alters a payload on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -26,6 +30,7 @@ from condflow.cli import run
 from helpers import REPRO_CONFIGS
 
 RECORD = Path(__file__).with_name("golden_payloads.json")
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SWEEP_GRID = {"n": [8, 32], "N": [16, 32], "M": [2]}
 SWEEP_EXPERIMENTS = (
     "ito-second-moment",
@@ -57,12 +62,29 @@ DPP_CONFIGS = {
     "dpp-lq constant-max": {"experiment": "dpp-lq", "seed": 7, "n": 16, "N": 32, "M": 4, "control": "constant-max"},
     "dpp-lq t0 0.25": {"experiment": "dpp-lq", "seed": 7, "n": 16, "N": 32, "M": 4, "coefficients": {"t0": 0.25}},
 }
+
+
+def bench_configs(seed: int) -> dict:
+    """Every config of the benchmark's workloads at ``seed``, keyed by
+    workload, position and experiment; read from ``bench/workloads.py``
+    so that the record follows the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {
+        f"bench {name} {i} {cfg['experiment']}": cfg
+        for name in workloads.WORKLOADS
+        for i, cfg in enumerate(workloads.configs(name, seed))
+    }
+
+
 CONFIGS = {
     **{cfg["experiment"]: cfg for cfg in REPRO_CONFIGS},
     **DPP_CONFIGS,
     **{f"sweep {name}": {"experiment": name, "seed": 2, "grid": SWEEP_GRID} for name in SWEEP_EXPERIMENTS},
     **{f"windowed {cfg['experiment']}": cfg for cfg in WINDOWED_CONFIGS},
     **{f"batched {cfg['experiment']}": cfg for cfg in BATCHED_CONFIGS},
+    **bench_configs(1),
 }
 
 

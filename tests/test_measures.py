@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condflow import (
-    EmpiricalMeasure,
     InvalidArgumentError,
     MeasurePair,
     NumericOverflowError,
-    delta_m,
     empirical,
-    evaluate,
     fd_check_dm,
     fd_check_dm2,
     integral_identity_gap,
@@ -75,24 +72,32 @@ def test_empirical_basics():
     np.testing.assert_array_equal(batch.average(batch.atoms**2), [[5.0], [20.0]])
     with pytest.raises(InvalidArgumentError):
         empirical(np.zeros((2, 2, 2)))  # atoms are scalar
-    with pytest.raises(InvalidArgumentError):
-        EmpiricalMeasure(np.zeros((2, 2)), np.full(2, 0.5))  # a batch takes no weights
 
 
 # ---------------------------------------------------------------------------
 # cylindrical calculus
 
 
-def test_evaluate_examples():
-    m = empirical([1.0, 2.0, 3.0])
-    assert evaluate(mean_functional(), m) == pytest.approx(2.0)
-    assert evaluate(mean_squared_functional(), m) == pytest.approx(4.0)
-    assert evaluate(second_moment_functional(), empirical([0.0, 2.0])) == pytest.approx(2.0)
+def test_pair_averages_examples():
+    # u at m, at m' and at their even mixture, from one table on the pair's atoms
+    pair = MeasurePair(empirical([1.0, 2.0, 3.0]), empirical([0.0, 2.0]))
+    for u, at_m, at_mp, mid in (
+        (mean_functional(), 2.0, 1.0, 1.5),
+        (mean_squared_functional(), 4.0, 1.0, 2.25),
+        (second_moment_functional(), 14.0 / 3.0, 2.0, 10.0 / 3.0),
+    ):
+        tab = _Tables(u.tests, pair.atoms)
+        for lam, want in ((0.0, at_m), (1.0, at_mp), (0.5, mid)):
+            assert u.outer.value(tab.averages(pair.mixture(lam))) == pytest.approx(want)
 
 
-def test_evaluate_overflow():
+def test_fd_checks_overflow():
+    pair = MeasurePair(empirical([1e200, 1e200]), empirical([0.0, 1.0]))
+    for check in (fd_check_dm, fd_check_dm2):
+        with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
+            check(second_moment_squared_functional(), pair, EPS_LIST)
     with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
-        evaluate(second_moment_squared_functional(), empirical([1e200, 1e200]))
+        integral_identity_gap(second_moment_squared_functional(), pair)
 
 
 def test_derivatives_mean():
@@ -112,7 +117,10 @@ def test_derivatives_mean_squared():
     np.testing.assert_array_equal(tab.hess_mean(d1, np.ones(2)), [0.0, 0.0])
     np.testing.assert_allclose(tab.pair_mean(d2, np.ones(2)), [2.0, 2.0], rtol=1e-15)
     np.testing.assert_allclose(tab.pair_mean(d2, np.array([1.0, 3.0])), [6.0, 6.0], rtol=1e-15)
-    assert delta_m(u, empirical([1.0, 3.0]), 1.5) == pytest.approx(2.0 * 2.0 * 1.5)
+    # the flat derivative at m = (1, 3) is 2 mean(m) x
+    tab = _Tables(u.tests, np.array([1.0, 3.0, 1.5]))
+    flat = tab.flat(u.outer.grad(tab.averages(slice(None, 2))))
+    assert flat[-1] == pytest.approx(2.0 * 2.0 * 1.5)
 
 
 def test_derivatives_second_moment():
@@ -149,16 +157,21 @@ def test_dm2_symmetry(seed):
 
 def test_mixture_endpoints_atom_for_atom():
     pair = MeasurePair(empirical([0.0, 1.0]), empirical([2.0, 3.0, 4.0]))
-    assert pair.mixture(0.0) is pair.m
-    assert pair.mixture(1.0) is pair.m_prime
-    mid = pair.mixture(0.25)
-    np.testing.assert_allclose(mid.atoms, [0.0, 1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(mid.weights, [0.375, 0.375, 0.25 / 3, 0.25 / 3, 0.25 / 3])
+    np.testing.assert_array_equal(pair.atoms, [0.0, 1.0, 2.0, 3.0, 4.0])
+    # the end points are m's and m''s own atoms, read as uniform measures
+    np.testing.assert_array_equal(pair.atoms[pair.mixture(0.0)], pair.m.atoms)
+    np.testing.assert_array_equal(pair.atoms[pair.mixture(1.0)], pair.m_prime.atoms)
+    np.testing.assert_allclose(pair.mixture(0.25), [0.375, 0.375, 0.25 / 3, 0.25 / 3, 0.25 / 3])
+    for lam in (1.5, -0.1, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            pair.mixture(lam)
     with pytest.raises(InvalidArgumentError):
-        pair.mixture(1.5)
+        MeasurePair(empirical([[0.0, 1.0]]), pair.m_prime)  # a batch is not one measure
 
 
-@pytest.mark.parametrize("eps_list", [[], [0.1], [0.1, 0.1], [0.01, 0.1], [0.1, -0.01]])
+@pytest.mark.parametrize(
+    "eps_list", [[], [0.1], [0.1, 0.1], [0.01, 0.1], [0.1, -0.01], [np.nan, 0.1], [0.1, np.nan]]
+)
 def test_fd_checks_reject_bad_eps_lists(eps_list):
     # fewer than two step sizes give no observed order, so nothing would be checked
     pair = MeasurePair(empirical([0.2, 1.4]), empirical([-0.5, 0.9, 2.2]))

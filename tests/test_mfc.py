@@ -9,7 +9,6 @@ from condflow.errors import InvalidArgumentError, NumericOverflowError
 from condflow import mfc, particle
 from condflow.mfc import (
     AffineFeedback,
-    GaussianMoments,
     RiccatiFeedback,
     constant_control_gap,
     constant_feedback,
@@ -66,8 +65,7 @@ def test_riccati_against_tanh_closed_form():
 def test_terminal_condition_exact():
     for mu in (-1.0, 0.0, 0.7):
         for var in (0.25, 1.0, 2.0):
-            m = GaussianMoments(mu, var)
-            assert VALUE.value(1.0, m) == PROBLEM.terminal_reward(m)
+            assert VALUE.value(1.0, mu, var) == PROBLEM.terminal_reward(mu, var)
 
 
 def test_value_derivative_fields_consistent():
@@ -80,10 +78,14 @@ def test_value_derivative_fields_consistent():
     i = 17
     bumped = atoms.copy()
     bumped[i] += h
-    fd = (VALUE.value(t, empirical(bumped)) - VALUE.value(t, m)) / h
+
+    def value(t, m):
+        return VALUE.value(t, measure_mean(m), measure_variance(m))
+
+    fd = (value(t, empirical(bumped)) - value(t, m)) / h
     want = VALUE.d_lions(t, m, atoms[i]) / atoms.size
     assert fd == pytest.approx(want, rel=1e-4)
-    fd_t = (VALUE.value(t + 1e-4, m) - VALUE.value(t - 1e-4, m)) / 2e-4
+    fd_t = (value(t + 1e-4, m) - value(t - 1e-4, m)) / 2e-4
     qc = VALUE.quad_coeffs(t)
     slope = qc["dP"] * measure_variance(m) + qc["dR"] * measure_mean(m) ** 2 + qc["dc"]
     assert fd_t == pytest.approx(slope, rel=1e-3, abs=1e-6)
@@ -294,7 +296,7 @@ def test_constant_feedback_respects_control_set():
     with pytest.raises(InvalidArgumentError):
         constant_feedback(PROBLEM.a_max + 1.0, PROBLEM.a_max)
     control = AffineFeedback(0.0, 100.0, PROBLEM.a_max)
-    vals = control(0.0, np.linspace(-5, 5, 11), GaussianMoments(0.0, 1.0))
+    vals = control(0.0, np.linspace(-5, 5, 11), empirical([-1.0, 1.0]))
     assert np.max(np.abs(vals)) <= PROBLEM.a_max
 
 
