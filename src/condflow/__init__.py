@@ -40,6 +40,7 @@ from .measures import (
 )
 from .particle import (
     ParticleEnsemble,
+    Sweep,
     dirac_initial,
     gaussian_quantile_initial,
     measure_flow_modulus,

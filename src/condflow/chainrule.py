@@ -4,10 +4,10 @@ The Ito rule, the Ito-Wentzell rule for random fields and its Brownian
 and factor-model corollaries are one identity with different driver
 terms, so one private kernel, ``_verify``, runs all four.  It simulates
 M independent common-noise repetitions, G repetitions at a time as one
-(cells, G, N) batch (:meth:`EnsembleSpec.batch_size`), and walks each
-batch through the time windows of ``particle.simulate_ensemble``, at
-most about 2^16 particle-steps each (:meth:`EnsembleSpec.windows`, so
-memory is O(N) rather than O(n N)).  Each repetition has its own
+(cells, G, N) batch (:meth:`EnsembleSpec.batch_size`): each batch is one
+``particle.Sweep``, run by ``particle.simulate_ensemble`` in time windows
+of at most about 2^16 particle-steps each, so memory is O(N) rather than
+O(n N).  Each repetition has its own
 common-noise and factor paths, and its coefficients read its own
 empirical measure; batching cuts the per-step interpreter work of a
 small-N run by about G.  Each window fills per-time buffers (length n+1)
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import CylindricalFunctional, TestFunction, _Tables
-from .particle import ParticleEnsemble, simulate_ensemble, window_cells
+from .particle import ParticleEnsemble, Sweep, simulate_ensemble, window_cells
 from .paths import Partition, RngStream, SamplePath, SdeCoefficients, make_uniform_partition
 
 __all__ = [
@@ -89,24 +89,6 @@ class EnsembleSpec:
         cells = min(self.num_cells, window_cells(self.num_particles))
         return min(repetitions, max(1, cells // 16))
 
-    def windows(self, rng: Sequence[RngStream]):
-        """Yield one run of :func:`simulate_ensemble` on this recipe, as
-        consecutive windows (the last one may be shorter).
-
-        ``rng`` is a batch of G streams, swept as one in the windows
-        :func:`simulate_ensemble` chooses: ``max(1, c // G)`` cells each,
-        where c = ``min(n, particle.window_cells(N))`` is the window of a
-        batch of one.  Each window is (cells, G, N) (see
-        :class:`particle.ParticleEnsemble`), and its measure argument is
-        one empirical measure per repetition.
-        """
-        part = self.partition()
-        ens, stop = self.initial, 0
-        while stop < self.num_cells:
-            ens = simulate_ensemble(self.coeffs, ens, self.num_particles, part, rng, y0=self.y0)
-            stop = ens.cells.stop
-            yield ens
-
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -115,7 +97,8 @@ class VerifyConfig:
     ``rule`` picks the pass criterion: "exact" (max |residual| below an
     absolute floor), "mc" (mean and 0.9-quantile of |residual| within
     3 SE + C (n^-1/2 + N^-1/2)), or "dt" (signed mean residual within
-    3 SE + C dt).  ``cross`` picks the estimator of the cross term
+    3 SE + C dt), with C = ``tolerance_c`` and the floor ``exact_floor``
+    both nonnegative.  ``cross`` picks the estimator of the cross term
     between two distinct particles: the analytic sigma0 sigma0-hat dt or
     pairwise products of their increments.
     """
@@ -136,6 +119,10 @@ class VerifyConfig:
         need = 1 if self.rule == "exact" else 2  # one repetition has no standard error
         if self.outer_paths < need:
             raise InvalidArgumentError(f"the {self.rule!r} rule needs at least {need} outer repetitions")
+        for key in ("tolerance_c", "exact_floor"):
+            # a negative or NaN allowance is a gate that cannot pass
+            if not getattr(self, key) >= 0:
+                raise InvalidArgumentError(f"{key} must be nonnegative, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -274,6 +261,10 @@ def _verify(
     """Sweep the repetitions batch by batch and window by window, then
     finalize the report.
 
+    Each batch of G streams is one :class:`particle.Sweep`, run in the
+    windows :func:`simulate_ensemble` chooses: ``max(1, c // G)`` cells
+    each (the last one may be shorter), where c =
+    ``min(n, particle.window_cells(N))`` is the window of a batch of one.
     Every window's arrays are (cells, G, N), and particle means reduce
     the last axis.
     ``coefficients(f, ens, v)`` maps functional ``f``'s moment rows ``v``
@@ -293,11 +284,13 @@ def _verify(
     for first in range(0, m, size):
         reps = range(first, min(m, first + size))
         streams = [cfg.rng.child(r) for r in reps]
+        sweep = Sweep(espec.coeffs, espec.initial, espec.num_particles, espec.partition(), streams, y0=espec.y0)
         # per-repetition buffers, repetition axis first
         values = defaultdict(lambda: np.empty((len(reps), k, n + 1)))
         cells = defaultdict(lambda: np.empty((len(reps), k, n)))
         extras = defaultdict(lambda: np.empty((len(reps), n)))
-        for ens in espec.windows(streams):
+        while not sweep.done:
+            ens = simulate_ensemble(sweep)
             integrands, vectors = window(ens)
             contracted = {c for _, _, c, _, _ in integrands}
             # window rows are (time, repetition); the buffers take the transpose
@@ -322,8 +315,8 @@ def _verify(
                 extras={key: buf[i] for key, buf in extras.items()},
             )
             rows.append(assemble(rep))
-        # free this batch's buffers before the next batch allocates its own
-        del values, cells, extras, rep
+        # free this batch's sweep and buffers before the next batch makes its own
+        del sweep, values, cells, extras, rep
     params = {
         "n": espec.num_cells,
         "N": espec.num_particles,

@@ -150,13 +150,15 @@ def resolve_params(config: dict) -> tuple[str, int, dict, dict]:
         if key not in _TOLERANCE_KEYS:
             raise UsageError(f"unknown tolerance key {key!r}")
         apply(key, value)
-        if value < 0:  # a negative allowance is a gate that cannot pass
-            raise UsageError(f"tolerance {key} must be nonnegative, got {value!r}")
     coeffs = config.get("coefficients", {})
     if not isinstance(coeffs, dict):
         raise UsageError("coefficients must be a mapping")
     for key, value in coeffs.items():
         apply(key, value)
+    # whichever mapping set it, a negative allowance is a gate that cannot pass
+    for key in sorted(_TOLERANCE_KEYS & params.keys()):
+        if params[key] < 0:
+            raise UsageError(f"tolerance {key} must be nonnegative, got {params[key]!r}")
     checked = {**params, "seed": config["seed"]}
     for key, least in _INT_MINIMUM.items():
         _check_int(key, checked.get(key, least), least)

@@ -21,7 +21,7 @@ below validate against the defining directional limits.
 
 Atoms are scalar: a measure is one uniform (N,) atom row, or a batch of
 M uniform measures, one per row of a (M, N) array, as an Euler sweep
-hands its coefficients (see ``particle.simulate_ensemble``).  A mixture
+hands its coefficients (see ``particle.Sweep``).  A mixture
 of a pair is a weight row on the pair's atoms.
 """
 

@@ -18,9 +18,9 @@ running reward in :func:`dpp_check`, in :func:`_lq_generator_grid` and in
 :meth:`ControlProblem.terminal_reward`.
 
 The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
-nodes and in the time windows of about 2^16 particle steps that
-``particle.simulate_ensemble`` chooses: fixed budgets, not options,
-that bound the memory and change no output bit.
+nodes and in the time windows of about 2^16 particle steps in which
+``particle.simulate_ensemble`` runs a ``particle.Sweep``: fixed budgets,
+not options, that bound the memory and change no output bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,7 +33,7 @@ import numpy as np
 from ._normal import ndtr
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure, empirical
-from .particle import gaussian_quantile_initial, simulate_ensemble
+from .particle import Sweep, gaussian_quantile_initial, simulate_ensemble
 from .paths import RngStream, constant_coefficients, make_uniform_partition
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
 
 def measure_mean(m: EmpiricalMeasure) -> float | np.ndarray:
     """The mean of ``m``: a Python float, or for the batch of measures of
-    an Euler sweep (see ``particle.simulate_ensemble``) the (M, 1)
+    an Euler sweep (see ``particle.Sweep``) the (M, 1)
     column of its row means."""
     return m.average(m.atoms)
 
@@ -498,8 +498,11 @@ def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport
     runs one grid for every node, so there a node's censored moments
     (the generator's ``ndtr`` calls) depend on its variance alone: they
     are computed once per variance and call, not once per node.
-    Elementwise, they are the same bits either way.
+    Elementwise, they are the same bits either way.  ``tol`` must be
+    nonnegative.
     """
+    if not tol >= 0:  # a negative or NaN allowance is a gate that cannot pass
+        raise InvalidArgumentError(f"tol must be nonnegative, got {tol!r}")
     t_nodes = np.linspace(0.0, problem.horizon, 9)
     mean_nodes = np.linspace(-1.0, 1.0, 5)
     var_nodes = np.linspace(0.25, 2.0, 5)
@@ -599,8 +602,8 @@ def dpp_check(
     is either above it ("dpp-violation") or below -3 SE ("suboptimal").
 
     The M = ``outer_paths`` repetitions, repetition r on
-    ``rng.child(r)``, run as one sweep of :func:`simulate_ensemble` on
-    the M streams, window by window as the sweep chooses; the feedback
+    ``rng.child(r)``, run as one :class:`particle.Sweep` of the M
+    streams, window by window by :func:`simulate_ensemble`; the feedback
     reads each repetition's own empirical measure.  After each window
     the running reward of every repetition is evaluated at once and
     summed cell by cell, in order, so the result does not depend on the
@@ -635,12 +638,11 @@ def dpp_check(
     # the quantile atoms do not depend on the stream: every repetition starts here
     atoms = initial(None, num_particles)
     streams = [rng.child(rep) for rep in range(outer_paths)]
+    sweep = Sweep(coeffs, initial, num_particles, part, streams, control=shifted_control)
     reward = np.zeros(outer_paths)
-    ens, stop = initial, 0
     try:  # a Python float's ** raises where * would give inf
-        while stop < num_cells:
-            ens = simulate_ensemble(coeffs, ens, num_particles, part, streams, control=shifted_control)
-            stop = ens.cells.stop
+        while not sweep.done:
+            ens = simulate_ensemble(sweep)
             x, a = ens.states[:-1], ens.control_values
             # the row means as Python floats, so that mean**2 is each row's
             # own pow, as in _lq_generator_grid

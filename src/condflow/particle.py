@@ -7,10 +7,15 @@ expectations for the finite system: conditioning on every driver and
 drawing a uniformly random particle index makes the empirical measure
 the conditional law of the tagged particle, so these averages are
 not merely large-N approximations.
+
+An Euler sweep is a :class:`Sweep`, made once from its recipe;
+:func:`simulate_ensemble` runs its next time window of at most about
+2^16 particle steps and returns it as a :class:`ParticleEnsemble`, so a
+sweep holds one window at a time, whatever the grid size.
 """
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +27,7 @@ from .paths import Partition, RngStream, SamplePath, SdeCoefficients, simulate_f
 
 __all__ = [
     "ParticleEnsemble",
+    "Sweep",
     "dirac_initial",
     "gaussian_quantile_initial",
     "simulate_ensemble",
@@ -42,34 +48,12 @@ def window_cells(row_elements: int) -> int:
     return max(1, _WINDOW_ELEMENTS // row_elements)
 
 
-class _Sweep:
-    """Live state of an unfinished Euler sweep, shared by its windows.
-
-    ``gens`` holds one generator per stream, ``dw0`` the common
-    increments (n, M, 1), one column per stream, and ``control`` the
-    feedback every window applies.
-    ``next_cell`` is where the sweep continues; only the window ending
-    there can be resumed, so a window cannot be resumed twice.
-    """
-
-    __slots__ = ("gens", "dw0", "x0", "control", "fv", "mart", "next_cell")
-
-    def __init__(self, gens, dw0, x0, control):
-        self.gens = gens
-        self.dw0 = dw0
-        self.x0 = x0
-        self.control = control
-        self.fv = np.zeros(x0.shape)
-        self.mart = np.zeros(x0.shape)
-        self.next_cell = 0
-
-
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """A batch of M systems of N scalar particle paths on one grid, each
     with its own common-noise path.
 
-    An ensemble is one time window of an Euler sweep: cells
+    An ensemble is one time window of a :class:`Sweep`: cells
     ``first_cell`` to ``first_cell + num_cells - 1`` of ``partition``.
     ``states`` has shape (num_cells+1, M, N): for each grid time
     ``first_cell`` to ``first_cell + num_cells``, one row of N particles
@@ -79,9 +63,7 @@ class ParticleEnsemble:
     factor run.  ``drift_values``/``sigma_values``/``sigma0_values``
     (num_cells, M, N) cache the coefficient evaluations made during the
     Euler sweep (left endpoints), which later feed analytic bracket
-    increments.  A window that ends before the last cell can be passed
-    back to :func:`simulate_ensemble` to continue the sweep.
-    ``num_particles`` counts the M N particles of a time row.
+    increments.  ``num_particles`` counts the M N particles of a time row.
     """
 
     partition: Partition
@@ -95,7 +77,6 @@ class ParticleEnsemble:
     factor: tuple[SamplePath, ...] | None = None
     control_values: np.ndarray | None = None
     first_cell: int = 0
-    _sweep: _Sweep | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_particles(self) -> int:
@@ -155,117 +136,128 @@ def gaussian_quantile_initial(mean: float, var: float) -> Callable:
     return make
 
 
-def _initial_atoms(initial: Callable, rng: RngStream, num_particles: int) -> np.ndarray:
-    if not callable(initial):
-        raise InvalidArgumentError("initial must be a sampler (rng, N) -> atoms or a window to resume")
-    atoms = np.asarray(initial(rng, num_particles), dtype=float)
-    if atoms.shape != (num_particles,):
-        raise InvalidArgumentError("initial sampler must return one atom per particle")
-    return atoms
+class Sweep:
+    """One Euler sweep of M interacting systems, each with its own common
+    noise, made once from its recipe and run window by window by
+    :func:`simulate_ensemble`.
 
-
-def simulate_ensemble(
-    coeffs: SdeCoefficients,
-    initial: Callable | ParticleEnsemble,
-    num_particles: int,
-    partition: Partition,
-    rng: Sequence[RngStream],
-    control: Callable | None = None,
-    y0: float | None = None,
-) -> ParticleEnsemble:
-    """One time window of the Euler sweep of M interacting systems, each
-    with its own common noise.
-
-    ``rng`` is a sequence of M streams, one per repetition; a lone
+    ``streams`` is a sequence of M streams, one per repetition; a lone
     stream is refused.  The sweep advances the M independent repetitions
-    as one (M, N) state, repetition r on stream r exactly as a batch of
-    that stream alone would.  Each call runs one window of
-    ``max(1, min(n, window_cells(N)) // M)`` cells from where the sweep
-    stands, at most about 2^16 particle steps, and returns it as a
-    (cells+1, M, N) ensemble (see :class:`ParticleEnsemble`).  A caller
-    resumes the sweep until a window reaches the last cell, so a sweep
-    holds one window at a time, whatever n.  Each particle sees its
-    repetition's common increment dW0 and its own dW; the measure
-    argument fed to the coefficients (and the optional feedback
-    ``control(t, x, m)``) is ``empirical(x)`` of the step's state at the
-    left endpoint, one uniform measure per row, whose ``mean()`` and
-    ``average()`` reduce each row on its own, so a coefficient or
-    control reads its own repetition's law.  ``initial`` is a sampler
-    ``(rng, N) -> atoms`` of N atoms, such as :func:`dirac_initial` or
+    as one (M, N) state, repetition r on stream r exactly as a sweep of
+    that stream alone would.  Each particle sees its repetition's common
+    increment dW0 and its own dW; the measure argument fed to the
+    coefficients (and the optional feedback ``control(t, x, m)``) is
+    ``empirical(x)`` of the step's state at the left endpoint, one
+    uniform measure per row, whose ``mean()`` and ``average()`` reduce
+    each row on its own, so a coefficient or control reads its own
+    repetition's law.  ``initial`` is a sampler ``(rng, N) -> atoms`` of
+    N atoms, such as :func:`dirac_initial` or
     :func:`gaussian_quantile_initial`, called with each stream's child 2.
     With ``y0`` each repetition gets its own factor path, driven by its
     common noise and its stream's child 1, and the coefficients get the
     step's factor values as a (M, 1) column.
 
-    Passing a window back as ``initial``, with the same ``coeffs``,
-    ``partition``, particle count and ``control``, continues the sweep,
-    and ``rng`` and ``y0`` then go unused.  Each stream is drawn in one
-    order however the sweep is split or batched: all of its dW0 first,
-    then its dW rows window by window, so its rows do not depend on the
-    window size.
+    Making a sweep checks its recipe and draws, stream by stream, all of
+    the stream's dW0, its factor path and its initial atoms; ``common``
+    and ``factor`` hold the M whole paths.  Each window then draws its dW
+    rows, so each stream is drawn in one order however the sweep is
+    split or batched, and its rows do not depend on the window size.
+    ``next_cell`` is the first cell of the next window, and ``done``
+    tells that a window has reached the last cell.
+    """
+
+    def __init__(
+        self,
+        coeffs: SdeCoefficients,
+        initial: Callable,
+        num_particles: int,
+        partition: Partition,
+        streams: Sequence[RngStream],
+        control: Callable | None = None,
+        y0: float | None = None,
+    ):
+        if num_particles < 2:
+            raise InvalidArgumentError("need at least two particles")
+        if not isinstance(streams, Sequence):
+            raise InvalidArgumentError("streams must be a sequence of streams, one per repetition")
+        if not streams:
+            raise InvalidArgumentError("a batch needs at least one stream")
+        if not callable(initial):
+            raise InvalidArgumentError("initial must be a sampler (rng, N) -> atoms")
+        self.coeffs, self.partition, self.control = coeffs, partition, control
+        self.num_particles, self.streams = num_particles, tuple(streams)
+        self._sqdt = np.sqrt(partition.deltas)
+        self._gens = [stream.generator() for stream in self.streams]
+        dw0 = np.stack([g.normal(size=partition.num_cells) for g in self._gens]) * self._sqdt
+        paths = np.concatenate([np.zeros((len(self._gens), 1)), np.cumsum(dw0, axis=1)], axis=1)
+        self.common = tuple(SamplePath(partition, path) for path in paths)
+        self.factor = None
+        if y0 is not None:
+            self.factor = tuple(
+                simulate_factor(coeffs, y0, partition, w0, stream.child(1))
+                for w0, stream in zip(self.common, self.streams)
+            )
+        atoms = []
+        for stream in self.streams:
+            atoms.append(np.asarray(initial(stream.child(2), num_particles), dtype=float))
+            if atoms[-1].shape != (num_particles,):
+                raise InvalidArgumentError("initial sampler must return one atom per particle")
+        # a step's dW0 is a (M, 1) column
+        self._dw0 = dw0.T[:, :, None]
+        self._x0 = self._row = np.stack(atoms)
+        self._fv = np.zeros(self._x0.shape)
+        self._mart = np.zeros(self._x0.shape)
+        self.next_cell = 0
+
+    @property
+    def done(self) -> bool:
+        return self.next_cell == self.partition.num_cells
+
+
+def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
+    """Run the next time window of ``sweep`` and return it.
+
+    The window runs ``max(1, min(n, window_cells(N)) // M)`` cells from
+    ``sweep.next_cell``, at most about 2^16 particle steps, and is
+    returned as a (cells+1, M, N) ensemble (see
+    :class:`ParticleEnsemble`).  A caller runs windows until
+    ``sweep.done``, so a sweep holds one window at a time, whatever n;
+    a finished sweep is refused.
 
     Each row is checked for finiteness once: a row the sweep reaches is
     checked by the ``empirical`` call of the step it starts, and the
     window's last row after the loop.  A non-finite row raises
     ``BlowUpError`` naming its grid index, the first over all
-    repetitions, except the initial row of a fresh sweep,
-    where a non-finite atom is an ``InvalidArgumentError``.
+    repetitions, except the initial row, where a non-finite atom is an
+    ``InvalidArgumentError``.
     """
-    if num_particles < 2:
-        raise InvalidArgumentError("need at least two particles")
+    if sweep.done:
+        raise InvalidArgumentError("the sweep is finished")
+    coeffs, control, partition = sweep.coeffs, sweep.control, sweep.partition
     dt = partition.deltas
     n = dt.size
-    sqdt = np.sqrt(dt)
-
-    if isinstance(initial, ParticleEnsemble):
-        sweep = initial._sweep
-        start = initial.first_cell + initial.num_cells
-        if sweep is None or sweep.next_cell != start:
-            raise InvalidArgumentError("only the latest window of an unfinished sweep can be resumed")
-        if initial.partition is not partition or initial.states.shape[-1] != num_particles:
-            raise InvalidArgumentError("a resumed sweep keeps its partition and particle count")
-        if coeffs is not initial.coeffs or control is not sweep.control:
-            raise InvalidArgumentError("a resumed sweep keeps its coefficients and control")
-        common, factor, x_start = initial.common, initial.factor, initial.states[-1]
-    else:
-        if not isinstance(rng, Sequence):
-            raise InvalidArgumentError("rng must be a sequence of streams, one per repetition")
-        streams = list(rng)
-        if not streams:
-            raise InvalidArgumentError("a batch needs at least one stream")
-        gens = [stream.generator() for stream in streams]
-        dw0 = np.stack([g.normal(size=n) for g in gens]) * sqdt
-        paths = np.concatenate([np.zeros((len(gens), 1)), np.cumsum(dw0, axis=1)], axis=1)
-        common = tuple(SamplePath(partition, path) for path in paths)
-        factor = None
-        if y0 is not None:
-            factor = tuple(
-                simulate_factor(coeffs, y0, partition, w0, s.child(1)) for w0, s in zip(common, streams)
-            )
-        x_start = np.stack([_initial_atoms(initial, stream.child(2), num_particles) for stream in streams])
-        sweep = _Sweep(gens, dw0.T[:, :, None], x_start, control)
-        start = 0
-
-    stop = min(n, start + max(1, min(n, window_cells(num_particles)) // len(sweep.gens)))
+    num_particles, gens = sweep.num_particles, sweep._gens
+    start = sweep.next_cell
+    stop = min(n, start + max(1, min(n, window_cells(num_particles)) // len(gens)))
     cells = stop - start
-    dw = np.empty((cells, len(sweep.gens), num_particles))
-    for r, g in enumerate(sweep.gens):
-        np.multiply(g.normal(size=(cells, num_particles)), sqdt[start:stop, None], out=dw[:, r])
-    x0 = sweep.x0
-    states = np.empty((cells + 1, *x_start.shape))
-    states[0] = x_start
+    dw = np.empty((cells, len(gens), num_particles))
+    for r, g in enumerate(gens):
+        np.multiply(g.normal(size=(cells, num_particles)), sweep._sqdt[start:stop, None], out=dw[:, r])
+    x0 = sweep._x0
+    states = np.empty((cells + 1, *x0.shape))
+    states[0] = sweep._row
     bvals = np.empty(dw.shape)
     svals = np.empty(dw.shape)
     s0vals = np.empty(dw.shape)
     avals = np.empty(dw.shape) if control is not None else None
 
-    fv, mart = sweep.fv, sweep.mart
+    fv, mart = sweep._fv, sweep._mart
     times = partition.times[start:stop].tolist()
     widths = dt[start:stop].tolist()
     factor_values = [None] * cells
-    if factor is not None:  # a step's factor values are a (M, 1) column, like its dW0
-        factor_values = np.stack([f.values[start:stop] for f in factor], axis=1)[..., None]
-    for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, sweep.dw0[start:stop], factor_values)):
+    if sweep.factor is not None:  # a step's factor values are a (M, 1) column, like its dW0
+        factor_values = np.stack([f.values[start:stop] for f in sweep.factor], axis=1)[..., None]
+    for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, sweep._dw0[start:stop], factor_values)):
         x = states[j]
         try:
             m = empirical(x)
@@ -290,21 +282,20 @@ def simulate_ensemble(
         row += mart
     if not np.isfinite(states[cells]).all():
         raise BlowUpError(stop)
-    sweep.fv, sweep.mart, sweep.next_cell = fv, mart, stop
+    sweep._fv, sweep._mart, sweep._row, sweep.next_cell = fv, mart, states[cells], stop
 
     return ParticleEnsemble(
         partition=partition,
         states=states,
         idio_increments=dw,
-        common=common,
+        common=sweep.common,
         drift_values=bvals,
         sigma_values=svals,
         sigma0_values=s0vals,
         coeffs=coeffs,
-        factor=factor,
+        factor=sweep.factor,
         control_values=avals,
         first_cell=start,
-        _sweep=sweep if stop < n else None,
     )
 
 

@@ -95,7 +95,7 @@ class SdeCoefficients:
     hands them its (M, N) state ``x``, a batch of M empirical measures
     ``m``, one per repetition, and as ``y`` the (M, 1) column of the
     repetitions' factor values, or None without a factor path (see
-    ``particle.simulate_ensemble``).  Factor coefficients are ``(t, y)``
+    ``particle.Sweep``).  Factor coefficients are ``(t, y)``
     on scalars.
     ``bounds`` records sup-norms; the flow modulus
     (``particle.measure_flow_modulus``) reads those of b, sigma and sigma0.

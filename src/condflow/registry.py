@@ -33,6 +33,7 @@ from .measures import (
     integral_identity_gap,
 )
 from .particle import (
+    Sweep,
     dirac_initial,
     gaussian_quantile_initial,
     measure_flow_modulus,
@@ -514,11 +515,10 @@ def _modulus(params: dict, rng: RngStream) -> RunOutput:
     streams = [rng.child(r) for r in range(params["repeats"])]
     read = {k for pair in pairs for k in pair}
     states = {}
-    ens, stop = dirac_initial(0.0), 0
-    while stop < n:
-        ens = simulate_ensemble(coeffs, ens, params["N"], part, streams)
-        stop = ens.cells.stop
-        for k in read & set(range(ens.first_cell, stop + 1)):
+    sweep = Sweep(coeffs, dirac_initial(0.0), params["N"], part, streams)
+    while not sweep.done:
+        ens = simulate_ensemble(sweep)
+        for k in read & set(range(ens.first_cell, ens.cells.stop + 1)):
             states[k] = ens.states[k - ens.first_cell].copy()
     times = part.times
     rows = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from condflow import particle
 from condflow.mfc import LqValue
-from condflow.particle import simulate_ensemble
+from condflow.particle import Sweep, simulate_ensemble
 
 
 def pair_average_bruteforce(f: np.ndarray, g: np.ndarray) -> float:
@@ -104,11 +104,12 @@ def set_window(monkeypatch, cells: int, streams: int, particles: int) -> None:
     monkeypatch.setattr(particle, "_WINDOW_ELEMENTS", cells * streams * particles)
 
 
-def sweep_windows(coeffs, initial, num_particles, partition, rng, control=None, y0=None) -> list:
-    """Every window of one sweep, each resumed from the one before."""
-    windows = [simulate_ensemble(coeffs, initial, num_particles, partition, rng, control=control, y0=y0)]
-    while windows[-1].cells.stop < partition.num_cells:
-        windows.append(simulate_ensemble(coeffs, windows[-1], num_particles, partition, rng, control=control))
+def sweep_windows(*args, **kwargs) -> list:
+    """Every window of one :class:`Sweep` made from these arguments."""
+    sweep = Sweep(*args, **kwargs)
+    windows = []
+    while not sweep.done:
+        windows.append(simulate_ensemble(sweep))
     return windows
 
 

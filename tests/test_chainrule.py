@@ -169,6 +169,16 @@ def test_verify_ito_rejects_bad_config():
         verify_ito(mean_functional(), bad_spec, VerifyConfig(RNG, outer_paths=2))
 
 
+def test_verify_config_refuses_bad_allowances():
+    # a negative or NaN allowance is a gate that cannot pass, so it is
+    # refused before any sweep runs
+    for key in ("tolerance_c", "exact_floor"):
+        for bad in (-1.0, np.nan):
+            with pytest.raises(InvalidArgumentError, match=key):
+                VerifyConfig(RNG, **{key: bad})
+    VerifyConfig(RNG, tolerance_c=0.0, exact_floor=0.0)
+
+
 def test_single_repetition_needs_the_exact_rule():
     # one repetition has no standard error, so mc and dt would pass by default
     for rule in ("mc", "dt"):

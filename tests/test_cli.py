@@ -344,6 +344,9 @@ def test_cli_default_experiment_requires_seed(tmp_path):
         # a negative allowance is a gate that cannot pass
         {"experiment": "dpp-lq", "n": 16, "N": 32, "M": 4, "tolerance": {"C": -5.0}},
         {"experiment": "lq-common-noise", "n": None, "N": None, "M": None, "tolerance": {"tol_hjb": -1e-4}},
+        # and so it is under coefficients
+        {"experiment": "wentzell-ablation", "n": 16, "N": 8, "M": 4, "coefficients": {"C": -5.0}},
+        {"experiment": "ito-telescoping", "coefficients": {"tol_exact": -1.0}},
     ],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):

@@ -3,7 +3,7 @@ payload byte fails here and not only in a by-hand comparison.
 
 ``golden_payloads.json`` holds the sha256 of every payload file of the
 reproducibility configs, of one small sweep per non-exact verifier
-experiment, of two runs that resume a windowed sweep, of two runs swept
+experiment, of two runs whose sweeps take several windows, of two runs swept
 in batches and of two more ``dpp-lq`` runs (the constant control, and a
 later start time), and of every config of the benchmark's workloads
 (``bench/workloads.py``) at seed 1, so that byte identity at the sizes
@@ -40,10 +40,11 @@ SWEEP_EXPERIMENTS = (
     "factor-linear",
 )
 # a batch-of-one window holds max(1, 2**16 // N) cells, so these two runs
-# resume their sweeps (4 windows each, the factor run's two repetitions as
-# one batch of 16-cell windows), and the factor verifier reads its factor
-# paths through resumed windows; a batch of G streams runs windows of at
-# most n // G cells, so the dpp-lq and modulus-lq configs resume too
+# sweep in 4 windows each (the factor run's two repetitions as one batch
+# of 16-cell windows), and the factor verifier reads its factor paths
+# through later windows; a batch of G streams runs windows of at most
+# n // G cells, so the dpp-lq and modulus-lq configs take several windows
+# too
 WINDOWED_CONFIGS = [
     {"experiment": "ito-second-moment", "seed": 2, "n": 64, "N": 4096, "M": 2},
     {"experiment": "factor-linear", "seed": 2, "n": 64, "N": 2048, "M": 2},

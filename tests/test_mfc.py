@@ -192,6 +192,13 @@ def test_hjb_perturbed_candidate_fails_visibly():
     assert not report.passed
 
 
+def test_hjb_residual_refuses_bad_tol():
+    # a negative or NaN allowance is a gate that cannot pass
+    for bad in (-1.0, np.nan):
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            hjb_residual(PROBLEM, VALUE, tol=bad)
+
+
 def test_nonparametric_family_gap_small():
     atoms = gaussian_quantile_initial(0.3, 1.0)(None, 512)
     gaps = nonparametric_gap(PROBLEM, VALUE, 0.2, empirical(atoms))

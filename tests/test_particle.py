@@ -9,6 +9,7 @@ from condflow import (
     BlowUpError,
     InvalidArgumentError,
     RngStream,
+    Sweep,
     constant_coefficients,
     dirac_initial,
     empirical,
@@ -27,7 +28,7 @@ from helpers import pair_average_bruteforce, set_window, sweep_windows, whole_ru
 def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, control=None):
     """A batch of one on stream (seed, 0)."""
     part = make_uniform_partition(horizon, n_cells)
-    return simulate_ensemble(coeffs, initial, n_particles, part, [RngStream(seed, 0)], control=control)
+    return simulate_ensemble(Sweep(coeffs, initial, n_particles, part, [RngStream(seed, 0)], control=control))
 
 
 def modulus_at(ens, i, j):
@@ -55,7 +56,7 @@ def test_idio_noise_empirical_variance():
     part = make_uniform_partition(1.0, 16)
     for r in range(reps):
         ens = simulate_ensemble(
-            constant_coefficients(sigma=1.0), dirac_initial(0.0), 256, part, [RngStream(5, 0).child(r)]
+            Sweep(constant_coefficients(sigma=1.0), dirac_initial(0.0), 256, part, [RngStream(5, 0).child(r)])
         )
         vals[r] = ens.states[-1, 0].var()
     se = vals.std(ddof=1) / np.sqrt(reps)
@@ -121,15 +122,15 @@ def test_invalid_particle_counts_and_initials():
     part = make_uniform_partition(1.0, 4)
     streams = [RngStream(0, 0)]
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(constant_coefficients(), dirac_initial(0.0), 1, part, streams)
-    # the initial law is a sampler (or a window to resume): no number or measure
+        Sweep(constant_coefficients(), dirac_initial(0.0), 1, part, streams)
+    # the initial law is a sampler: no number or measure
     for initial in (0.5, empirical([1.5]), empirical([0.0, 1.0, 2.0, 3.0]), empirical(np.zeros((2, 4)))):
         with pytest.raises(InvalidArgumentError):
-            simulate_ensemble(constant_coefficients(), initial, 4, part, streams)
+            Sweep(constant_coefficients(), initial, 4, part, streams)
     for atoms in (np.zeros(3), np.zeros((2, 4))):
         with pytest.raises(InvalidArgumentError, match="one atom per particle"):
-            simulate_ensemble(constant_coefficients(), lambda rng, n: atoms, 4, part, streams)
-    ens = simulate_ensemble(constant_coefficients(), dirac_initial(1.5), 4, part, streams)
+            Sweep(constant_coefficients(), lambda rng, n: atoms, 4, part, streams)
+    ens = simulate_ensemble(Sweep(constant_coefficients(), dirac_initial(1.5), 4, part, streams))
     np.testing.assert_array_equal(ens.states[0, 0], np.full(4, 1.5))
 
 
@@ -234,8 +235,8 @@ def test_chaos_rate_against_refined_reference():
         for r in range(reps):
             # same stream -> same common-noise path; the estimator is
             # conditional on it, so the reference must share it
-            small = simulate_ensemble(coeffs, dirac_initial(0.0), n, part, [base.child(n, r)])
-            big = simulate_ensemble(coeffs, dirac_initial(0.0), 8 * n, part, [base.child(n, r)])
+            small = simulate_ensemble(Sweep(coeffs, dirac_initial(0.0), n, part, [base.child(n, r)]))
+            big = simulate_ensemble(Sweep(coeffs, dirac_initial(0.0), 8 * n, part, [base.child(n, r)]))
             gaps[r] = abs(small.states[-1, 0].mean() - big.states[-1, 0].mean())
         devs.append(gaps.mean())
     slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
@@ -283,7 +284,7 @@ def test_non_finite_initial_atoms_are_rejected(monkeypatch):
         for window in (4, 1):  # the whole run, then one cell a window
             set_window(monkeypatch, window, 1, 4)
             with pytest.raises(InvalidArgumentError):
-                simulate_ensemble(coeffs, initial, 4, part, [RngStream(0, 0)])
+                simulate_ensemble(Sweep(coeffs, initial, 4, part, [RngStream(0, 0)]))
 
 
 @pytest.mark.parametrize("window", [None, 1, 2, 3])
@@ -403,7 +404,7 @@ def test_batched_windows_equal_the_per_repetition_sweeps(monkeypatch, reps, coef
     }
     set_window(monkeypatch, 14, 1, 19)  # each stream alone in one window
     for r, stream in enumerate(streams):
-        alone = simulate_ensemble(coeffs, initial, 19, part, [stream], control=control, y0=y0)
+        alone = simulate_ensemble(Sweep(coeffs, initial, 19, part, [stream], control=control, y0=y0))
         assert alone.num_cells == 14
         for name, values in batched.items():
             assert values[:, r].tobytes() == getattr(alone, name)[:, 0].tobytes(), name
@@ -437,7 +438,7 @@ def test_batched_blow_up_names_the_first_step_over_all_repetitions(monkeypatch):
         alone = []
         for r in (1, 2):
             with pytest.raises(BlowUpError) as err:
-                simulate_ensemble(coeffs, initial, 4, part, [base.child(r)])
+                simulate_ensemble(Sweep(coeffs, initial, 4, part, [base.child(r)]))
             alone.append(err.value.step)
         assert alone == [4, 3]
         for reps, expected in ((2, 4), (3, 3)):
@@ -459,12 +460,12 @@ def test_batched_sweep_rejects_bad_initial_atoms_and_lone_streams():
 
     # a batch of three on four cells runs windows of one cell
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, initial, 4, part, streams)
+        simulate_ensemble(Sweep(coeffs, initial, 4, part, streams))
     # a lone stream is no sequence of streams, and an empty batch has none
     with pytest.raises(InvalidArgumentError, match="sequence of streams"):
-        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams[0])
+        Sweep(coeffs, dirac_initial(0.0), 4, part, streams[0])
     with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, [])
+        Sweep(coeffs, dirac_initial(0.0), 4, part, [])
     # finite atoms whose mean overflows are no blow-up, batched or alone
     with np.errstate(over="ignore"):
         batched = whole_run(constant_coefficients(), dirac_initial(1e308), 4, part, streams)

@@ -12,6 +12,7 @@ the batch-of-one run with ``==``, not approximately.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from condflow import (
     InvalidArgumentError,
     RandomFieldSpec,
     RngStream,
+    Sweep,
     VerifyConfig,
     constant_coefficients,
     dirac_initial,
@@ -34,7 +36,7 @@ from condflow import (
     verify_ito,
     verify_ito_wentzell,
 )
-from condflow import chainrule, mfc, particle, registry
+from condflow import particle
 from condflow.cli import run as run_config
 from condflow.paths import SdeCoefficients
 from condflow.registry import (
@@ -45,7 +47,7 @@ from condflow.registry import (
     variance_functional,
 )
 
-from helpers import REPRO_CONFIGS, set_window
+from helpers import REPRO_CONFIGS, set_window, sweep_windows
 
 RNG = RngStream(2024, 0)
 N_CELLS, N_PARTICLES = 64, 128
@@ -174,11 +176,12 @@ def test_verify_factor_identical_across_windows(monkeypatch):
     assert_same_across_batches(monkeypatch, lambda s: verify_factor_model(fu, s, cfg), 3, y0=0.2)
 
 
-def counted(monkeypatch, modules, name):
-    """Replace ``name`` in each of ``modules`` by one wrapper that records
-    each call's bound arguments and its result."""
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` at every condflow module attribute that
+    refers to it, as the benchmark's span tracer does, by one wrapper that
+    records each call's bound arguments and its result."""
     calls = []
-    original = getattr(modules[0], name)
+    original = getattr(module, name)
     signature = inspect.signature(original)
 
     def wrapper(*args, **kwargs):
@@ -186,8 +189,11 @@ def counted(monkeypatch, modules, name):
         calls.append((signature.bind(*args, **kwargs).arguments, result))
         return result
 
-    for module in modules:
-        monkeypatch.setattr(module, name, wrapper)
+    holders = [m for key, m in sys.modules.items() if key == "condflow" or key.startswith("condflow.")]
+    for holder in holders:
+        for key, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, key, wrapper)
     return calls
 
 
@@ -197,8 +203,8 @@ def test_every_verifier_sweeps_in_batches(monkeypatch):
     # cells, then the fifth alone in one window, with one empirical
     # measure argument a swept step whether or not the coefficients read
     # the law and whether or not there is a factor path
-    sweeps = counted(monkeypatch, [chainrule], "simulate_ensemble")
-    measures = counted(monkeypatch, [particle], "empirical")
+    sweeps = counted(monkeypatch, particle, "simulate_ensemble")
+    measures = counted(monkeypatch, particle, "empirical")
     n, m = 64, 5
 
     def small(coeffs, y0=None):
@@ -217,23 +223,31 @@ def test_every_verifier_sweeps_in_batches(monkeypatch):
             sweeps.clear()
             measures.clear()
             run(coeffs, VerifyConfig(RNG.child(8), outer_paths=m, rule="dt"))
-            assert [(len(call["rng"]), ens.num_cells) for call, ens in sweeps] == [(4, 16)] * 4 + [(1, 64)]
+            windows = [(len(call["sweep"].streams), ens.num_cells) for call, ens in sweeps]
+            assert windows == [(4, 16)] * 4 + [(1, 64)]
             assert len(measures) == 4 * 16 + 64
 
 
 def test_every_window_keeps_the_budget(monkeypatch):
     # every caller of the sweep, at every registry experiment's smoke size,
-    # gets windows of at most max(1, min(n, window_cells(N)) // G) cells;
+    # gets windows of at most max(1, min(n, window_cells(N)) // G) cells,
+    # and the windows that simulate_ensemble returns tile each sweep's
+    # grid, so a window run past that name leaves a gap;
     # modulus-lq (n 32, N 32, 4 repetitions) sweeps 8-cell windows, and
     # dpp-lq (n 16 < window_cells(32), N 32, M 4) 4-cell windows
-    sweeps = counted(monkeypatch, [chainrule, mfc, registry], "simulate_ensemble")
+    sweeps = counted(monkeypatch, particle, "simulate_ensemble")
     swept = set()
     for cfg in REPRO_CONFIGS:
         sweeps.clear()
         run_config(dict(cfg), write=False)
+        reached = {}
         for call, ens in sweeps:
-            n, big_n, g = call["partition"].num_cells, call["num_particles"], len(call["rng"])
+            sweep = call["sweep"]
+            n, big_n, g = sweep.partition.num_cells, sweep.num_particles, len(sweep.streams)
             assert ens.num_cells <= max(1, min(n, particle.window_cells(big_n)) // g), cfg
+            assert ens.first_cell == reached.get(sweep, 0), cfg
+            reached[sweep] = ens.cells.stop
+        assert all(stop == sweep.partition.num_cells for sweep, stop in reached.items()), cfg
         if sweeps:
             swept.add(cfg["experiment"])
         if cfg["experiment"] in ("modulus-lq", "dpp-lq"):
@@ -247,11 +261,12 @@ def test_every_window_keeps_the_budget(monkeypatch):
 
 def test_windows_tile_the_whole_run(monkeypatch):
     s = spec(y0=0.2)
+    recipe = (s.coeffs, s.initial, N_PARTICLES, s.partition(), [RNG.child(6)])
     set_window(monkeypatch, N_CELLS, 1, N_PARTICLES)
-    whole = simulate_ensemble(s.coeffs, s.initial, N_PARTICLES, s.partition(), [RNG.child(6)], y0=s.y0)
+    whole = simulate_ensemble(Sweep(*recipe, y0=s.y0))
     assert whole.num_cells == N_CELLS
     set_window(monkeypatch, 5, 1, N_PARTICLES)
-    windows = list(s.windows([RNG.child(6)]))
+    windows = sweep_windows(*recipe, y0=s.y0)
     assert len(windows) == 13
     assert sum(w.num_cells * w.num_particles for w in windows) == N_CELLS * N_PARTICLES
     assert [w.first_cell for w in windows] == list(range(0, N_CELLS, 5))
@@ -277,46 +292,11 @@ def test_philox_normals_do_not_depend_on_block_size(block):
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
 
-def test_resume_rules(monkeypatch):
-    part = make_uniform_partition(1.0, 8)
-    coeffs = constant_coefficients(sigma=1.0)
-    streams = [RNG]
+def test_a_finished_sweep_is_refused(monkeypatch):
+    sweep = Sweep(constant_coefficients(sigma=1.0), dirac_initial(0.0), 4, make_uniform_partition(1.0, 8), [RNG])
     set_window(monkeypatch, 3, 1, 4)
-    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams)
-    second = simulate_ensemble(coeffs, first, 4, part, streams)
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, first, 4, part, streams)  # already resumed
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, second, 5, part, streams)  # other particle count
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, second, 4, make_uniform_partition(1.0, 8), streams)
-    last = simulate_ensemble(coeffs, second, 4, part, streams)
-    assert (last.first_cell, last.num_cells) == (6, 2)
-    with pytest.raises(InvalidArgumentError):
-        simulate_ensemble(coeffs, last, 4, part, streams)  # the sweep is finished
-
-
-def test_a_resumed_sweep_keeps_its_coefficients_and_control(monkeypatch):
-    # a window hands on the state its coefficients and control made, so a
-    # resume with other ones, even equal ones, would mix two dynamics
-    part = make_uniform_partition(1.0, 8)
-    coeffs = constant_coefficients(sigma=1.0)
-    streams = [RNG]
-
-    def control(t, x, m):
-        return 0.0
-
-    set_window(monkeypatch, 3, 1, 4)
-    first = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams, control=control)
-    for other_coeffs, other_control in (
-        (constant_coefficients(sigma=1.0), control),
-        (coeffs, None),
-        (coeffs, lambda t, x, m: 0.0),
-    ):
-        with pytest.raises(InvalidArgumentError, match="coefficients and control"):
-            simulate_ensemble(other_coeffs, first, 4, part, streams, control=other_control)
-    second = simulate_ensemble(coeffs, first, 4, part, streams, control=control)
-    assert second.first_cell == 3
-    uncontrolled = simulate_ensemble(coeffs, dirac_initial(0.0), 4, part, streams)
-    with pytest.raises(InvalidArgumentError, match="coefficients and control"):
-        simulate_ensemble(coeffs, uncontrolled, 4, part, streams, control=control)
+    windows = [simulate_ensemble(sweep) for _ in range(3)]
+    assert [(w.first_cell, w.num_cells) for w in windows] == [(0, 3), (3, 3), (6, 2)]
+    assert sweep.done
+    with pytest.raises(InvalidArgumentError, match="finished"):
+        simulate_ensemble(sweep)
