@@ -28,6 +28,8 @@ coefficients, (sigma^2 + sigma0^2) dt; the cross term defaults to the
 analytic sigma0 sigma0-hat dt, and the Ito and Ito-Wentzell views offer
 pairwise increment products as an estimator cross-check.  The Brownian
 and factor views display the analytic cross term and refuse the other.
+
+Every report ends in a gate whose SE and tolerance are ``condflow._gate``'s.
 """
 
 from collections import defaultdict
@@ -37,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _gate
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import CylindricalFunctional, TestFunction, _Tables
 from .particle import ParticleEnsemble, Sweep, simulate_ensemble, window_cells
@@ -97,10 +100,10 @@ class VerifyConfig:
     ``rule`` picks the pass criterion: "exact" (max |residual| below an
     absolute floor), "mc" (mean and 0.9-quantile of |residual| within
     3 SE + C (n^-1/2 + N^-1/2)), or "dt" (signed mean residual within
-    3 SE + C dt), with C = ``tolerance_c`` and the floor ``exact_floor``
-    both nonnegative.  ``cross`` picks the estimator of the cross term
-    between two distinct particles: the analytic sigma0 sigma0-hat dt or
-    pairwise products of their increments.
+    3 SE + C dt), by ``condflow._gate``, with C = ``tolerance_c`` and the
+    floor ``exact_floor`` both nonnegative and finite.  ``cross`` picks
+    the estimator of the cross term between two distinct particles: the
+    analytic sigma0 sigma0-hat dt or pairwise products of their increments.
     """
 
     rng: RngStream
@@ -120,9 +123,7 @@ class VerifyConfig:
         if self.outer_paths < need:
             raise InvalidArgumentError(f"the {self.rule!r} rule needs at least {need} outer repetitions")
         for key in ("tolerance_c", "exact_floor"):
-            # a negative or NaN allowance is a gate that cannot pass
-            if not getattr(self, key) >= 0:
-                raise InvalidArgumentError(f"{key} must be nonnegative, got {getattr(self, key)!r}")
+            _gate.require_allowance(key, getattr(self, key))
 
 
 @dataclass(frozen=True)
@@ -189,12 +190,11 @@ def _finalize(
 ) -> VerificationReport:
     res = np.array([r.residual for r in rows])
     abs_res = np.abs(res)
-    m = res.size
-    se = float(res.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    se_abs = float(abs_res.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    mean, se = _gate.mean_se(res)
+    mean_abs, se_abs = _gate.mean_se(abs_res)
     aggregate = {
-        "mean_residual": float(res.mean()),
-        "mean_abs_residual": float(abs_res.mean()),
+        "mean_residual": mean,
+        "mean_abs_residual": mean_abs,
         "max_abs_residual": float(abs_res.max()),
         "q90_abs_residual": _quantile_90(abs_res),
         "se_residual": se,
@@ -210,26 +210,22 @@ def _finalize(
         tolerance["tol"] = cfg.exact_floor
         passed = aggregate["max_abs_residual"] <= cfg.exact_floor
     elif cfg.rule == "mc":
-        tol = 3.0 * se_abs + cfg.tolerance_c * (n**-0.5 + big_n**-0.5)
+        tol = _gate.tolerance(se_abs, cfg.tolerance_c * (n**-0.5 + big_n**-0.5))
         tolerance["tol"] = tol
-        passed = aggregate["mean_abs_residual"] <= tol and aggregate["q90_abs_residual"] <= tol
+        passed = mean_abs <= tol and aggregate["q90_abs_residual"] <= tol
     else:
-        tol = 3.0 * se + cfg.tolerance_c * dt
+        tol = _gate.tolerance(se, cfg.tolerance_c * dt)
         tolerance["tol"] = tol
-        passed = abs(aggregate["mean_residual"]) <= tol
+        passed = abs(mean) <= tol
     if rows[0].ablation_residual is not None:
-        abl = np.array([r.ablation_residual for r in rows])
-        aggregate["mean_ablation_residual"] = float(abl.mean())
-        aggregate["se_ablation_residual"] = (
-            float(abl.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-        )
+        mean_abl, se_abl = _gate.mean_se([r.ablation_residual for r in rows])
+        aggregate["mean_ablation_residual"] = mean_abl
+        aggregate["se_ablation_residual"] = se_abl
         if cfg.expected_correction is not None:
-            tol_abl = 3.0 * aggregate["se_ablation_residual"] + cfg.tolerance_c * dt
+            tol_abl = _gate.tolerance(se_abl, cfg.tolerance_c * dt)
             tolerance["ablation_target"] = cfg.expected_correction
             tolerance["ablation_tol"] = tol_abl
-            passed = passed and abs(
-                aggregate["mean_ablation_residual"] - cfg.expected_correction
-            ) <= tol_abl
+            passed = passed and abs(mean_abl - cfg.expected_correction) <= tol_abl
     # a non-finite number would pass no gate for the right reason and is
     # not valid JSON; the aggregates cover every residual and term mean
     numbers = [*aggregate.values(), *(v for v in tolerance.values() if not isinstance(v, str))]
@@ -408,7 +404,7 @@ def verify_ito(
 class FieldComponent:
     """One driver term of a random field.
 
-    ``driver`` is "fv" (absolutely continuous, B_t = scale * t) or
+    ``driver`` is "fv" (absolutely continuous, B_t = t) or
     "martingale" with a correlation tag choosing which Brownian drives
     it: "common" (the shared path), "independent" (a fresh one), or
     "idiosyncratic" (the tagged particle's own noise, whose bracket with
@@ -418,7 +414,6 @@ class FieldComponent:
     coeff: CylindricalFunctional
     driver: str
     tag: str = ""
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.driver not in ("fv", "martingale"):
@@ -446,9 +441,9 @@ def _bracket_with_state(comp: FieldComponent, ens: ParticleEnsemble) -> np.ndarr
     if comp.driver != "martingale" or comp.tag == "independent":
         return out
     if comp.tag == "common":
-        out[:] = comp.scale * ens.sigma0_values * dt[..., None]
+        out[:] = ens.sigma0_values * dt[..., None]
     else:  # idiosyncratic: only the tagged particle shares the noise
-        out[..., 0] = comp.scale * ens.sigma_values[..., 0] * dt
+        out[..., 0] = ens.sigma_values[..., 0] * dt
     return out
 
 
@@ -463,16 +458,15 @@ def _field_drivers(
     drivers = []
     for idx, comp in enumerate(spec.components):
         if comp.driver == "fv":
-            drivers.append(comp.scale * part.times)
+            drivers.append(part.times)
         elif comp.tag == "common":
-            drivers.append(comp.scale * common.values)
+            drivers.append(common.values)
         elif comp.tag == "idiosyncratic":
-            path = np.concatenate([[0.0], np.cumsum(tagged_increments)])
-            drivers.append(comp.scale * path)
+            drivers.append(np.concatenate([[0.0], np.cumsum(tagged_increments)]))
         else:
             gen = rng.child(1000 + idx).generator()
             inc = gen.normal(size=part.num_cells) * np.sqrt(part.deltas)
-            drivers.append(comp.scale * np.concatenate([[0.0], np.cumsum(inc)]))
+            drivers.append(np.concatenate([[0.0], np.cumsum(inc)]))
     return drivers
 
 

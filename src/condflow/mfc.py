@@ -17,6 +17,8 @@ running reward in :func:`dpp_check`, in :func:`_lq_generator_grid` and in
 :func:`constant_control_gap`'s ODE, and the terminal reward in
 :meth:`ControlProblem.terminal_reward`.
 
+The DPP gate and the allowance checks are ``condflow._gate``'s.
+
 The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
 nodes and in the time windows of about 2^16 particle steps in which
 ``particle.simulate_ensemble`` runs a ``particle.Sweep``: fixed budgets,
@@ -30,6 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import _gate
 from ._normal import ndtr
 from .errors import InvalidArgumentError, NumericOverflowError
 from .measures import EmpiricalMeasure, empirical
@@ -499,10 +502,9 @@ def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport
     (the generator's ``ndtr`` calls) depend on its variance alone: they
     are computed once per variance and call, not once per node.
     Elementwise, they are the same bits either way.  ``tol`` must be
-    nonnegative.
+    nonnegative and finite (``condflow._gate.require_allowance``).
     """
-    if not tol >= 0:  # a negative or NaN allowance is a gate that cannot pass
-        raise InvalidArgumentError(f"tol must be nonnegative, got {tol!r}")
+    _gate.require_allowance("tol", tol)
     t_nodes = np.linspace(0.0, problem.horizon, 9)
     mean_nodes = np.linspace(-1.0, 1.0, 5)
     var_nodes = np.linspace(0.25, 2.0, 5)
@@ -595,11 +597,12 @@ def dpp_check(
 ) -> DppResult:
     """Monte Carlo gap E[int f ds + V(theta, mu_theta)] - V(t0, mu_t0).
 
-    The gap should vanish (within 3 SE + C dt) for the optimal feedback
-    and be significantly negative for suboptimal controls; for constant
-    controls the result carries the exact linear-ansatz prediction.  C =
-    ``tolerance_c`` must be nonnegative, so a gap outside the tolerance
-    is either above it ("dpp-violation") or below -3 SE ("suboptimal").
+    The gap should vanish (within ``condflow._gate``'s 3 SE + C max dt)
+    for the optimal feedback and be significantly negative for suboptimal
+    controls; for constant controls the result carries the exact
+    linear-ansatz prediction.  C = ``tolerance_c`` must be nonnegative and
+    finite, so a gap outside the tolerance is either above it
+    ("dpp-violation") or below -3 SE ("suboptimal").
 
     The M = ``outer_paths`` repetitions, repetition r on
     ``rng.child(r)``, run as one :class:`particle.Sweep` of the M
@@ -607,7 +610,7 @@ def dpp_check(
     reads each repetition's own empirical measure.  After each window
     the running reward of every repetition is evaluated at once and
     summed cell by cell, in order, so the result does not depend on the
-    window.  A reward or value that overflows raises
+    window.  A reward, value or gap that overflows raises
     ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
@@ -618,8 +621,7 @@ def dpp_check(
         )
     if outer_paths < 2:  # one repetition has no standard error
         raise InvalidArgumentError("the DPP check needs at least 2 outer repetitions")
-    if not tolerance_c >= 0:  # a negative or NaN allowance is a gate that cannot pass
-        raise InvalidArgumentError(f"tolerance_c must be nonnegative, got {tolerance_c!r}")
+    _gate.require_allowance("tolerance_c", tolerance_c)
     part = make_uniform_partition(theta - t0, num_cells)
     dt = part.deltas
     consts = problem.constants
@@ -657,11 +659,8 @@ def dpp_check(
     except OverflowError:
         raise NumericOverflowError("the DPP reward or value overflows") from None
     gaps = np.array([reward_r + v_r - v_start for reward_r, v_r in zip(reward.tolist(), v_end)])
-    if not np.isfinite(gaps).all():  # numpy overflows to inf or NaN, where Python floats raise
-        raise NumericOverflowError("the DPP reward or value overflows")
-    estimate = float(gaps.mean())
-    se = float(gaps.std(ddof=1) / np.sqrt(outer_paths))
-    tol = 3.0 * se + tolerance_c * float(dt.max())
+    estimate, se = _gate.mean_se(gaps)
+    tol = _gate.tolerance(se, tolerance_c * float(dt.max()))
     if abs(estimate) <= tol:
         verdict = "optimal-consistent"
     elif estimate > tol:

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _gate
 from ._normal import ndtri
 from .errors import BlowUpError, InvalidArgumentError, NumericOverflowError
 from .measures import empirical
@@ -208,6 +209,7 @@ class Sweep:
         self._fv = np.zeros(self._x0.shape)
         self._mart = np.zeros(self._x0.shape)
         self.next_cell = 0
+        self._failed_step = None
 
     @property
     def done(self) -> bool:
@@ -222,7 +224,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     returned as a (cells+1, M, N) ensemble (see
     :class:`ParticleEnsemble`).  A caller runs windows until
     ``sweep.done``, so a sweep holds one window at a time, whatever n;
-    a finished sweep is refused.
+    a finished sweep, and one whose window blew up, is refused.
 
     Each row is checked for finiteness once: a row the sweep reaches is
     checked by the ``empirical`` call of the step it starts, and the
@@ -233,6 +235,8 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     """
     if sweep.done:
         raise InvalidArgumentError("the sweep is finished")
+    if sweep._failed_step is not None:  # the failed window has drawn its dW
+        raise InvalidArgumentError(f"the sweep blew up at step {sweep._failed_step}")
     coeffs, control, partition = sweep.coeffs, sweep.control, sweep.partition
     dt = partition.deltas
     n = dt.size
@@ -264,6 +268,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
         except InvalidArgumentError:
             if start + j == 0:  # a bad initial atom, not a blow-up
                 raise
+            sweep._failed_step = start + j
             raise BlowUpError(start + j) from None
         a = control(t, x, m) if control is not None else None
         if avals is not None:
@@ -281,6 +286,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
         np.add(x0, fv, out=row)
         row += mart
     if not np.isfinite(states[cells]).all():
+        sweep._failed_step = stop
         raise BlowUpError(stop)
     sweep._fv, sweep._mart, sweep._row, sweep.next_cell = fv, mart, states[cells], stop
 
@@ -318,10 +324,10 @@ def measure_flow_modulus(
     sqrt(mean_i (X_t - X_s)^2) >= W2(mu_s, mu_t); the estimate averages
     it over the repetitions and is compared against
     ||b|| (t - s) + sqrt(||sigma||^2 + ||sigma0||^2) sqrt(t - s) from the
-    ``b``, ``sigma`` and ``sigma0`` bounds recorded in ``coeffs``, with a
-    3-stderr allowance.  It needs at least two repetitions: one
-    repetition has no standard error, and its gate would have no
-    allowance.  A bound whose square overflows raises
+    ``b``, ``sigma`` and ``sigma0`` bounds recorded in ``coeffs``, one-sided
+    within ``condflow._gate``'s 3 SE.  It needs at least two repetitions:
+    one repetition has no standard error, and its gate would have no
+    allowance.  A bound or a statistic that overflows raises
     ``NumericOverflowError``.
     """
     if s >= t:
@@ -341,6 +347,5 @@ def measure_flow_modulus(
     except OverflowError:
         raise NumericOverflowError("sigma**2 or sigma0**2 overflows") from None
     bound = float(b * (t - s) + spread * np.sqrt(t - s))
-    estimate = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.size))
-    return ModulusResult(estimate, se, bound, bool(estimate <= bound + 3.0 * se))
+    estimate, se = _gate.mean_se(values)
+    return ModulusResult(estimate, se, bound, bool(estimate <= bound + _gate.tolerance(se)))

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _gate
 from .errors import InvalidArgumentError
 from .paths import Partition, RngStream, SamplePath
 
@@ -145,9 +146,9 @@ def lemma_convergence_study(
 ) -> ConvergenceStudy:
     """L1 error of the weighted QV sum against its analytic limit.
 
-    For each grid size, ``num_seeds`` independent paths are generated and
-    the mean absolute deviation from ``limit`` is reported with its
-    standard error; :func:`convergence_study` flags the ratios.
+    For each grid size, ``num_seeds`` independent paths give the mean
+    absolute deviation from ``limit`` and its standard error
+    (``condflow._gate``); :func:`convergence_study` flags the ratios.
     """
     if num_seeds < 2:  # one path has no standard error
         raise InvalidArgumentError("the lemma study needs at least two seeds")
@@ -160,6 +161,6 @@ def lemma_convergence_study(
         for s in range(num_seeds):
             path = path_generator(part, rng.child(j, s))
             errs[s] = abs(weighted_qv_sum(weights, path) - limit)
-        return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(num_seeds))
+        return _gate.mean_se(errs)
 
     return convergence_study(run_cell, [(n,) for n in cell_counts])

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import chainrule, mfc, quadvar
+from . import _gate, chainrule, mfc, quadvar
 from .chainrule import (
     BrownianFieldSpec,
     EnsembleSpec,
@@ -261,12 +261,12 @@ def _wentzell(tag: str):
 
 
 def _designed_term_gate(params: dict, report, term: str, target: float, key: str) -> RunOutput:
-    """The verification's output, which also passes only if ``term`` equals
-    the ``target`` its designed instance fixes, within 3 se_residual + C T/n;
-    the target and the gap are reported as ``<key>_target`` and ``<key>_gap``."""
+    """The verification's output, which also passes only if ``term`` is within
+    ``condflow._gate``'s 3 se_residual + C T/n of the ``target`` its designed
+    instance fixes; the target and gap are reported as ``<key>_target`` and ``<key>_gap``."""
     out = _run_verification(report)
     gap = abs(report.aggregate[term] - target)
-    tol = 3.0 * report.aggregate["se_residual"] + params["C"] * params["horizon"] / params["n"]
+    tol = _gate.tolerance(report.aggregate["se_residual"], params["C"] * params["horizon"] / params["n"])
     out.report[f"{key}_target"] = target
     out.report[f"{key}_gap"] = gap
     out.passed = out.passed and gap <= tol

@@ -6,9 +6,13 @@ Riccati solution, the hand-integrated constant-control gap, and
 :func:`generator_atom_average`, the atom-cloud route of the LQ generator
 that the Gaussian-surrogate generator ``mfc._lq_generator_grid`` is
 checked against.  :func:`set_window`, :func:`sweep_windows` and
-:func:`whole_run` drive the particle sweep's one window rule.
+:func:`whole_run` drive the particle sweep's one window rule, and
+:func:`counted` records the calls of a library function wherever a
+condflow module binds it.
 """
 
+import inspect
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -151,3 +155,24 @@ REPRO_CONFIGS = [
         "coefficients": {"repeats": 4, "num_pairs": 5},
     },
 ]
+
+
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` at every condflow module attribute that
+    refers to it, as the benchmark's span tracer does, by one wrapper that
+    records each call's bound arguments and its result."""
+    calls = []
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((signature.bind(*args, **kwargs).arguments, result))
+        return result
+
+    holders = [m for key, m in sys.modules.items() if key == "condflow" or key.startswith("condflow.")]
+    for holder in holders:
+        for key, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, key, wrapper)
+    return calls

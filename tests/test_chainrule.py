@@ -170,10 +170,11 @@ def test_verify_ito_rejects_bad_config():
 
 
 def test_verify_config_refuses_bad_allowances():
-    # a negative or NaN allowance is a gate that cannot pass, so it is
-    # refused before any sweep runs
+    # a negative or NaN allowance is a gate that cannot pass, and an
+    # infinite one a gate that cannot fail, so each is refused before any
+    # sweep runs
     for key in ("tolerance_c", "exact_floor"):
-        for bad in (-1.0, np.nan):
+        for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidArgumentError, match=key):
                 VerifyConfig(RNG, **{key: bad})
     VerifyConfig(RNG, tolerance_c=0.0, exact_floor=0.0)
@@ -256,7 +257,7 @@ def test_wentzell_independent_tag_correction_zero():
 
 def test_wentzell_idiosyncratic_tag_small_ensemble():
     # the tagged-particle bracket enters through one particle out of N,
-    # so the correction is scale * sigma * T / N -- visible at small N
+    # so the correction is sigma * T / N -- visible at small N
     n_particles = 4
     fspec = RandomFieldSpec(
         None, (FieldComponent(mean_functional(), "martingale", "idiosyncratic"),)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -322,7 +323,7 @@ def test_cli_default_experiment_requires_seed(tmp_path):
             "M": None,
             "coefficients": {"sigma": 1.0e300, "repeats": 2, "num_pairs": 3},
         },
-        # a non-verifier runner whose table holds non-finite numbers
+        # a flow modulus whose squared differences overflow
         {
             "experiment": "modulus-lq",
             "seed": 1,
@@ -356,7 +357,9 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, override):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     command = "sweep" if "grid" in cfg else get_experiment(cfg["experiment"]).kind
-    assert main([command, "--config", str(cfg_path)]) == 2
+    # some configs overflow on purpose; every other numpy overflow fails the suite
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(cfg_path)]) == 2
     assert not out.exists()
 
 

@@ -193,8 +193,9 @@ def test_hjb_perturbed_candidate_fails_visibly():
 
 
 def test_hjb_residual_refuses_bad_tol():
-    # a negative or NaN allowance is a gate that cannot pass
-    for bad in (-1.0, np.nan):
+    # a negative or NaN allowance is a gate that cannot pass, and an
+    # infinite one a gate that checks no residual
+    for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError, match="tol"):
             hjb_residual(PROBLEM, VALUE, tol=bad)
 
@@ -281,10 +282,11 @@ def test_dpp_rejects_bad_horizon():
 
 
 def test_dpp_rejects_a_negative_tolerance():
-    # a negative (or NaN) allowance is a gate that cannot pass; with C >= 0
+    # a negative (or NaN) allowance is a gate that cannot pass, and an
+    # infinite one reads every gap as optimal-consistent; with 0 <= C < inf
     # a gap outside the tolerance is a violation or suboptimal, never neither
     control = RiccatiFeedback(VALUE, PROBLEM.a_max)
-    for c in (-0.5, -1e-12, float("nan")):
+    for c in (-0.5, -1e-12, float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError, match="tolerance_c"):
             dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.5, 1.0, 16, 8, 2, RngStream(0, 0), tolerance_c=c)
     res = dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.5, 1.0, 16, 8, 2, RngStream(0, 0), tolerance_c=0.0)

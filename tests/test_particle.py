@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from condflow import (
     BlowUpError,
     InvalidArgumentError,
+    NumericOverflowError,
     RngStream,
     Sweep,
     constant_coefficients,
@@ -190,6 +191,14 @@ def test_modulus_needs_rows_of_one_shape():
     for other in (np.zeros((3, 16)), np.zeros((2, 8)), np.zeros(16)):
         with pytest.raises(InvalidArgumentError, match="one shape"):
             measure_flow_modulus(coeffs, rows, other, 0.25, 0.75)
+
+
+def test_modulus_refuses_a_non_finite_statistic():
+    # rows 1e300 apart square to inf: that is an overflow, not a failed gate
+    coeffs = constant_coefficients(sigma=1.0)
+    x_s = np.zeros((2, 16))
+    with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
+        measure_flow_modulus(coeffs, x_s, x_s + 1e300, 0.25, 0.75)
 
 
 @pytest.mark.parametrize("key", ["b", "sigma", "sigma0"])

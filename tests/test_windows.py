@@ -11,13 +11,11 @@ or into batches of every size, and compare against the one-window or
 the batch-of-one run with ``==``, not approximately.
 """
 
-import inspect
-import sys
-
 import numpy as np
 import pytest
 
 from condflow import (
+    BlowUpError,
     BrownianFieldSpec,
     EnsembleSpec,
     FieldComponent,
@@ -47,7 +45,7 @@ from condflow.registry import (
     variance_functional,
 )
 
-from helpers import REPRO_CONFIGS, set_window, sweep_windows
+from helpers import REPRO_CONFIGS, counted, set_window, sweep_windows
 
 RNG = RngStream(2024, 0)
 N_CELLS, N_PARTICLES = 64, 128
@@ -138,10 +136,10 @@ def test_verify_wentzell_identical_across_windows(monkeypatch, cross):
     fspec = RandomFieldSpec(
         mean_squared_functional(),
         (
-            FieldComponent(second_moment_functional(), "fv", "time", scale=0.7),
-            FieldComponent(mean_functional(), "martingale", "common", scale=1.3),
+            FieldComponent(second_moment_functional(), "fv", "time"),
+            FieldComponent(mean_functional(), "martingale", "common"),
             FieldComponent(variance_functional(), "martingale", "independent"),
-            FieldComponent(mean_squared_functional(), "martingale", "idiosyncratic", scale=0.9),
+            FieldComponent(mean_squared_functional(), "martingale", "idiosyncratic"),
         ),
     )
     cfg = VerifyConfig(RNG.child(2), outer_paths=3, cross=cross)
@@ -174,27 +172,6 @@ def test_verify_factor_identical_across_windows(monkeypatch):
     fu = factor_linear_functional()
     assert_same_across_window_counts(monkeypatch, lambda: verify_factor_model(fu, spec(y0=0.2), cfg))
     assert_same_across_batches(monkeypatch, lambda s: verify_factor_model(fu, s, cfg), 3, y0=0.2)
-
-
-def counted(monkeypatch, module, name):
-    """Replace ``module.name`` at every condflow module attribute that
-    refers to it, as the benchmark's span tracer does, by one wrapper that
-    records each call's bound arguments and its result."""
-    calls = []
-    original = getattr(module, name)
-    signature = inspect.signature(original)
-
-    def wrapper(*args, **kwargs):
-        result = original(*args, **kwargs)
-        calls.append((signature.bind(*args, **kwargs).arguments, result))
-        return result
-
-    holders = [m for key, m in sys.modules.items() if key == "condflow" or key.startswith("condflow.")]
-    for holder in holders:
-        for key, value in list(vars(holder).items()):
-            if value is original:
-                monkeypatch.setattr(holder, key, wrapper)
-    return calls
 
 
 def test_every_verifier_sweeps_in_batches(monkeypatch):
@@ -300,3 +277,26 @@ def test_a_finished_sweep_is_refused(monkeypatch):
     assert sweep.done
     with pytest.raises(InvalidArgumentError, match="finished"):
         simulate_ensemble(sweep)
+
+
+def test_a_sweep_that_blew_up_is_refused(monkeypatch):
+    # the window that blew up has drawn its dW, so running it again would
+    # rerun its cells on fresh draws
+    coeffs = SdeCoefficients(
+        drift=lambda t, x, y, m, a: 1e100 * x,
+        sigma=lambda t, x, y, m, a: np.full_like(x, 1.0),
+        sigma0=lambda t, x, y, m, a: np.zeros_like(x),
+        k=lambda t, y: 0.0,
+        gamma=lambda t, y: 0.0,
+        gamma0=lambda t, y: 0.0,
+    )
+    sweep = Sweep(coeffs, dirac_initial(1.0), 8, make_uniform_partition(8.0, 8), [RNG])
+    set_window(monkeypatch, 4, 1, 8)
+    with np.errstate(over="ignore"):
+        with pytest.raises(BlowUpError) as err:
+            simulate_ensemble(sweep)
+        assert err.value.step == 4
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError, match="step 4"):
+                simulate_ensemble(sweep)
+    assert sweep.next_cell == 0
