@@ -331,6 +331,9 @@ def _cylindrical(u: CylindricalFunctional, ens: ParticleEnsemble, v: np.ndarray)
 
 
 def _analytic_bracket(ens: ParticleEnsemble) -> np.ndarray:
+    """(sigma^2 + sigma0^2) dt on each cell of the window, at the
+    broadcast shape of the two coefficients' values: (cells, 1, 1) for
+    constants, up to (cells, G, N)."""
     return (ens.sigma_values**2 + ens.sigma0_values**2) * ens.deltas[:, None, None]
 
 
@@ -435,15 +438,17 @@ class RandomFieldSpec:
 
 
 def _bracket_with_state(comp: FieldComponent, ens: ParticleEnsemble) -> np.ndarray:
-    """Analytic per-particle increments of <N_c, M^i> on each cell of the window."""
-    out = np.zeros(ens.idio_increments.shape)
-    dt = ens.deltas[:, None]
+    """Analytic per-particle increments of <N_c, M^i> on each cell of the
+    window, broadcasting to (cells, G, N).  A common driver gives
+    sigma0 dt at sigma0's shape, and an independent one (cells, 1, 1)
+    zeros; an idiosyncratic one is (cells, G, N), since only the tagged
+    particle shares its noise."""
+    if comp.driver == "martingale" and comp.tag == "common":
+        return ens.sigma0_values * ens.deltas[:, None, None]
     if comp.driver != "martingale" or comp.tag == "independent":
-        return out
-    if comp.tag == "common":
-        out[:] = ens.sigma0_values * dt[..., None]
-    else:  # idiosyncratic: only the tagged particle shares the noise
-        out[..., 0] = ens.sigma_values[..., 0] * dt
+        return np.zeros((ens.num_cells, 1, 1))
+    out = np.zeros(ens.idio_increments.shape)
+    out[..., 0] = ens.sigma_values[..., 0] * ens.deltas[:, None]
     return out
 
 

@@ -178,6 +178,8 @@ class _Tables:
         k = len(self.vals)
         out = 0.0
         for a in range(k):
+            if not np.any(d2_outer[:-1, ..., a, :]):
+                continue
             wa = self.grads[a][:-1] * weights
             for b in range(k):
                 col = d2_outer[:-1, ..., a, b]

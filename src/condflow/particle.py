@@ -11,7 +11,10 @@ not merely large-N approximations.
 An Euler sweep is a :class:`Sweep`, made once from its recipe;
 :func:`simulate_ensemble` runs its next time window of at most about
 2^16 particle steps and returns it as a :class:`ParticleEnsemble`, so a
-sweep holds one window at a time, whatever the grid size.
+sweep holds one window at a time, whatever the grid size.  A window
+keeps each coefficient's values at the shape the coefficient returned,
+so a constant b, sigma or sigma0 takes one number per cell, not one per
+particle.
 """
 
 from collections.abc import Callable, Sequence
@@ -61,10 +64,16 @@ class ParticleEnsemble:
     per repetition; ``idio_increments`` (num_cells, M, N) are the
     particles' own Brownian increments on those cells, and ``common``
     carries the M whole shared paths, ``factor`` the M factor paths of a
-    factor run.  ``drift_values``/``sigma_values``/``sigma0_values``
-    (num_cells, M, N) cache the coefficient evaluations made during the
-    Euler sweep (left endpoints), which later feed analytic bracket
-    increments.  ``num_particles`` counts the M N particles of a time row.
+    factor run.  ``drift_values``/``sigma_values``/``sigma0_values`` and
+    ``control_values`` cache the coefficient and control evaluations made
+    during the Euler sweep (left endpoints), which later feed analytic
+    bracket increments.  Each is kept at the shape its callable returned:
+    (num_cells, *shape), with shape the broadcast of every step's value
+    shape with (1, 1).  So a constant gives (num_cells, 1, 1), a value
+    read from the law or the factor (num_cells, M, 1), and a
+    state-dependent value or a feedback control (num_cells, M, N); each
+    broadcasts to ``idio_increments``' shape.  ``num_particles`` counts
+    the M N particles of a time row.
     """
 
     partition: Partition
@@ -156,7 +165,9 @@ class Sweep:
     :func:`gaussian_quantile_initial`, called with each stream's child 2.
     With ``y0`` each repetition gets its own factor path, driven by its
     common noise and its stream's child 1, and the coefficients get the
-    step's factor values as a (M, 1) column.
+    step's factor values as a (M, 1) column.  A window keeps each value
+    that a coefficient or the control returns until the window ends, so
+    each call returns a value of its own, not a refilled buffer.
 
     Making a sweep checks its recipe and draws, stream by stream, all of
     the stream's dW0, its factor path and its initial atoms; ``common``
@@ -216,15 +227,39 @@ class Sweep:
         return self.next_cell == self.partition.num_cells
 
 
+def _stacked(values: list, row: tuple[int, int]) -> np.ndarray:
+    """One callable's values at a window's steps as a float array
+    (cells, *shape), with shape the broadcast of every step's shape with
+    (1, 1); a shape that does not broadcast to the (M, N) ``row`` is
+    refused."""
+    try:
+        shape = np.broadcast_shapes((1, 1), *map(np.shape, values))
+        fits = np.broadcast_shapes(shape, row) == row
+    except ValueError:  # shapes that do not broadcast at all
+        fits = False
+    if not fits:
+        raise InvalidArgumentError(f"a coefficient or control value does not broadcast to the {row} particles")
+    out = np.empty((len(values), *shape))
+    for j, v in enumerate(values):
+        out[j] = v
+    return out
+
+
 def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     """Run the next time window of ``sweep`` and return it.
 
     The window runs ``max(1, min(n, window_cells(N)) // M)`` cells from
     ``sweep.next_cell``, at most about 2^16 particle steps, and is
     returned as a (cells+1, M, N) ensemble (see
-    :class:`ParticleEnsemble`).  A caller runs windows until
-    ``sweep.done``, so a sweep holds one window at a time, whatever n;
-    a finished sweep, and one whose window blew up, is refused.
+    :class:`ParticleEnsemble`), whose coefficient and control values keep
+    the shape their callables returned, from (cells, 1, 1) for constants
+    to (cells, M, N).  A caller runs windows until ``sweep.done``, so a
+    sweep holds one window at a time, whatever n.  A finished sweep is
+    refused, and so is one whose window raised: once a window has drawn
+    its dW, any exception in it, from a blow-up, a coefficient or the
+    control, records its step, and every later call names that step.  A
+    value that does not broadcast to the (M, N) particles is an
+    ``InvalidArgumentError``, recorded at the window's last step.
 
     Each row is checked for finiteness once: a row the sweep reaches is
     checked by the ``empirical`` call of the step it starts, and the
@@ -235,8 +270,8 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     """
     if sweep.done:
         raise InvalidArgumentError("the sweep is finished")
-    if sweep._failed_step is not None:  # the failed window has drawn its dW
-        raise InvalidArgumentError(f"the sweep blew up at step {sweep._failed_step}")
+    if sweep._failed_step is not None:
+        raise InvalidArgumentError(f"the sweep failed at step {sweep._failed_step}")
     coeffs, control, partition = sweep.coeffs, sweep.control, sweep.partition
     dt = partition.deltas
     n = dt.size
@@ -250,10 +285,8 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     x0 = sweep._x0
     states = np.empty((cells + 1, *x0.shape))
     states[0] = sweep._row
-    bvals = np.empty(dw.shape)
-    svals = np.empty(dw.shape)
-    s0vals = np.empty(dw.shape)
-    avals = np.empty(dw.shape) if control is not None else None
+    # each coefficient's value at every step, at the shape it returned
+    bvals, svals, s0vals, avals = [], [], [], []
 
     fv, mart = sweep._fv, sweep._mart
     times = partition.times[start:stop].tolist()
@@ -261,30 +294,38 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     factor_values = [None] * cells
     if sweep.factor is not None:  # a step's factor values are a (M, 1) column, like its dW0
         factor_values = np.stack([f.values[start:stop] for f in sweep.factor], axis=1)[..., None]
-    for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, sweep._dw0[start:stop], factor_values)):
-        x = states[j]
-        try:
-            m = empirical(x)
-        except InvalidArgumentError:
-            if start + j == 0:  # a bad initial atom, not a blow-up
-                raise
-            sweep._failed_step = start + j
-            raise BlowUpError(start + j) from None
-        a = control(t, x, m) if control is not None else None
-        if avals is not None:
-            avals[j] = a
-        b = coeffs.drift(t, x, y, m, a)
-        s = coeffs.sigma(t, x, y, m, a)
-        s0 = coeffs.sigma0(t, x, y, m, a)
-        # the row assignments broadcast each coefficient value to the particles
-        bvals[j] = b
-        svals[j] = s
-        s0vals[j] = s0
-        fv = fv + b * h
-        mart = mart + s * dw[j] + s0 * dw0_k
-        row = states[j + 1]
-        np.add(x0, fv, out=row)
-        row += mart
+    j = 0
+    try:
+        for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, sweep._dw0[start:stop], factor_values)):
+            x = states[j]
+            try:
+                m = empirical(x)
+            except InvalidArgumentError:
+                if start + j == 0:  # a bad initial atom, not a blow-up
+                    raise
+                raise BlowUpError(start + j) from None
+            a = None
+            if control is not None:
+                a = control(t, x, m)
+                avals.append(a)
+            b = coeffs.drift(t, x, y, m, a)
+            s = coeffs.sigma(t, x, y, m, a)
+            s0 = coeffs.sigma0(t, x, y, m, a)
+            bvals.append(b)
+            svals.append(s)
+            s0vals.append(s0)
+            fv = fv + b * h
+            mart = mart + s * dw[j] + s0 * dw0_k
+            row = states[j + 1]
+            np.add(x0, fv, out=row)
+            row += mart
+        bvals, svals, s0vals = (_stacked(v, x0.shape) for v in (bvals, svals, s0vals))
+        avals = _stacked(avals, x0.shape) if control is not None else None
+    except BaseException:
+        # the window has drawn its dW, so running it again would rerun its
+        # cells on fresh draws
+        sweep._failed_step = start + j
+        raise
     if not np.isfinite(states[cells]).all():
         sweep._failed_step = stop
         raise BlowUpError(stop)

@@ -117,6 +117,12 @@ def sweep_windows(*args, **kwargs) -> list:
     return windows
 
 
+def at_particles(ens, name: str) -> np.ndarray:
+    """The ensemble's per-cell array ``name``, such as ``drift_values``,
+    broadcast to its (cells, M, N) particle steps."""
+    return np.broadcast_to(getattr(ens, name), ens.idio_increments.shape)
+
+
 def whole_run(*args, **kwargs):
     """One sweep run to its end (arguments as :func:`sweep_windows`), its
     windows joined into one ensemble that covers every cell."""

@@ -23,7 +23,7 @@ from condflow.measures import _ustat_rows
 from condflow.mfc import AffineFeedback, RiccatiFeedback, make_lq_problem
 from condflow.paths import SdeCoefficients
 
-from helpers import pair_average_bruteforce, set_window, sweep_windows, whole_run
+from helpers import at_particles, pair_average_bruteforce, set_window, sweep_windows, whole_run
 
 
 def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, control=None):
@@ -254,8 +254,9 @@ def test_chaos_rate_against_refined_reference():
 
 @pytest.mark.parametrize("window", [None, 3])
 def test_scalar_and_per_particle_coefficients_sweep_alike(monkeypatch, window):
-    # a constant coefficient returns its scalar and the sweep broadcasts it,
-    # so the run matches one whose coefficients return one value per particle
+    # a constant coefficient returns its scalar and the sweep keeps it at
+    # (cells, 1, 1), so the run, its values broadcast to the particles,
+    # matches one whose coefficients return one value per particle
     part = make_uniform_partition(1.0, 8)
     b, sigma, sigma0 = 0.3, 0.8, 0.5
     full = SdeCoefficients(
@@ -274,8 +275,10 @@ def test_scalar_and_per_particle_coefficients_sweep_alike(monkeypatch, window):
     ]
     assert len(runs[0]) == (1 if window is None else 3)
     for scalar, per_particle in zip(*runs):
-        for name in ("states", "drift_values", "sigma_values", "sigma0_values"):
-            np.testing.assert_array_equal(getattr(scalar, name), getattr(per_particle, name))
+        np.testing.assert_array_equal(scalar.states, per_particle.states)
+        for name in ("drift_values", "sigma_values", "sigma0_values"):
+            assert getattr(scalar, name).shape == (scalar.num_cells, 1, 1)
+            np.testing.assert_array_equal(at_particles(scalar, name), getattr(per_particle, name))
 
 
 def test_non_finite_initial_atoms_are_rejected(monkeypatch):
@@ -409,19 +412,112 @@ def test_batched_windows_equal_the_per_repetition_sweeps(monkeypatch, reps, coef
     names = ["idio_increments", "drift_values", "sigma0_values"] + ([] if control is None else ["control_values"])
     batched = {
         "states": np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows]),
-        **{name: np.concatenate([getattr(w, name) for w in windows]) for name in names},
+        **{name: np.concatenate([at_particles(w, name) for w in windows]) for name in names},
     }
     set_window(monkeypatch, 14, 1, 19)  # each stream alone in one window
     for r, stream in enumerate(streams):
         alone = simulate_ensemble(Sweep(coeffs, initial, 19, part, [stream], control=control, y0=y0))
         assert alone.num_cells == 14
+        alone_rows = {"states": alone.states, **{name: at_particles(alone, name) for name in names}}
         for name, values in batched.items():
-            assert values[:, r].tobytes() == getattr(alone, name)[:, 0].tobytes(), name
+            assert values[:, r].tobytes() == alone_rows[name][:, 0].tobytes(), name
         assert windows[0].common[r].values.tobytes() == alone.common[0].values.tobytes()
         if y0 is None:
             assert windows[0].factor is None and alone.factor is None
         else:
             assert windows[-1].factor[r].values.tobytes() == alone.factor[0].values.tobytes()
+
+
+def _spread(f):
+    """``f`` with its value written out at the shape of the state row x."""
+    return lambda *args: np.broadcast_to(f(*args), args[1].shape).copy()
+
+
+# per case: coefficients, control, y0, and the shape its values take after
+# the cells axis, "M" and "N" standing for the batch and the particles
+SHAPE_CASES = {
+    "constant": (constant_coefficients(0.3, 0.8, 0.5), lambda t, x, m: 0.2, None, (1, 1)),
+    "law-reading": (
+        SdeCoefficients(
+            drift=lambda t, x, y, m, a: a + 0.1,
+            sigma=lambda t, x, y, m, a: 0.5 + 0.1 * np.tanh(m.mean()),
+            sigma0=lambda t, x, y, m, a: 0.4 * np.cos(m.mean()),
+            k=lambda t, y: 0.0,
+            gamma=lambda t, y: 0.0,
+            gamma0=lambda t, y: 0.0,
+        ),
+        lambda t, x, m: -0.5 * m.mean(),
+        None,
+        ("M", 1),
+    ),
+    "factor-reading": (
+        replace(
+            FACTOR_READING,
+            drift=lambda t, x, y, m, a: 0.5 * y,
+            sigma=lambda t, x, y, m, a: 0.3 + 0.1 * y * y,
+            sigma0=lambda t, x, y, m, a: 0.2 * np.cos(y),
+        ),
+        None,
+        0.3,
+        ("M", 1),
+    ),
+    "state-dependent": (
+        replace(
+            LAW_READING,
+            drift=lambda t, x, y, m, a: a - 0.5 * x,
+            sigma=lambda t, x, y, m, a: 0.6 + 0.1 * np.cos(x),
+        ),
+        lambda t, x, m: np.tanh(x - m.mean()),
+        None,
+        ("M", "N"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_coefficient_values_keep_the_shape_the_coefficients_return(monkeypatch, case):
+    # each value is stored at the broadcast of its steps' shapes with
+    # (1, 1); broadcast to the particles it is, byte for byte, the value of
+    # a run whose coefficients and control write out every particle's value
+    coeffs, control, y0, shape = SHAPE_CASES[case]
+    reps, particles = 3, 5
+    part = make_uniform_partition(1.0, 10)
+    streams = [RngStream(9, 0).child(r) for r in range(reps)]
+    full_coeffs = replace(
+        coeffs, drift=_spread(coeffs.drift), sigma=_spread(coeffs.sigma), sigma0=_spread(coeffs.sigma0)
+    )
+    full_control = None if control is None else _spread(control)
+    set_window(monkeypatch, 3, reps, particles)
+    runs = [
+        sweep_windows(c, dirac_initial(0.1), particles, part, streams, a, y0)
+        for c, a in ((coeffs, control), (full_coeffs, full_control))
+    ]
+    assert [w.num_cells for w in runs[0]] == [3, 3, 3, 1]
+    names = ["drift_values", "sigma_values", "sigma0_values"] + ([] if control is None else ["control_values"])
+    for kept, full in zip(*runs):
+        assert kept.states.tobytes() == full.states.tobytes()
+        expected = tuple({"M": reps, "N": particles}.get(axis, axis) for axis in shape)
+        for name in names:
+            assert getattr(kept, name).shape == (kept.num_cells, *expected), name
+            assert getattr(full, name).shape == full.idio_increments.shape, name
+            assert at_particles(kept, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+@pytest.mark.parametrize("value", [np.zeros(7), np.zeros((1, 1, 1))], ids=["other-N", "three-axes"])
+def test_a_control_value_that_does_not_fit_the_particles_is_refused(value):
+    # the coefficients ignore the control, so only its stored values see
+    # the shape; the window is refused whole, and the sweep with it
+    part = make_uniform_partition(1.0, 4)
+
+    def control(t, x, m):
+        return value
+
+    sweep = Sweep(constant_coefficients(sigma=1.0), dirac_initial(0.0), 5, part, [RngStream(0, 0)], control)
+    with pytest.raises(InvalidArgumentError, match="does not broadcast"):
+        simulate_ensemble(sweep)
+    with pytest.raises(InvalidArgumentError, match="failed at step 3"):
+        simulate_ensemble(sweep)
+    assert sweep.next_cell == 0
 
 
 def test_batched_blow_up_names_the_first_step_over_all_repetitions(monkeypatch):

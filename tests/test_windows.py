@@ -11,6 +11,8 @@ or into batches of every size, and compare against the one-window or
 the batch-of-one run with ``==``, not approximately.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,34 @@ def test_a_finished_sweep_is_refused(monkeypatch):
     assert sweep.done
     with pytest.raises(InvalidArgumentError, match="finished"):
         simulate_ensemble(sweep)
+
+
+@pytest.mark.parametrize("raiser", ["control", "sigma0"])
+def test_a_sweep_whose_callable_raised_is_refused(monkeypatch, raiser):
+    # the window has drawn its dW before the third call raises, so any
+    # exception in it, not only a blow-up, ends the sweep at that step
+    calls = []
+
+    def third_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ZeroDivisionError("division by zero")
+        return 0.5
+
+    coeffs = constant_coefficients(sigma=1.0)
+    control = None
+    if raiser == "control":
+        control = third_call_fails
+    else:
+        coeffs = replace(coeffs, sigma0=third_call_fails)
+    sweep = Sweep(coeffs, dirac_initial(0.0), 4, make_uniform_partition(1.0, 8), [RNG], control=control)
+    set_window(monkeypatch, 8, 1, 4)
+    with pytest.raises(ZeroDivisionError):
+        simulate_ensemble(sweep)
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError, match="failed at step 2"):
+            simulate_ensemble(sweep)
+    assert sweep.next_cell == 0 and len(calls) == 3
 
 
 def test_a_sweep_that_blew_up_is_refused(monkeypatch):
