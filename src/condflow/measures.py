@@ -90,7 +90,12 @@ def empirical(atoms) -> EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar test function with exact first and second derivatives."""
+    """Scalar test function with exact first and second derivatives.
+
+    Each callable takes an array of atoms and returns the values there,
+    or a float where the field is constant, such as the gradient of x or
+    the Hessian of x^2; the tables broadcast a float to the atoms.
+    """
 
     name: str
     value: Callable
@@ -148,6 +153,12 @@ class _Tables:
     its own (n+1, N) rows give, bit for bit.  Outer-derivative rows carry
     the same leading axes, then the test-function axes.
 
+    Each table has the atoms' shape.  A field that a test function
+    returns as a float, such as a constant gradient or Hessian, is a
+    zero-stride ``np.broadcast_to`` view, so no window fills a table with
+    one number.  Its product with a weight still has one element per
+    atom, so every particle mean reduces N products.
+
     On a pair's atoms (``MeasurePair.atoms``, a (N + N',) row),
     :meth:`averages` reads the moments of m, m' or a mixture, and
     :meth:`flat` and :meth:`flat2_pairing` give the flat derivatives
@@ -155,9 +166,12 @@ class _Tables:
     """
 
     def __init__(self, tests: Sequence[TestFunction], states: np.ndarray):
-        self.vals = [np.asarray(t.value(states), dtype=float) for t in tests]
-        self.grads = [np.asarray(t.grad(states), dtype=float) for t in tests]
-        self.hesses = [np.asarray(t.hess(states), dtype=float) for t in tests]
+        def table(field):
+            return np.broadcast_to(np.asarray(field(states), dtype=float), states.shape)
+
+        self.vals = [table(t.value) for t in tests]
+        self.grads = [table(t.grad) for t in tests]
+        self.hesses = [table(t.hess) for t in tests]
         self.moments = np.stack([p.mean(axis=-1) for p in self.vals], axis=-1)  # (n+1, [M,] k)
 
     def grad_mean(self, d_outer: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -15,11 +15,24 @@ sweep holds one window at a time, whatever the grid size.  A window
 keeps each coefficient's values at the shape the coefficient returned,
 so a constant b, sigma or sigma0 takes one number per cell, not one per
 particle.
+
+A sweep of one stream also reads ahead: while the caller works on a
+window, a thread of its own draws the next window's dW normals from the
+stream's generator, in the order and at the window bounds the sweep
+would draw them itself, so every byte is the same.  The next window
+joins that thread, so a sweep has at most one alive; a batched sweep
+and a process allowed only one CPU start none.  The one call the thread
+makes is the generator's ``standard_normal``, so every package function,
+and any tracer wrapped round one, runs on the caller's thread.  A sweep
+whose read-ahead is pending must not be carried across a fork: the
+child has no thread to finish the draw.
 """
 
+import os
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,6 +63,41 @@ _WINDOW_ELEMENTS = 1 << 16
 def window_cells(row_elements: int) -> int:
     """Cells per window of a sweep with ``row_elements`` particles a row."""
     return max(1, _WINDOW_ELEMENTS // row_elements)
+
+
+class _Draw:
+    """One call run on a thread of its own, started here; :meth:`result`
+    joins the thread, then returns the call's value or raises its error
+    on the caller's thread."""
+
+    def __init__(self, call: Callable):
+        self._call, self._value, self._error = call, None, None
+        self._thread = threading.Thread(target=self._run, name="condflow-read-ahead", daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            self._value = self._call()
+        except BaseException as exc:  # result() raises it on the caller's thread
+            self._error = exc
+
+    def wait(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _several_cpus() -> bool:
+    """Whether this process may run on more than one CPU, so that a draw
+    on a thread of its own can overlap the caller's work."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
 
 
 @dataclass(frozen=True)
@@ -174,8 +222,12 @@ class Sweep:
     and ``factor`` hold the M whole paths.  Each window then draws its dW
     rows, so each stream is drawn in one order however the sweep is
     split or batched, and its rows do not depend on the window size.
-    ``next_cell`` is the first cell of the next window, and ``done``
-    tells that a window has reached the last cell.
+    A sweep of one stream that may use more than one CPU draws the next
+    window's dW normals on a thread of its own while the caller works on
+    the current window (see the module docstring), so it holds one
+    window plus the next window's dW.  ``next_cell`` is the first cell
+    of the next window, and ``done`` tells that a window has reached the
+    last cell.
     """
 
     def __init__(
@@ -221,6 +273,19 @@ class Sweep:
         self._mart = np.zeros(self._x0.shape)
         self.next_cell = 0
         self._failed_step = None
+        self._reads_ahead = len(self._gens) == 1 and _several_cpus()
+        # the next window's stop cell and the thread's draw of its normals,
+        # while that draw is pending
+        self._ahead: tuple[int, _Draw] | None = None
+
+    def _fail(self, step: int) -> None:
+        """Refuse the sweep from ``step`` on, once no draw is pending; the
+        pending draw's normals, or its error, are dropped, since no window
+        will take them."""
+        self._failed_step = step
+        if self._ahead is not None:
+            self._ahead[1].wait()
+            self._ahead = None
 
     @property
     def done(self) -> bool:
@@ -245,6 +310,32 @@ def _stacked(values: list, row: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _window_stop(sweep: Sweep, start: int) -> int:
+    """One past the last cell of ``sweep``'s window that starts at cell
+    ``start``: ``max(1, min(n, window_cells(N)) // M)`` cells, or fewer
+    at the end of the grid."""
+    n = sweep.partition.num_cells
+    return min(n, start + max(1, min(n, window_cells(sweep.num_particles)) // len(sweep._gens)))
+
+
+def _draw_dw(sweep: Sweep, start: int, stop: int) -> np.ndarray:
+    """The dW of cells ``start`` to ``stop - 1``, (cells, M, N): each
+    stream's next normals times sqrt(dt), taken from the read-ahead when
+    it is pending."""
+    sqdt = sweep._sqdt[start:stop, None]
+    if sweep._ahead is not None:
+        normals = sweep._ahead[1].result()
+        sweep._ahead = None
+        # standard_normal fills the ziggurat normals that normal draws, and
+        # normal returns 0.0 + 1.0 z, which turns a -0.0 into 0.0
+        np.add(normals, 0.0, out=normals)
+        return np.multiply(normals, sqdt, out=normals)[:, None]
+    dw = np.empty((stop - start, len(sweep._gens), sweep.num_particles))
+    for r, g in enumerate(sweep._gens):
+        np.multiply(g.normal(size=(stop - start, sweep.num_particles)), sqdt, out=dw[:, r])
+    return dw
+
+
 def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     """Run the next time window of ``sweep`` and return it.
 
@@ -254,10 +345,13 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     :class:`ParticleEnsemble`), whose coefficient and control values keep
     the shape their callables returned, from (cells, 1, 1) for constants
     to (cells, M, N).  A caller runs windows until ``sweep.done``, so a
-    sweep holds one window at a time, whatever n.  A finished sweep is
-    refused, and so is one whose window raised: once a window has drawn
-    its dW, any exception in it, from a blow-up, a coefficient or the
-    control, records its step, and every later call names that step.  A
+    sweep holds one window at a time, whatever n; a one-stream sweep
+    also holds the next window's dW, which a thread draws while the
+    caller works on this window.  A finished sweep is refused, and so is one whose
+    window raised: once a window has begun to draw its dW, any exception
+    in it, from a blow-up, a coefficient or the control, records its
+    step, and every later call names that step; a pending read-ahead is
+    waited for and dropped first, so no draw outlives the failure.  A
     value that does not broadcast to the (M, N) particles is an
     ``InvalidArgumentError``, recorded at the window's last step.
 
@@ -275,13 +369,10 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     coeffs, control, partition = sweep.coeffs, sweep.control, sweep.partition
     dt = partition.deltas
     n = dt.size
-    num_particles, gens = sweep.num_particles, sweep._gens
     start = sweep.next_cell
-    stop = min(n, start + max(1, min(n, window_cells(num_particles)) // len(gens)))
+    # a read-ahead has fixed this window's bounds when it was drawn
+    stop = sweep._ahead[0] if sweep._ahead is not None else _window_stop(sweep, start)
     cells = stop - start
-    dw = np.empty((cells, len(gens), num_particles))
-    for r, g in enumerate(gens):
-        np.multiply(g.normal(size=(cells, num_particles)), sweep._sqdt[start:stop, None], out=dw[:, r])
     x0 = sweep._x0
     states = np.empty((cells + 1, *x0.shape))
     states[0] = sweep._row
@@ -296,6 +387,13 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
         factor_values = np.stack([f.values[start:stop] for f in sweep.factor], axis=1)[..., None]
     j = 0
     try:
+        dw = _draw_dw(sweep, start, stop)
+        if sweep._reads_ahead and stop < n:
+            # the thread has the generator until the next window takes the
+            # draw; its buffer is made here, so the heap stays this thread's
+            after = _window_stop(sweep, stop)
+            buffer = np.empty((after - stop, sweep.num_particles))
+            sweep._ahead = (after, _Draw(partial(sweep._gens[0].standard_normal, out=buffer)))
         for j, (t, h, dw0_k, y) in enumerate(zip(times, widths, sweep._dw0[start:stop], factor_values)):
             x = states[j]
             try:
@@ -322,12 +420,12 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
         bvals, svals, s0vals = (_stacked(v, x0.shape) for v in (bvals, svals, s0vals))
         avals = _stacked(avals, x0.shape) if control is not None else None
     except BaseException:
-        # the window has drawn its dW, so running it again would rerun its
-        # cells on fresh draws
-        sweep._failed_step = start + j
+        # the window has begun to draw its dW, so running it again would
+        # rerun its cells on fresh draws
+        sweep._fail(start + j)
         raise
     if not np.isfinite(states[cells]).all():
-        sweep._failed_step = stop
+        sweep._fail(stop)
         raise BlowUpError(stop)
     sweep._fv, sweep._mart, sweep._row, sweep.next_cell = fv, mart, states[cells], stop
 

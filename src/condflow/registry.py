@@ -58,8 +58,8 @@ def identity_test() -> TestFunction:
     return TestFunction(
         "x",
         value=lambda x: np.asarray(x, dtype=float),
-        grad=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        hess=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        grad=lambda x: 1.0,
+        hess=lambda x: 0.0,
     )
 
 
@@ -68,7 +68,7 @@ def square_test() -> TestFunction:
         "x^2",
         value=lambda x: np.asarray(x, dtype=float) ** 2,
         grad=lambda x: 2.0 * np.asarray(x, dtype=float),
-        hess=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        hess=lambda x: 2.0,
     )
 
 

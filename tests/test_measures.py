@@ -12,6 +12,7 @@ from condflow import (
     fd_check_dm2,
     integral_identity_gap,
 )
+from condflow import measures
 from condflow.measures import _Tables, fd_orders_ok
 from condflow.registry import (
     log_second_moment_functional,
@@ -130,6 +131,39 @@ def test_derivatives_second_moment():
         np.testing.assert_allclose(tab.grad_mean(d1, one_hot(i, 2)), [2.0 * x[i]], rtol=1e-15)
         np.testing.assert_allclose(tab.hess_mean(d1, one_hot(i, 2)), [2.0], rtol=1e-15)
     assert np.all(tab.pair_mean(d2, np.ones(2)) == 0.0)
+
+
+def filled(phi: measures.TestFunction) -> measures.TestFunction:
+    """``phi`` with each constant derivative written out at every atom."""
+
+    def fill(field):
+        return lambda x: np.full(np.shape(x), field(x), dtype=float)
+
+    return measures.TestFunction(phi.name, phi.value, fill(phi.grad), fill(phi.hess))
+
+
+@pytest.mark.parametrize("weights", ["per-cell", "per-particle"])
+def test_float_derivatives_give_the_rows_of_filled_tables(weights):
+    # a float gradient or Hessian is a zero-stride view of the atoms'
+    # shape, so each product with a (cells, 1, 1) weight still has N
+    # elements and each particle mean reduces N products, bit for bit
+    gen = np.random.default_rng(31)
+    cells, reps, n = 6, 3, 37
+    states = gen.normal(size=(cells + 1, reps, n))
+    tests = (
+        measures.TestFunction("x", lambda x: np.asarray(x, dtype=float), lambda x: 1.0, lambda x: 0.0),
+        measures.TestFunction("x^2", lambda x: np.asarray(x, dtype=float) ** 2, lambda x: 2.0 * x, lambda x: 2.0),
+    )
+    d1 = gen.normal(size=(cells + 1, reps, 2))
+    d2 = gen.normal(size=(cells + 1, reps, 2, 2))
+    w = gen.normal(size=(cells, 1, 1) if weights == "per-cell" else (cells, reps, n))
+    constant, full = _Tables(tests, states), _Tables(tuple(map(filled, tests)), states)
+    assert constant.grads[0].strides == constant.hesses[1].strides == (0, 0, 0)
+    assert constant.grads[0].shape == constant.hesses[0].shape == states.shape
+    for name, rows in (("grad_mean", d1), ("hess_mean", d1), ("pair_mean", d2)):
+        got, want = getattr(constant, name)(rows, w), getattr(full, name)(rows, w)
+        assert got.shape == (cells, reps)
+        assert got.tobytes() == want.tobytes(), name
 
 
 @settings(max_examples=40)
