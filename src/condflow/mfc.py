@@ -19,14 +19,15 @@ running reward in :func:`dpp_check`, in :func:`_lq_generator_grid` and in
 
 The DPP gate and the allowance checks are ``condflow._gate``'s.
 
-The checks run as arrays, in blocks of :data:`_HJB_NODE_BLOCK` lattice
-nodes and in the time windows of about 2^16 particle steps in which
-``particle.simulate_ensemble`` runs a ``particle.Sweep``: fixed budgets,
-not options, that bound the memory and change no output bit.
+The residual of the dynamic-programming equation takes the Hamiltonian's
+sup in closed form, one generator call for the whole lattice.  The DPP
+check runs in the time windows of about 2^16 particle steps in which
+``particle.simulate_ensemble`` runs a ``particle.Sweep``: a fixed budget,
+not an option, that bounds the memory and changes no output bit.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -139,25 +140,35 @@ def make_lq_problem(
 class LqValue:
     """Quadratic-in-moments value candidate backed by solved trajectories.
 
-    ``p_offset`` is added to P after its time derivative is taken, so
-    ``replace(value, p_offset=eps)`` is the candidate V + eps Var(m) with
-    the base's time derivative: a wrong candidate that the residual test
-    must reject.
+    The time derivatives dP, dR and dc are those of the tables
+    themselves, second-order differences on ``ts``, not the Riccati
+    right-hand side at the interpolated values: the residual of the
+    dynamic-programming equation then sees a table that does not solve
+    the equations.  ``p_offset`` is added to P after its time derivative
+    is taken, so ``replace(value, p_offset=eps)`` is the candidate
+    V + eps Var(m) with the base's time derivative: a wrong candidate
+    that the residual test must reject.
 
-    :meth:`quad_coeffs` is memoised per value object: the feedback control
-    reads it at every step of a sweep, mostly at times it has seen.  The
-    memo is not an init field, so ``replace`` gives the new candidate an
-    empty memo of its own rather than the base's P.
+    :meth:`quad_coeffs` is memoised per value object, and so are the
+    derivative tables: the feedback control reads it at every step of a
+    sweep, mostly at times it has seen.  Neither is an init field, so
+    ``replace`` gives the new candidate its own rather than the base's.
     """
 
     ts: np.ndarray
     p: np.ndarray
     r_coef: np.ndarray
     c: np.ndarray
-    constants: Mapping[str, float]
     ode_error: float
     p_offset: float = 0.0
     _memo: dict = field(init=False, default_factory=dict, repr=False)
+
+    @cached_property
+    def _slopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The time derivatives of the P, R and c tables on ``ts``; a table
+        of two times has only the first-order difference."""
+        order = min(2, self.ts.size - 1)
+        return tuple(np.gradient(table, self.ts, edge_order=order) for table in (self.p, self.r_coef, self.c))
 
     def quad_coeffs(self, t: float) -> Mapping[str, float]:
         """P, R, c and their time derivatives at ``t``, as a read-only view
@@ -166,20 +177,14 @@ class LqValue:
         qc = self._memo.get(t)
         if qc is not None:
             return qc
-        q = self.constants["q"]
-        r = self.constants["r"]
-        sigma = self.constants["sigma"]
-        sigma0 = self.constants["sigma0"]
-        p = float(np.interp(t, self.ts, self.p))
-        rr = float(np.interp(t, self.ts, self.r_coef))
-        cc = float(np.interp(t, self.ts, self.c))
+        dp, dr, dc = (float(np.interp(t, self.ts, slope)) for slope in self._slopes)
         qc = self._memo[t] = MappingProxyType({
-            "P": p + self.p_offset,
-            "R": rr,
-            "c": cc,
-            "dP": 0.5 * q - 2.0 * p * p,
-            "dR": 0.5 * r - 2.0 * rr * rr,
-            "dc": -(p * sigma**2 + rr * sigma0**2),
+            "P": float(np.interp(t, self.ts, self.p)) + self.p_offset,
+            "R": float(np.interp(t, self.ts, self.r_coef)),
+            "c": float(np.interp(t, self.ts, self.c)),
+            "dP": dp,
+            "dR": dr,
+            "dc": dc,
         })
         return qc
 
@@ -267,7 +272,7 @@ def solve_lq_value(problem: ControlProblem) -> LqValue:
     sol = sol[order]
     # pin the terminal condition exactly
     sol[-1] = terminal
-    return LqValue(ts, sol[:, 0], sol[:, 1], sol[:, 2], consts, err)
+    return LqValue(ts, sol[:, 0], sol[:, 1], sol[:, 2], err)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +356,7 @@ def _censored_affine_moments(alpha, beta, bound):
     return ew, ewz, ew2
 
 
-def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1, moments=None):
+def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1):
     """Reward-augmented generator of the value candidate on (c0, c1)
     grids of clamped affine feedbacks, under the Gaussian surrogate.
 
@@ -366,9 +371,6 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1, moments=No
     row is what its node alone gives: a Python float's ``mean**2`` goes
     through libm ``pow`` and numpy's ``x**2`` through x*x, which differ in
     the last bit for some inputs.
-
-    ``moments``, if given, is what :func:`_censored_affine_moments` gives
-    on these grids, computed beforehand; the grids are then not read.
     """
     consts = problem.constants
     q, r = consts["q"], consts["r"]
@@ -388,9 +390,7 @@ def _lq_generator_grid(problem: ControlProblem, value, nodes, c0, c1, moments=No
             qc["dP"] * var + qc["dR"] * mean**2 + qc["dc"],
         ))
     s, q_var, r_mean2, p_s, r_mean, second, cross, dtv = np.array(columns).T[:, :, None]
-    if moments is None:
-        moments = _censored_affine_moments(np.asarray(c0, dtype=float), np.asarray(c1, dtype=float) * s, problem.a_max)
-    ew, ewz, ew2 = moments
+    ew, ewz, ew2 = _censored_affine_moments(np.asarray(c0, dtype=float), np.asarray(c1, dtype=float) * s, problem.a_max)
     fbar = -0.5 * ew2 - q_var - r_mean2
     drift = p_s * ewz + r_mean * ew
     return dtv + fbar + drift + second + cross
@@ -419,109 +419,40 @@ class HjbReport:
     passed: bool
 
 
-# lattice nodes per generator call: a node's grid has 41^2 = 1,681 points
-# and the generator holds a few dozen temporaries of that size; on the
-# residual lattice a block of 5 raised the peak RSS of hjb_residual by
-# 1.6 MiB (one node: 0.5 MiB) and all 225 nodes at once by 68 MiB
-_HJB_NODE_BLOCK = 5
-
-
-def _linspace_rows(lo: np.ndarray, hi: np.ndarray, pts: int) -> np.ndarray:
-    """Row k is ``np.linspace(lo[k], hi[k], pts)`` to the bit.
-
-    ``np.linspace`` with array endpoints switches every row to its
-    zero-step formula when any one step underflows to zero; here only
-    that row takes it.
-    """
-    delta = hi - lo
-    step = delta / (pts - 1)
-    i = np.arange(pts, dtype=float)
-    rows = np.where((step == 0)[:, None], i / (pts - 1) * delta[:, None], i * step[:, None])
-    rows += lo[:, None]
-    rows[:, -1] = hi
-    return rows
-
-
-# points per axis of each stage of the refined sup
-_SUP_POINTS = (41, 21, 21)
-
-
-def _mesh_rows(c0_lo, c0_hi, c1_lo, c1_hi, pts: int):
-    """Row k is node k's (c0, c1) meshgrid in "ij" order, raveled."""
-    grid0 = np.repeat(_linspace_rows(c0_lo, c0_hi, pts), pts, axis=1)
-    grid1 = np.tile(_linspace_rows(c1_lo, c1_hi, pts), pts)
-    return grid0, grid1
-
-
-def _refined_sup(objective: Callable, num_nodes: int, c0_span: float, c1_span: float, first: Callable | None = None):
-    """Per node, (sup, c0, c1) of ``objective`` over a 41-point grid on
-    [-span, span]^2, refined twice on 21-point grids around the best point.
-
-    ``objective(c0s, c1s)`` takes and returns (num_nodes, points) arrays,
-    row k being node k's grid, so a block of nodes takes one call per
-    stage and each row gets what its node alone would.  ``first``, if
-    given, stands in for ``objective`` on the first stage, whose grid is
-    the same for every node, so that a caller can reuse what it computed
-    on that grid once.  Returns three (num_nodes,) arrays.
-    """
-    rows = np.arange(num_nodes)
-    c0_lo, c0_hi = np.full(num_nodes, -c0_span), np.full(num_nodes, c0_span)
-    c1_lo, c1_hi = np.full(num_nodes, -c1_span), np.full(num_nodes, c1_span)
-    best, best0, best1 = np.full(num_nodes, -np.inf), np.zeros(num_nodes), np.zeros(num_nodes)
-    for stage, pts in enumerate(_SUP_POINTS):
-        grid0, grid1 = _mesh_rows(c0_lo, c0_hi, c1_lo, c1_hi, pts)
-        vals = (objective if stage or first is None else first)(grid0, grid1)
-        idx = np.argmax(vals, axis=1)
-        top, b0, b1 = vals[rows, idx], grid0[rows, idx], grid1[rows, idx]
-        better = top > best
-        best, best0, best1 = np.where(better, top, best), np.where(better, b0, best0), np.where(better, b1, best1)
-        step0 = (c0_hi - c0_lo) / (pts - 1)
-        step1 = (c1_hi - c1_lo) / (pts - 1)
-        c0_lo, c0_hi = b0 - 1.5 * step0, b0 + 1.5 * step0
-        c1_lo, c1_hi = b1 - 1.5 * step1, b1 + 1.5 * step1
-    return best, best0, best1
-
-
-def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport:
+def hjb_residual(problem: ControlProblem, value, tol: float = 1e-6) -> HjbReport:
     """Residual of the dynamic-programming equation over the moment lattice.
 
     The lattice takes 9 evenly spaced times in [0, horizon], 5 means in
     [-1, 1] and 5 variances in [0.25, 2], 225 nodes.  At each
-    (t, mean, var) node the inner sup runs over the clamped affine
-    feedback family on a refined (c0, c1) grid; the optimizer of the
-    instance is itself a clamped affine map, so the family is exact up
-    to grid resolution.  The residual is minus the sup of the
-    reward-augmented generator; terminal exactness |V(T) - g| is checked
-    on the same (mean, var) nodes.
+    (t, mean, var) node the inner sup runs over all feedbacks.  The
+    Hamiltonian E[a dV/dm(x) - a^2/2] is concave in a at each x, so the
+    sup is attained at a*(x) = clamp(dV/dm(x)) into [-a_max, a_max]
+    (Pham & Wei, SIAM J. Control Optim. 2017).  The candidate's Lions
+    derivative 2P(t)(x - mean) + 2R(t) mean is affine, so a* is the
+    clamped affine feedback (c0, c1) = (2R(t) mean, 2P(t)), with the
+    candidate's own P and R, and one generator call evaluates every node
+    there.  The residual is minus that sup, and ``best_c0``/``best_c1``
+    are the maximizer; terminal exactness |V(T) - g| is checked on the
+    same (mean, var) nodes.
 
-    The nodes run through the refined sup in blocks of
-    :data:`_HJB_NODE_BLOCK`, in lattice order, one generator call per
-    block and stage instead of one per node and stage; the block size
-    bounds the memory and does not change the result.  The first stage
-    runs one grid for every node, so there a node's censored moments
-    (the generator's ``ndtr`` calls) depend on its variance alone: they
-    are computed once per variance and call, not once per node.
-    Elementwise, they are the same bits either way.  ``tol`` must be
-    nonnegative and finite (``condflow._gate.require_allowance``).
+    ``tol`` must be nonnegative and finite
+    (``condflow._gate.require_allowance``).  Its default, 1e-6, is about
+    a hundred times the residual of the solved tables on the default
+    instance (1.05e-8), the error of their second-order time
+    differences; tables that solve other equations give 1e-2 and more.
     """
     _gate.require_allowance("tol", tol)
     t_nodes = np.linspace(0.0, problem.horizon, 9)
     mean_nodes = np.linspace(-1.0, 1.0, 5)
     var_nodes = np.linspace(0.25, 2.0, 5)
     lattice = [(float(t), float(mu), float(var)) for t in t_nodes for mu in mean_nodes for var in var_nodes]
-    span = np.array([problem.a_max])
-    c0, c1 = _mesh_rows(-span, span, -span, span, _SUP_POINTS[0])
-    first_moments = _censored_affine_moments(c0, c1 * np.sqrt(var_nodes)[:, None], problem.a_max)
-    var_row = {float(var): k for k, var in enumerate(var_nodes)}
-    nodes = []
-    for start in range(0, len(lattice), _HJB_NODE_BLOCK):
-        block = lattice[start : start + _HJB_NODE_BLOCK]
-        grid = partial(_lq_generator_grid, problem, value, block)
-        rows = [var_row[var] for _, _, var in block]
-        first = partial(grid, moments=tuple(m[rows] for m in first_moments))
-        sups, b0s, b1s = _refined_sup(grid, len(block), problem.a_max, problem.a_max, first)
-        for (t, mu, var), sup, b0, b1 in zip(block, sups.tolist(), b0s.tolist(), b1s.tolist()):
-            nodes.append(HjbNode(t, mu, var, -sup, b0, b1))
+    best = []
+    for t, mu, _ in lattice:
+        qc = value.quad_coeffs(t)
+        best.append((2.0 * qc["R"] * mu, 2.0 * qc["P"]))
+    c0, c1 = np.array(best).T[:, :, None]
+    sups = _lq_generator_grid(problem, value, lattice, c0, c1)[:, 0].tolist()
+    nodes = [HjbNode(t, mu, var, -sup, b0, b1) for (t, mu, var), sup, (b0, b1) in zip(lattice, sups, best)]
     terminal_gap = 0.0
     for mu in mean_nodes.tolist():
         for var in var_nodes.tolist():
@@ -534,8 +465,13 @@ def hjb_residual(problem: ControlProblem, value, tol: float = 1e-4) -> HjbReport
 def nonparametric_gap(problem: ControlProblem, value, t: float, m: EmpiricalMeasure) -> dict[str, float]:
     """Spot-check of the affine-family restriction at one node.
 
-    Compares the affine-family sup against the exact pointwise optimizer,
-    both evaluated on the same atom cloud.
+    Compares the pointwise optimizer clamp(dV/dm(x)) against the clamped
+    affine feedback (c0, c1) = (2R(t) mean, 2P(t)) at which
+    :func:`hjb_residual` takes its sup, both evaluated on the same atom
+    cloud.  The two are one map written twice, so ``family_gap`` is
+    exactly 0.0 for the quadratic candidate: the check stays because the
+    benchmark's span tracer and the ``family_gap.csv`` table still name
+    it, and goes together with them.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze the Lions derivative at its end values
@@ -546,21 +482,12 @@ def nonparametric_gap(problem: ControlProblem, value, t: float, m: EmpiricalMeas
     dl = np.asarray(value.d_lions(t, cloud, x), dtype=float)
 
     def a_part(a):
-        return -0.5 * a**2 + a * dl
+        return float(np.mean(-0.5 * a**2 + a * dl))
 
-    pointwise = float(np.mean(a_part(np.clip(dl, -problem.a_max, problem.a_max))))
-    mu = measure_mean(cloud)
-
-    def affine(c0, c1):  # one node: a (1, points) row each
-        a_grid = np.clip(
-            c0.T + c1.T * (x - mu)[None, :],
-            -problem.a_max,
-            problem.a_max,
-        )
-        return (-0.5 * a_grid**2 + a_grid * dl[None, :]).mean(axis=1)[None, :]
-
-    sups, _, _ = _refined_sup(affine, 1, problem.a_max, problem.a_max)
-    best = float(sups[0])
+    qc = value.quad_coeffs(t)
+    affine = AffineFeedback(2.0 * qc["R"] * measure_mean(cloud), 2.0 * qc["P"], problem.a_max)
+    pointwise = a_part(np.clip(dl, -problem.a_max, problem.a_max))
+    best = a_part(affine(t, x, cloud))
     return {
         "pointwise_sup": pointwise,
         "affine_sup": best,
@@ -607,10 +534,13 @@ def dpp_check(
     The M = ``outer_paths`` repetitions, repetition r on
     ``rng.child(r)``, run as one :class:`particle.Sweep` of the M
     streams, window by window by :func:`simulate_ensemble`; the feedback
-    reads each repetition's own empirical measure.  After each window
-    the running reward of every repetition is evaluated at once and
-    summed cell by cell, in order, so the result does not depend on the
-    window.  A reward, value or gap that overflows raises
+    reads each repetition's own empirical measure.  The drift returns
+    the control's value object itself, so each window stores the
+    control's (cells, M, N) values once, as both its ``drift_values``
+    and its ``control_values``.  After each window the running reward of
+    every repetition is evaluated at once, in one buffer of the window's
+    shape, and summed cell by cell, in order, so the result does not
+    depend on the window.  A reward, value or gap that overflows raises
     ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
@@ -650,7 +580,12 @@ def dpp_check(
             # own pow, as in _lq_generator_grid
             means = x.mean(axis=-1)
             r_mean2 = np.array([0.5 * r * mean**2 for mean in means.ravel().tolist()]).reshape(means.shape)
-            f_vals = -0.5 * a**2 - 0.5 * q * (x - means[..., None]) ** 2 - r_mean2[..., None]
+            # -a^2/2 - (q/2)(x - mean)^2 - (r/2) mean^2 in one buffer, in
+            # the order of the expression: the same bits as written out
+            f_vals = np.square(np.broadcast_to(a, x.shape))
+            f_vals *= -0.5
+            f_vals -= 0.5 * q * (x - means[..., None]) ** 2
+            f_vals -= r_mean2[..., None]
             for f_k, h in zip(f_vals.mean(axis=-1), ens.deltas.tolist()):
                 reward += f_k * h
         m0 = empirical(atoms)

@@ -120,8 +120,10 @@ class ParticleEnsemble:
     shape with (1, 1).  So a constant gives (num_cells, 1, 1), a value
     read from the law or the factor (num_cells, M, 1), and a
     state-dependent value or a feedback control (num_cells, M, N); each
-    broadcasts to ``idio_increments``' shape.  ``num_particles`` counts
-    the M N particles of a time row.
+    broadcasts to ``idio_increments``' shape.  When the drift returned
+    the control's value object itself at every step, ``drift_values``
+    *is* the ``control_values`` array, stored once; read both, write
+    neither.  ``num_particles`` counts the M N particles of a time row.
     """
 
     partition: Partition
@@ -386,6 +388,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     if sweep.factor is not None:  # a step's factor values are a (M, 1) column, like its dW0
         factor_values = np.stack([f.values[start:stop] for f in sweep.factor], axis=1)[..., None]
     j = 0
+    drift_is_control = control is not None
     try:
         dw = _draw_dw(sweep, start, stop)
         if sweep._reads_ahead and stop < n:
@@ -409,6 +412,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
             b = coeffs.drift(t, x, y, m, a)
             s = coeffs.sigma(t, x, y, m, a)
             s0 = coeffs.sigma0(t, x, y, m, a)
+            drift_is_control = drift_is_control and b is a
             bvals.append(b)
             svals.append(s)
             s0vals.append(s0)
@@ -417,8 +421,11 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
             row = states[j + 1]
             np.add(x0, fv, out=row)
             row += mart
-        bvals, svals, s0vals = (_stacked(v, x0.shape) for v in (bvals, svals, s0vals))
+        svals, s0vals = _stacked(svals, x0.shape), _stacked(s0vals, x0.shape)
         avals = _stacked(avals, x0.shape) if control is not None else None
+        # a drift that returns the control's own value object at every step
+        # would stack the same values again: the window shares one array
+        bvals = avals if drift_is_control else _stacked(bvals, x0.shape)
     except BaseException:
         # the window has begun to draw its dW, so running it again would
         # rerun its cells on fresh draws

@@ -192,15 +192,14 @@ def simulate_factor(
         raise InvalidArgumentError("common path must share the partition")
     gen = rng.generator()
     dt = partition.deltas
-    n = dt.size
-    db = gen.normal(size=n) * np.sqrt(dt)
+    db = gen.normal(size=dt.size) * np.sqrt(dt)
     dw0 = np.diff(common_path.values)
-    fv = np.zeros(n + 1)
-    mart = np.zeros(n + 1)
+    # the loop runs on Python floats, whose operations round as numpy's
+    # float64 scalars do, without a scalar object per operation
+    fv, mart = [0.0], [0.0]
     y = float(y0)
-    for i in range(n):
-        t = partition.times[i]
-        fv[i + 1] = fv[i] + coeffs.k(t, y) * dt[i]
-        mart[i + 1] = mart[i] + coeffs.gamma(t, y) * db[i] + coeffs.gamma0(t, y) * dw0[i]
-        y = y0 + fv[i + 1] + mart[i + 1]
-    return SamplePath(partition, y0 + fv + mart)
+    for t, h, db_i, dw0_i in zip(partition.times[:-1].tolist(), dt.tolist(), db.tolist(), dw0.tolist()):
+        fv.append(fv[-1] + coeffs.k(t, y) * h)
+        mart.append(mart[-1] + coeffs.gamma(t, y) * db_i + coeffs.gamma0(t, y) * dw0_i)
+        y = y0 + fv[-1] + mart[-1]
+    return SamplePath(partition, y0 + np.array(fv) + np.array(mart))

@@ -596,7 +596,10 @@ _EXPERIMENTS: dict[str, ExperimentDef] = {
             "sigma": 0.4,
             "sigma0": 0.3,
             "horizon": 1.0,
-            "tol_hjb": 1e-4,
+            # the residual takes the closed-form sup and the tables' own time
+            # derivative, so the solved tables give 1.05e-8 here and tables
+            # that do not solve the Riccati equations 1e-2 or more
+            "tol_hjb": 1e-6,
             "perturbation": 0.1,
             "perturbation_floor": 0.05,
             "mc_particles": 1024,

@@ -92,11 +92,10 @@ def generator_atom_average(problem, value, t: float, m, control) -> float:
 
 
 def zero_value() -> LqValue:
-    """The value candidate V = 0 (P = R = c = 0 with zero constants)."""
+    """The value candidate V = 0 (P = R = c = 0)."""
     ts = np.array([0.0, 1.0])
     zero = np.zeros(2)
-    consts = {"q": 0.0, "r": 0.0, "sigma": 0.0, "sigma0": 0.0}
-    return LqValue(ts, zero, zero.copy(), zero.copy(), consts, 0.0)
+    return LqValue(ts, zero, zero.copy(), zero.copy(), 0.0)
 
 
 def set_window(monkeypatch, cells: int, streams: int, particles: int) -> None:

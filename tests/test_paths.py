@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -112,6 +114,32 @@ def test_factor_idiosyncratic_variance():
         common = simulate_brownian(p, base.child(i, 0))
         vals[i] = simulate_factor(coeffs, 0.0, p, common, base.child(i, 1)).values[-1]
     assert abs(vals.var() - 1.0) < 0.05
+
+
+def test_factor_path_matches_a_float64_array_loop():
+    # the Euler loop on float64 arrays and numpy scalars is the reference;
+    # coefficients that read t and y make every step's arithmetic count
+    coeffs = replace(
+        constant_coefficients(),
+        k=lambda t, y: 0.3 - 0.7 * y + np.sin(3.0 * t),
+        gamma=lambda t, y: 0.4 + 0.1 * np.cos(y),
+        gamma0=lambda t, y: 0.5 * t + 0.2,
+    )
+    p = Partition(np.cumsum(np.r_[0.0, np.linspace(0.01, 0.03, 64)]))
+    common = simulate_brownian(p, RngStream(8, 0))
+    y0 = 0.35
+    dt = p.deltas
+    db = RngStream(8, 1).generator().normal(size=dt.size) * np.sqrt(dt)
+    dw0 = np.diff(common.values)
+    fv, mart = np.zeros(dt.size + 1), np.zeros(dt.size + 1)
+    y = y0
+    for i in range(dt.size):
+        t = p.times[i]
+        fv[i + 1] = fv[i] + coeffs.k(t, y) * dt[i]
+        mart[i + 1] = mart[i] + coeffs.gamma(t, y) * db[i] + coeffs.gamma0(t, y) * dw0[i]
+        y = y0 + fv[i + 1] + mart[i + 1]
+    got = simulate_factor(coeffs, y0, p, common, RngStream(8, 1)).values
+    assert got.tobytes() == (y0 + fv + mart).tobytes()
 
 
 def test_factor_partition_mismatch():
