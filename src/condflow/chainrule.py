@@ -679,8 +679,8 @@ def verify_factor_model(
     def window(ens):
         # gamma and gamma0 of each (cell, repetition), called on Python floats
         left = list(zip(ens.partition.times[ens.cells].tolist(), _path_rows(ens.factor, ens.cells).tolist()))
-        gam = np.array([[ens.coeffs.gamma(t, y) for y in ys] for t, ys in left], dtype=float)
-        gam0 = np.array([[ens.coeffs.gamma0(t, y) for y in ys] for t, ys in left], dtype=float)
+        gam = np.array([[espec.coeffs.gamma(t, y) for y in ys] for t, ys in left], dtype=float)
+        gam0 = np.array([[espec.coeffs.gamma0(t, y) for y in ys] for t, ys in left], dtype=float)
         dt = ens.deltas[:, None]
         integrands = [
             ("stoch", _Tables.grad_mean, "d1", ens.state_increments(), None),

@@ -129,10 +129,6 @@ class CylindricalFunctional:
         if len(self.tests) < 1:
             raise InvalidArgumentError("need at least one test function")
 
-    @property
-    def k(self) -> int:
-        return len(self.tests)
-
 
 def _ustat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # ordered-pair average per row (last axis) of two (..., N) arrays
@@ -344,14 +340,21 @@ def fd_check_dm2(
     return _attach_orders(rows)
 
 
-def fd_orders_ok(rows: Sequence[FdRow], floor: float = 1e-13, min_order: float = 0.9) -> bool:
-    """True when errors either decay at order >= 1 or sit at the roundoff
-    floor (which grows like 1/eps, since the difference quotient divides
-    cancellation noise by eps)."""
+# an error at or below _FD_FLOOR / eps is roundoff: the difference
+# quotient divides cancellation noise by eps, so that floor grows like 1/eps
+_FD_FLOOR = 1e-13
+# a first-order difference quotient has error ~ eps, so the order read
+# between two eps is about 1; at least 0.9 leaves room for its curvature
+_FD_MIN_ORDER = 0.9
+
+
+def fd_orders_ok(rows: Sequence[FdRow]) -> bool:
+    """True when errors either decay at first order or sit at the
+    roundoff floor ``_FD_FLOOR / eps``."""
     for row in rows:
-        if row.error <= floor / row.eps:
+        if row.error <= _FD_FLOOR / row.eps:
             continue
-        if row.observed_order is not None and row.observed_order < min_order:
+        if row.observed_order is not None and row.observed_order < _FD_MIN_ORDER:
             return False
     return all(np.isfinite(row.error) for row in rows)
 

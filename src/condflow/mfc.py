@@ -534,14 +534,13 @@ def dpp_check(
     The M = ``outer_paths`` repetitions, repetition r on
     ``rng.child(r)``, run as one :class:`particle.Sweep` of the M
     streams, window by window by :func:`simulate_ensemble`; the feedback
-    reads each repetition's own empirical measure.  The drift returns
-    the control's value object itself, so each window stores the
-    control's (cells, M, N) values once, as both its ``drift_values``
-    and its ``control_values``.  After each window the running reward of
-    every repetition is evaluated at once, in one buffer of the window's
-    shape, and summed cell by cell, in order, so the result does not
-    depend on the window.  A reward, value or gap that overflows raises
-    ``NumericOverflowError``.
+    reads each repetition's own empirical measure.  The feedback, read at
+    time t0 + t, is the drift coefficient, so each window stores the
+    control's (cells, M, N) values once, as its ``drift_values``.  After
+    each window the running reward of every repetition is evaluated at
+    once, in one buffer of the window's shape, and summed cell by cell,
+    in order, so the result does not depend on the window.  A reward,
+    value or gap that overflows raises ``NumericOverflowError``.
     """
     # the value function is solved on [0, horizon]; outside it np.interp
     # would freeze V and the feedback at their end values
@@ -557,25 +556,22 @@ def dpp_check(
     consts = problem.constants
     q, r = consts["q"], consts["r"]
     # the drift is the control, which the feedbacks clamp into [-a_max, a_max];
-    # no coefficient reads the time, so only the control is shifted to t0
+    # no other coefficient reads the time, so only the drift is shifted to t0
     coeffs = replace(
         constant_coefficients(b=problem.a_max, sigma=consts["sigma"], sigma0=consts["sigma0"]),
-        drift=lambda t, x, y, m, a: a,
+        drift=lambda t, x, y, m: control(t0 + t, x, m),
     )
-
-    def shifted_control(t, x, m):
-        return control(t0 + t, x, m)
 
     initial = gaussian_quantile_initial(mean0, var0)
     # the quantile atoms do not depend on the stream: every repetition starts here
     atoms = initial(None, num_particles)
     streams = [rng.child(rep) for rep in range(outer_paths)]
-    sweep = Sweep(coeffs, initial, num_particles, part, streams, control=shifted_control)
+    sweep = Sweep(coeffs, initial, num_particles, part, streams)
     reward = np.zeros(outer_paths)
     try:  # a Python float's ** raises where * would give inf
         while not sweep.done:
             ens = simulate_ensemble(sweep)
-            x, a = ens.states[:-1], ens.control_values
+            x, a = ens.states[:-1], ens.drift_values
             # the row means as Python floats, so that mean**2 is each row's
             # own pow, as in _lq_generator_grid
             means = x.mean(axis=-1)

@@ -14,7 +14,8 @@ An Euler sweep is a :class:`Sweep`, made once from its recipe;
 sweep holds one window at a time, whatever the grid size.  A window
 keeps each coefficient's values at the shape the coefficient returned,
 so a constant b, sigma or sigma0 takes one number per cell, not one per
-particle.
+particle.  A feedback control is the drift coefficient itself: the
+drift reads the state and the law, and its values are the control's.
 
 A sweep of one stream also reads ahead: while the caller works on a
 window, a thread of its own draws the next window's dW normals from the
@@ -112,18 +113,17 @@ class ParticleEnsemble:
     per repetition; ``idio_increments`` (num_cells, M, N) are the
     particles' own Brownian increments on those cells, and ``common``
     carries the M whole shared paths, ``factor`` the M factor paths of a
-    factor run.  ``drift_values``/``sigma_values``/``sigma0_values`` and
-    ``control_values`` cache the coefficient and control evaluations made
-    during the Euler sweep (left endpoints), which later feed analytic
-    bracket increments.  Each is kept at the shape its callable returned:
+    factor run.  ``drift_values``/``sigma_values``/``sigma0_values`` cache
+    the coefficient evaluations made during the Euler sweep (left
+    endpoints), which later feed analytic bracket increments; with a
+    feedback control as the drift, ``drift_values`` holds the control's
+    values.  Each is kept at the shape its callable returned:
     (num_cells, *shape), with shape the broadcast of every step's value
     shape with (1, 1).  So a constant gives (num_cells, 1, 1), a value
     read from the law or the factor (num_cells, M, 1), and a
     state-dependent value or a feedback control (num_cells, M, N); each
-    broadcasts to ``idio_increments``' shape.  When the drift returned
-    the control's value object itself at every step, ``drift_values``
-    *is* the ``control_values`` array, stored once; read both, write
-    neither.  ``num_particles`` counts the M N particles of a time row.
+    broadcasts to ``idio_increments``' shape, and each is an array of
+    its own.  ``num_particles`` counts the M N particles of a time row.
     """
 
     partition: Partition
@@ -133,9 +133,7 @@ class ParticleEnsemble:
     drift_values: np.ndarray
     sigma_values: np.ndarray
     sigma0_values: np.ndarray
-    coeffs: SdeCoefficients
     factor: tuple[SamplePath, ...] | None = None
-    control_values: np.ndarray | None = None
     first_cell: int = 0
 
     @property
@@ -206,18 +204,18 @@ class Sweep:
     as one (M, N) state, repetition r on stream r exactly as a sweep of
     that stream alone would.  Each particle sees its repetition's common
     increment dW0 and its own dW; the measure argument fed to the
-    coefficients (and the optional feedback ``control(t, x, m)``) is
-    ``empirical(x)`` of the step's state at the left endpoint, one
-    uniform measure per row, whose ``mean()`` and ``average()`` reduce
-    each row on its own, so a coefficient or control reads its own
-    repetition's law.  ``initial`` is a sampler ``(rng, N) -> atoms`` of
+    coefficients is ``empirical(x)`` of the step's state at the left
+    endpoint, one uniform measure per row, whose ``mean()`` and
+    ``average()`` reduce each row on its own, so a coefficient reads its
+    own repetition's law; a feedback control is the drift
+    ``(t, x, y, m)``.  ``initial`` is a sampler ``(rng, N) -> atoms`` of
     N atoms, such as :func:`dirac_initial` or
     :func:`gaussian_quantile_initial`, called with each stream's child 2.
     With ``y0`` each repetition gets its own factor path, driven by its
     common noise and its stream's child 1, and the coefficients get the
     step's factor values as a (M, 1) column.  A window keeps each value
-    that a coefficient or the control returns until the window ends, so
-    each call returns a value of its own, not a refilled buffer.
+    that a coefficient returns until the window ends, so each call
+    returns a value of its own, not a refilled buffer.
 
     Making a sweep checks its recipe and draws, stream by stream, all of
     the stream's dW0, its factor path and its initial atoms; ``common``
@@ -239,7 +237,6 @@ class Sweep:
         num_particles: int,
         partition: Partition,
         streams: Sequence[RngStream],
-        control: Callable | None = None,
         y0: float | None = None,
     ):
         if num_particles < 2:
@@ -250,7 +247,7 @@ class Sweep:
             raise InvalidArgumentError("a batch needs at least one stream")
         if not callable(initial):
             raise InvalidArgumentError("initial must be a sampler (rng, N) -> atoms")
-        self.coeffs, self.partition, self.control = coeffs, partition, control
+        self.coeffs, self.partition = coeffs, partition
         self.num_particles, self.streams = num_particles, tuple(streams)
         self._sqdt = np.sqrt(partition.deltas)
         self._gens = [stream.generator() for stream in self.streams]
@@ -294,18 +291,12 @@ class Sweep:
         return self.next_cell == self.partition.num_cells
 
 
-def _stacked(values: list, row: tuple[int, int]) -> np.ndarray:
-    """One callable's values at a window's steps as a float array
+def _stacked(values: list) -> np.ndarray:
+    """One coefficient's values at a window's steps as a float array
     (cells, *shape), with shape the broadcast of every step's shape with
-    (1, 1); a shape that does not broadcast to the (M, N) ``row`` is
-    refused."""
-    try:
-        shape = np.broadcast_shapes((1, 1), *map(np.shape, values))
-        fits = np.broadcast_shapes(shape, row) == row
-    except ValueError:  # shapes that do not broadcast at all
-        fits = False
-    if not fits:
-        raise InvalidArgumentError(f"a coefficient or control value does not broadcast to the {row} particles")
+    (1, 1); the steps have already written each value into a (M, N)
+    row, so every shape broadcasts to it."""
+    shape = np.broadcast_shapes((1, 1), *map(np.shape, values))
     out = np.empty((len(values), *shape))
     for j, v in enumerate(values):
         out[j] = v
@@ -344,18 +335,18 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     The window runs ``max(1, min(n, window_cells(N)) // M)`` cells from
     ``sweep.next_cell``, at most about 2^16 particle steps, and is
     returned as a (cells+1, M, N) ensemble (see
-    :class:`ParticleEnsemble`), whose coefficient and control values keep
-    the shape their callables returned, from (cells, 1, 1) for constants
-    to (cells, M, N).  A caller runs windows until ``sweep.done``, so a
+    :class:`ParticleEnsemble`), whose coefficient values keep the shape
+    their callables returned, from (cells, 1, 1) for constants to
+    (cells, M, N).  A caller runs windows until ``sweep.done``, so a
     sweep holds one window at a time, whatever n; a one-stream sweep
     also holds the next window's dW, which a thread draws while the
-    caller works on this window.  A finished sweep is refused, and so is one whose
-    window raised: once a window has begun to draw its dW, any exception
-    in it, from a blow-up, a coefficient or the control, records its
-    step, and every later call names that step; a pending read-ahead is
-    waited for and dropped first, so no draw outlives the failure.  A
-    value that does not broadcast to the (M, N) particles is an
-    ``InvalidArgumentError``, recorded at the window's last step.
+    caller works on this window.  A finished sweep is refused, and so is
+    one whose window raised: once a window has begun to draw its dW, any
+    exception in it, from a blow-up or a coefficient, records its step,
+    and every later call names that step; a pending read-ahead is waited
+    for and dropped first, so no draw outlives the failure.  A value
+    that does not broadcast to the (M, N) particles fails numpy's
+    broadcast at the step that returned it.
 
     Each row is checked for finiteness once: a row the sweep reaches is
     checked by the ``empirical`` call of the step it starts, and the
@@ -368,7 +359,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
         raise InvalidArgumentError("the sweep is finished")
     if sweep._failed_step is not None:
         raise InvalidArgumentError(f"the sweep failed at step {sweep._failed_step}")
-    coeffs, control, partition = sweep.coeffs, sweep.control, sweep.partition
+    coeffs, partition = sweep.coeffs, sweep.partition
     dt = partition.deltas
     n = dt.size
     start = sweep.next_cell
@@ -379,7 +370,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     states = np.empty((cells + 1, *x0.shape))
     states[0] = sweep._row
     # each coefficient's value at every step, at the shape it returned
-    bvals, svals, s0vals, avals = [], [], [], []
+    bvals, svals, s0vals = [], [], []
 
     fv, mart = sweep._fv, sweep._mart
     times = partition.times[start:stop].tolist()
@@ -388,7 +379,6 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
     if sweep.factor is not None:  # a step's factor values are a (M, 1) column, like its dW0
         factor_values = np.stack([f.values[start:stop] for f in sweep.factor], axis=1)[..., None]
     j = 0
-    drift_is_control = control is not None
     try:
         dw = _draw_dw(sweep, start, stop)
         if sweep._reads_ahead and stop < n:
@@ -405,14 +395,9 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
                 if start + j == 0:  # a bad initial atom, not a blow-up
                     raise
                 raise BlowUpError(start + j) from None
-            a = None
-            if control is not None:
-                a = control(t, x, m)
-                avals.append(a)
-            b = coeffs.drift(t, x, y, m, a)
-            s = coeffs.sigma(t, x, y, m, a)
-            s0 = coeffs.sigma0(t, x, y, m, a)
-            drift_is_control = drift_is_control and b is a
+            b = coeffs.drift(t, x, y, m)
+            s = coeffs.sigma(t, x, y, m)
+            s0 = coeffs.sigma0(t, x, y, m)
             bvals.append(b)
             svals.append(s)
             s0vals.append(s0)
@@ -421,11 +406,8 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
             row = states[j + 1]
             np.add(x0, fv, out=row)
             row += mart
-        svals, s0vals = _stacked(svals, x0.shape), _stacked(s0vals, x0.shape)
-        avals = _stacked(avals, x0.shape) if control is not None else None
-        # a drift that returns the control's own value object at every step
-        # would stack the same values again: the window shares one array
-        bvals = avals if drift_is_control else _stacked(bvals, x0.shape)
+        svals, s0vals = _stacked(svals), _stacked(s0vals)
+        bvals = _stacked(bvals)
     except BaseException:
         # the window has begun to draw its dW, so running it again would
         # rerun its cells on fresh draws
@@ -444,9 +426,7 @@ def simulate_ensemble(sweep: Sweep) -> ParticleEnsemble:
         drift_values=bvals,
         sigma_values=svals,
         sigma0_values=s0vals,
-        coeffs=coeffs,
         factor=sweep.factor,
-        control_values=avals,
         first_cell=start,
     )
 

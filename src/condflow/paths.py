@@ -87,16 +87,17 @@ class SamplePath:
 class SdeCoefficients:
     """Coefficient fields for the controlled state and the factor.
 
-    State coefficients are callables ``(t, x, y, m, a)`` vectorized over
-    ``x`` (and ``a`` when present); each returns a float or a float64
-    array that broadcasts against ``x``, so a constant coefficient returns
-    its constant.  The Euler sweep computes with the value as returned and
-    broadcasts it only where it stores it.  A sweep of M repetitions
-    hands them its (M, N) state ``x``, a batch of M empirical measures
-    ``m``, one per repetition, and as ``y`` the (M, 1) column of the
-    repetitions' factor values, or None without a factor path (see
-    ``particle.Sweep``).  Factor coefficients are ``(t, y)``
-    on scalars.
+    State coefficients are callables ``(t, x, y, m)`` vectorized over
+    ``x``; each returns a float or a float64 array that broadcasts
+    against ``x``, so a constant coefficient returns its constant.  A
+    feedback control is the drift: a drift that returns the control's
+    values, as in ``mfc.dpp_check``.  The Euler sweep computes with the
+    value as returned and broadcasts it only where it stores it.  A
+    sweep of M repetitions hands them its (M, N) state ``x``, a batch of
+    M empirical measures ``m``, one per repetition, and as ``y`` the
+    (M, 1) column of the repetitions' factor values, or None without a
+    factor path (see ``particle.Sweep``).  Factor coefficients are
+    ``(t, y)`` on scalars.
     ``bounds`` records sup-norms; the flow modulus
     (``particle.measure_flow_modulus``) reads those of b, sigma and sigma0.
     """
@@ -123,11 +124,11 @@ def constant_coefficients(
     gamma: float = 0.0,
     gamma0: float = 0.0,
 ) -> SdeCoefficients:
-    """Coefficients that ignore state, factor, measure and control."""
+    """Coefficients that ignore time, state, factor and measure."""
     return SdeCoefficients(
-        drift=lambda t, x, y, m, a: b,
-        sigma=lambda t, x, y, m, a: sigma,
-        sigma0=lambda t, x, y, m, a: sigma0,
+        drift=lambda t, x, y, m: b,
+        sigma=lambda t, x, y, m: sigma,
+        sigma0=lambda t, x, y, m: sigma0,
         k=lambda t, y: k,
         gamma=lambda t, y: gamma,
         gamma0=lambda t, y: gamma0,

@@ -8,12 +8,15 @@ that the Gaussian-surrogate generator ``mfc._lq_generator_grid`` is
 checked against.  :func:`set_window`, :func:`sweep_windows` and
 :func:`whole_run` drive the particle sweep's one window rule, and
 :func:`counted` records the calls of a library function wherever a
-condflow module binds it.
+condflow module binds it.  :func:`bench_configs` reads the benchmark's
+workload configs at a seed.
 """
 
+import importlib.util
 import inspect
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -128,8 +131,6 @@ def whole_run(*args, **kwargs):
     windows = sweep_windows(*args, **kwargs)
     last = windows[-1]
     names = ["idio_increments", "drift_values", "sigma_values", "sigma0_values"]
-    if last.control_values is not None:
-        names.append("control_values")
     joined = {name: np.concatenate([getattr(w, name) for w in windows]) for name in names}
     states = np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows])
     return replace(last, states=states, first_cell=0, **joined)
@@ -181,3 +182,20 @@ def counted(monkeypatch, module, name):
             if value is original:
                 monkeypatch.setattr(holder, key, wrapper)
     return calls
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def bench_configs(seed: int) -> dict:
+    """Every config of the benchmark's workloads at ``seed``, keyed by
+    workload, position and experiment; read from ``bench/workloads.py``
+    so that the record follows the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {
+        f"bench {name} {i} {cfg['experiment']}": cfg
+        for name in workloads.WORKLOADS
+        for i, cfg in enumerate(workloads.configs(name, seed))
+    }

@@ -15,10 +15,16 @@ a time.
 Other versions may draw or round differently, so there the test skips.
 A change that alters a payload on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+
+``PYTHONPATH=src python tests/test_golden.py --bench-seeds 1 48 908``
+records nothing: it prints, as JSON, the exit code and payload hashes of
+every benchmark config at each of those seeds.  Run with ``PYTHONPATH``
+at two source trees, the two outputs are equal exactly when the trees
+give the same bytes and verdicts at the benchmark's sizes.
 """
 
+import argparse
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -27,10 +33,9 @@ import pytest
 import scipy
 
 from condflow.cli import run
-from helpers import REPRO_CONFIGS
+from helpers import REPRO_CONFIGS, bench_configs
 
 RECORD = Path(__file__).with_name("golden_payloads.json")
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SWEEP_GRID = {"n": [8, 32], "N": [16, 32], "M": [2]}
 SWEEP_EXPERIMENTS = (
     "ito-second-moment",
@@ -65,20 +70,6 @@ DPP_CONFIGS = {
 }
 
 
-def bench_configs(seed: int) -> dict:
-    """Every config of the benchmark's workloads at ``seed``, keyed by
-    workload, position and experiment; read from ``bench/workloads.py``
-    so that the record follows the benchmark."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return {
-        f"bench {name} {i} {cfg['experiment']}": cfg
-        for name in workloads.WORKLOADS
-        for i, cfg in enumerate(workloads.configs(name, seed))
-    }
-
-
 CONFIGS = {
     **{cfg["experiment"]: cfg for cfg in REPRO_CONFIGS},
     **DPP_CONFIGS,
@@ -93,9 +84,10 @@ def versions() -> dict:
     return {"numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
-def payload_hashes(cfg: dict) -> dict:
-    _, payloads = run(dict(cfg), write=False)
-    return {fname: hashlib.sha256(text.encode()).hexdigest() for fname, text in sorted(payloads.items())}
+def payload_hashes(cfg: dict) -> tuple[int, dict]:
+    """The exit code of one run of ``cfg`` and the sha256 of each payload."""
+    code, payloads = run(dict(cfg), write=False)
+    return code, {fname: hashlib.sha256(text.encode()).hexdigest() for fname, text in sorted(payloads.items())}
 
 
 @pytest.mark.parametrize("key", sorted(CONFIGS))
@@ -108,9 +100,20 @@ def test_payloads_match_record(key):
             f"this is numpy {here['numpy']} and scipy {here['scipy']}"
         )
     assert sorted(record["hashes"]) == sorted(CONFIGS)
-    assert payload_hashes(CONFIGS[key]) == record["hashes"][key]
+    assert payload_hashes(CONFIGS[key])[1] == record["hashes"][key]
 
 
 if __name__ == "__main__":
-    hashes = {key: payload_hashes(cfg) for key, cfg in sorted(CONFIGS.items())}
-    RECORD.write_text(json.dumps({"versions": versions(), "hashes": hashes}, indent=1, sort_keys=True) + "\n")
+    parser = argparse.ArgumentParser(description="Re-record the payload hashes, or print the benchmark's.")
+    parser.add_argument("--bench-seeds", type=int, nargs="+", metavar="SEED", help="print, do not record")
+    args = parser.parse_args()
+    if args.bench_seeds:
+        runs = {}
+        for seed in args.bench_seeds:
+            for key, cfg in bench_configs(seed).items():
+                code, hashes = payload_hashes(cfg)
+                runs[f"{key} seed {seed}"] = {"exit": code, "payloads": hashes}
+        print(json.dumps({"versions": versions(), "runs": runs}, indent=1, sort_keys=True))
+    else:
+        hashes = {key: payload_hashes(cfg)[1] for key, cfg in sorted(CONFIGS.items())}
+        RECORD.write_text(json.dumps({"versions": versions(), "hashes": hashes}, indent=1, sort_keys=True) + "\n")

@@ -183,8 +183,8 @@ def test_dm2_symmetry(seed):
                 rows = [g[cell] * w for g in tab.grads]
                 want = sum(
                     kernel[a, b] * pair_average_bruteforce(rows[a], rows[b])
-                    for a in range(u.k)
-                    for b in range(u.k)
+                    for a in range(len(u.tests))
+                    for b in range(len(u.tests))
                 )
                 assert got[cell] == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -6,6 +6,7 @@ import pytest
 from condflow import RngStream, empirical, gaussian_quantile_initial
 from condflow.errors import InvalidArgumentError, NumericOverflowError
 from condflow import mfc, particle
+from condflow.cli import run
 from condflow.particle import Sweep, simulate_ensemble
 from condflow.paths import constant_coefficients, make_uniform_partition
 from condflow.mfc import (
@@ -22,7 +23,7 @@ from condflow.mfc import (
     _lq_generator_grid,
 )
 
-from helpers import constant_gap_closed_form, generator_atom_average, riccati_closed_form, zero_value
+from helpers import bench_configs, constant_gap_closed_form, generator_atom_average, riccati_closed_form, zero_value
 
 PROBLEM, VALUE = make_lq_problem()
 
@@ -379,8 +380,9 @@ def test_block_sizes_do_not_change_results(monkeypatch):
 
 
 def test_dpp_window_stores_the_control_once(monkeypatch):
-    # dpp_check's drift returns the control's value object, so each window
-    # holds one array for both; the reward reads the same values
+    # dpp_check's drift is the control, so each window holds the control's
+    # values once, as its drift_values, in memory of their own; the
+    # constant sigma and sigma0 take one number per cell
     windows = []
 
     def recording(sweep):
@@ -393,16 +395,58 @@ def test_dpp_window_stores_the_control_once(monkeypatch):
     dpp_check(PROBLEM, VALUE, control, 0.0, 1.0, 0.5, 1.0, 32, 8, 2, RngStream(3, 0))
     assert windows
     for ens in windows:
-        assert ens.drift_values is ens.control_values
-        assert ens.control_values.shape == (ens.num_cells, 2, 32)
+        assert ens.drift_values.shape == (ens.num_cells, 2, 32)
+        assert ens.sigma_values.shape == ens.sigma0_values.shape == (ens.num_cells, 1, 1)
+        for other in (ens.states, ens.idio_increments, ens.sigma_values, ens.sigma0_values):
+            assert not np.may_share_memory(ens.drift_values, other)
 
 
 def test_a_drift_equal_to_the_control_is_not_aliased():
-    # a drift that returns a new array of the control's values keeps its own
-    coeffs = replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=lambda t, x, y, m, a: a * 1.0)
+    # a drift that returns the control's value object keeps a copy of its
+    # own: the window does not alias what the control handed out
     control = RiccatiFeedback(VALUE, PROBLEM.a_max)
+    returned = []
+
+    def drift(t, x, y, m):
+        a = control(t, x, m)
+        returned.append(a)
+        return a
+
+    coeffs = replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=drift)
     streams = [RngStream(5, 0).child(r) for r in range(2)]
-    sweep = Sweep(coeffs, gaussian_quantile_initial(0.5, 1.0), 32, make_uniform_partition(1.0, 8), streams, control=control)
+    sweep = Sweep(coeffs, gaussian_quantile_initial(0.5, 1.0), 32, make_uniform_partition(1.0, 8), streams)
     ens = simulate_ensemble(sweep)
-    assert ens.drift_values is not ens.control_values
-    assert ens.drift_values.tobytes() == ens.control_values.tobytes()
+    assert len(returned) == ens.num_cells
+    for j, a in enumerate(returned):
+        assert not np.may_share_memory(ens.drift_values, a)
+        assert ens.drift_values[j].tobytes() == np.broadcast_to(a, (2, 32)).tobytes()
+
+
+def test_no_window_holds_an_array_twice(monkeypatch):
+    # every window of the benchmark's lq-control configs keeps each array
+    # field in memory of its own, and only the drift, the feedback control,
+    # is stored per particle; the constants take one number per cell
+    windows = []
+
+    def recording(sweep):
+        ens = simulate_ensemble(sweep)
+        windows.append(ens)
+        return ens
+
+    monkeypatch.setattr(mfc, "simulate_ensemble", recording)
+    configs = [cfg for key, cfg in bench_configs(1).items() if key.startswith("bench lq-control ")]
+    assert len(configs) == 3
+    for cfg in configs:
+        run(cfg, write=False)
+    assert windows
+    for ens in windows:
+        arrays = [value for value in vars(ens).values() if isinstance(value, np.ndarray)]
+        for i, first in enumerate(arrays):
+            for second in arrays[i + 1 :]:
+                assert not np.may_share_memory(first, second)
+        per_particle = [
+            name
+            for name in ("drift_values", "sigma_values", "sigma0_values")
+            if getattr(ens, name).shape == ens.idio_increments.shape
+        ]
+        assert per_particle == ["drift_values"]

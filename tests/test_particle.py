@@ -26,16 +26,17 @@ from condflow.paths import SdeCoefficients
 from helpers import at_particles, pair_average_bruteforce, set_window, sweep_windows, whole_run
 
 
-def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0, control=None):
+def build(coeffs, initial, n_particles=32, n_cells=16, seed=0, horizon=1.0):
     """A batch of one on stream (seed, 0)."""
     part = make_uniform_partition(horizon, n_cells)
-    return simulate_ensemble(Sweep(coeffs, initial, n_particles, part, [RngStream(seed, 0)], control=control))
+    return simulate_ensemble(Sweep(coeffs, initial, n_particles, part, [RngStream(seed, 0)]))
 
 
-def modulus_at(ens, i, j):
-    """The flow modulus of a whole run between its grid indices i and j."""
+def modulus_at(coeffs, ens, i, j):
+    """The flow modulus, under the bounds of ``coeffs``, of a whole run
+    between its grid indices i and j."""
     times = ens.partition.times
-    return measure_flow_modulus(ens.coeffs, ens.states[i], ens.states[j], float(times[i]), float(times[j]))
+    return measure_flow_modulus(coeffs, ens.states[i], ens.states[j], float(times[i]), float(times[j]))
 
 
 def test_frozen_dynamics():
@@ -92,9 +93,9 @@ def test_mckean_vlasov_coupling_sees_running_mean():
     # drift pulls every particle toward the running empirical mean; with a
     # Dirac start and no noise everything stays put
     coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: m.mean() - x,
-        sigma=lambda t, x, y, m, a: np.zeros_like(x),
-        sigma0=lambda t, x, y, m, a: np.zeros_like(x),
+        drift=lambda t, x, y, m: m.mean() - x,
+        sigma=lambda t, x, y, m: np.zeros_like(x),
+        sigma0=lambda t, x, y, m: np.zeros_like(x),
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -106,9 +107,9 @@ def test_mckean_vlasov_coupling_sees_running_mean():
 
 def test_blow_up_names_step():
     coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: x * 1e160,
-        sigma=lambda t, x, y, m, a: np.zeros_like(x),
-        sigma0=lambda t, x, y, m, a: np.zeros_like(x),
+        drift=lambda t, x, y, m: x * 1e160,
+        sigma=lambda t, x, y, m: np.zeros_like(x),
+        sigma0=lambda t, x, y, m: np.zeros_like(x),
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -139,14 +140,16 @@ def test_modulus_frozen_and_translation():
     # both flows are deterministic, so the two streams agree and the SE is 0
     part = make_uniform_partition(1.0, 8)
     streams = [RngStream(0, 0).child(r) for r in range(2)]
-    ens = whole_run(constant_coefficients(), dirac_initial(0.0), 32, part, streams)
-    res = modulus_at(ens, 2, 6)  # grid times 0.25 and 0.75
+    coeffs = constant_coefficients()
+    ens = whole_run(coeffs, dirac_initial(0.0), 32, part, streams)
+    res = modulus_at(coeffs, ens, 2, 6)  # grid times 0.25 and 0.75
     assert res.estimate == 0.0
     assert res.stderr == 0.0
     assert res.passed
 
-    ens = whole_run(constant_coefficients(b=1.0), dirac_initial(0.0), 32, part, streams)
-    res = modulus_at(ens, 2, 6)
+    coeffs = constant_coefficients(b=1.0)
+    ens = whole_run(coeffs, dirac_initial(0.0), 32, part, streams)
+    res = modulus_at(coeffs, ens, 2, 6)
     assert res.estimate == pytest.approx(0.5, abs=1e-12)
     assert res.bound == pytest.approx(0.5)
 
@@ -154,12 +157,13 @@ def test_modulus_frozen_and_translation():
 def test_modulus_diffusive_within_bound():
     part = make_uniform_partition(1.0, 32)
     streams = [RngStream(8, 0).child(r) for r in range(16)]
-    ens = whole_run(constant_coefficients(sigma=1.0), dirac_initial(0.0), 128, part, streams)
-    res = modulus_at(ens, 8, 24)  # grid times 0.25 and 0.75
+    coeffs = constant_coefficients(sigma=1.0)
+    ens = whole_run(coeffs, dirac_initial(0.0), 128, part, streams)
+    res = modulus_at(coeffs, ens, 8, 24)  # grid times 0.25 and 0.75
     assert res.passed is True
     assert res.bound == pytest.approx(np.sqrt(0.5))
     with pytest.raises(InvalidArgumentError):
-        modulus_at(ens, 24, 8)
+        modulus_at(coeffs, ens, 24, 8)
 
 
 @pytest.mark.parametrize("reps", [2, 5])
@@ -176,7 +180,7 @@ def test_batched_modulus_is_the_mean_of_the_per_stream_bounds(reps):
         states = whole_run(coeffs, dirac_initial(0.1), 150, part, [stream]).states[:, 0]
         diff = states[12] - states[4]  # grid times 0.75 and 0.25
         bounds.append(float(np.sqrt(np.mean(diff * diff))))
-    res = modulus_at(whole_run(coeffs, dirac_initial(0.1), 150, part, streams), 4, 12)
+    res = modulus_at(coeffs, whole_run(coeffs, dirac_initial(0.1), 150, part, streams), 4, 12)
     values = np.array(bounds)
     assert res.estimate == float(values.mean())
     assert res.stderr == float(values.std(ddof=1) / np.sqrt(reps))
@@ -210,7 +214,7 @@ def test_modulus_needs_every_coefficient_bound(key):
     coeffs = replace(coeffs, bounds={k: v for k, v in coeffs.bounds.items() if k != key})
     ens = whole_run(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0).child(r) for r in range(2)])
     with pytest.raises(InvalidArgumentError, match="bounds"):
-        modulus_at(ens, 2, 6)
+        modulus_at(coeffs, ens, 2, 6)
 
 
 def test_modulus_needs_two_repetitions():
@@ -220,16 +224,16 @@ def test_modulus_needs_two_repetitions():
     coeffs = constant_coefficients(b=1.0, sigma=0.5, sigma0=0.5)
     ens = whole_run(coeffs, dirac_initial(0.0), 4, part, [RngStream(0, 0)])
     with pytest.raises(InvalidArgumentError, match="two repetitions"):
-        modulus_at(ens, 2, 6)
+        modulus_at(coeffs, ens, 2, 6)
 
 
 def test_chaos_rate_against_refined_reference():
     # deviation of the conditional-mean estimator from an 8N reference
     # shrinks like N^(-1/2) in the particle count
     coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: 0.5 * (m.mean() - x),
-        sigma=lambda t, x, y, m, a: np.full_like(x, 1.0),
-        sigma0=lambda t, x, y, m, a: np.full_like(x, 0.5),
+        drift=lambda t, x, y, m: 0.5 * (m.mean() - x),
+        sigma=lambda t, x, y, m: np.full_like(x, 1.0),
+        sigma0=lambda t, x, y, m: np.full_like(x, 0.5),
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -260,9 +264,9 @@ def test_scalar_and_per_particle_coefficients_sweep_alike(monkeypatch, window):
     part = make_uniform_partition(1.0, 8)
     b, sigma, sigma0 = 0.3, 0.8, 0.5
     full = SdeCoefficients(
-        drift=lambda t, x, y, m, a: np.full_like(x, b),
-        sigma=lambda t, x, y, m, a: np.full_like(x, sigma),
-        sigma0=lambda t, x, y, m, a: np.full_like(x, sigma0),
+        drift=lambda t, x, y, m: np.full_like(x, b),
+        sigma=lambda t, x, y, m: np.full_like(x, sigma),
+        sigma0=lambda t, x, y, m: np.full_like(x, sigma0),
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -307,9 +311,9 @@ def test_overflow_in_the_final_cell_names_the_last_step(monkeypatch, window):
     part = make_uniform_partition(8.0, n_cells)
     last_t = float(part.times[-2])
     coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: 1e308 if t == last_t else 0.0,
-        sigma=lambda t, x, y, m, a: 0.0,
-        sigma0=lambda t, x, y, m, a: 0.0,
+        drift=lambda t, x, y, m: 1e308 if t == last_t else 0.0,
+        sigma=lambda t, x, y, m: 0.0,
+        sigma0=lambda t, x, y, m: 0.0,
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -328,14 +332,14 @@ def test_blow_up_step_and_coefficients_see_finite_rows(monkeypatch, window):
     n_cells, dt = 16, 1.0 / 16
     seen = []
 
-    def drift(t, x, y, m, a):
+    def drift(t, x, y, m):
         seen.append(bool(np.all(np.isfinite(x)) and np.all(np.isfinite(m.atoms))))
         return 1e100 * x
 
     coeffs = SdeCoefficients(
         drift=drift,
-        sigma=lambda t, x, y, m, a: np.zeros_like(x),
-        sigma0=lambda t, x, y, m, a: np.zeros_like(x),
+        sigma=lambda t, x, y, m: np.zeros_like(x),
+        sigma0=lambda t, x, y, m: np.zeros_like(x),
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
@@ -359,13 +363,18 @@ def test_blow_up_step_and_coefficients_see_finite_rows(monkeypatch, window):
 
 
 LQ_PROBLEM, LQ_VALUE = make_lq_problem()
-# the drift is the feedback control
-CONTROLLED = replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=lambda t, x, y, m, a: a)
-# the drift reads the law and sigma0 the state, with no control
+
+
+def controlled(feedback):
+    """Coefficients whose drift is the feedback control ``feedback``."""
+    return replace(constant_coefficients(sigma=0.4, sigma0=0.3), drift=lambda t, x, y, m: feedback(t, x, m))
+
+
+# the drift reads the law and sigma0 the state
 LAW_READING = SdeCoefficients(
-    drift=lambda t, x, y, m, a: 0.7 * (m.mean() - x),
-    sigma=lambda t, x, y, m, a: 0.6,
-    sigma0=lambda t, x, y, m, a: 0.4 * np.cos(x),
+    drift=lambda t, x, y, m: 0.7 * (m.mean() - x),
+    sigma=lambda t, x, y, m: 0.6,
+    sigma0=lambda t, x, y, m: 0.4 * np.cos(x),
     k=lambda t, y: 0.0,
     gamma=lambda t, y: 0.0,
     gamma0=lambda t, y: 0.0,
@@ -373,9 +382,9 @@ LAW_READING = SdeCoefficients(
 # the drift pulls toward the factor, and the factor reverts to 0 through
 # both of its noises
 FACTOR_READING = SdeCoefficients(
-    drift=lambda t, x, y, m, a: 0.5 * (y - x),
-    sigma=lambda t, x, y, m, a: 0.6,
-    sigma0=lambda t, x, y, m, a: 0.4 * np.cos(x),
+    drift=lambda t, x, y, m: 0.5 * (y - x),
+    sigma=lambda t, x, y, m: 0.6,
+    sigma0=lambda t, x, y, m: 0.4 * np.cos(x),
     k=lambda t, y: -0.3 * y,
     gamma=lambda t, y: 0.2 + 0.1 * y * y,
     gamma0=lambda t, y: 0.5,
@@ -384,18 +393,18 @@ FACTOR_READING = SdeCoefficients(
 
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize(
-    "coeffs, control, y0",
+    "coeffs, y0",
     [
-        (CONTROLLED, RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max), None),
-        (CONTROLLED, AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max), None),
-        (LAW_READING, None, None),
-        (FACTOR_READING, None, 0.3),
+        (controlled(RiccatiFeedback(LQ_VALUE, LQ_PROBLEM.a_max)), None),
+        (controlled(AffineFeedback(0.2, -0.7, LQ_PROBLEM.a_max)), None),
+        (LAW_READING, None),
+        (FACTOR_READING, 0.3),
     ],
     ids=["riccati", "affine", "law-reading", "factor-reading"],
 )
-def test_batched_windows_equal_the_per_repetition_sweeps(monkeypatch, reps, coeffs, control, y0):
+def test_batched_windows_equal_the_per_repetition_sweeps(monkeypatch, reps, coeffs, y0):
     # repetition r of a batch is stream r's batch of one, bit for bit, its
-    # coefficients and control reading its own row's law and factor, and
+    # coefficients reading its own row's law and factor, and
     # its factor path its own; windows of 4 cells divide neither the 14
     # cells nor the batch, the initial atoms come from each stream, and 19
     # particles fill no summation block
@@ -406,17 +415,17 @@ def test_batched_windows_equal_the_per_repetition_sweeps(monkeypatch, reps, coef
 
     streams = [RngStream(6, 0).child(r) for r in range(reps)]
     set_window(monkeypatch, 4, reps, 19)
-    windows = sweep_windows(coeffs, initial, 19, part, streams, control, y0)
+    windows = sweep_windows(coeffs, initial, 19, part, streams, y0)
     assert [w.num_cells for w in windows] == [4, 4, 4, 2]
     assert all(w.num_particles == reps * 19 for w in windows)
-    names = ["idio_increments", "drift_values", "sigma0_values"] + ([] if control is None else ["control_values"])
+    names = ["idio_increments", "drift_values", "sigma0_values"]
     batched = {
         "states": np.concatenate([windows[0].states[:1]] + [w.states[1:] for w in windows]),
         **{name: np.concatenate([at_particles(w, name) for w in windows]) for name in names},
     }
     set_window(monkeypatch, 14, 1, 19)  # each stream alone in one window
     for r, stream in enumerate(streams):
-        alone = simulate_ensemble(Sweep(coeffs, initial, 19, part, [stream], control=control, y0=y0))
+        alone = simulate_ensemble(Sweep(coeffs, initial, 19, part, [stream], y0=y0))
         assert alone.num_cells == 14
         alone_rows = {"states": alone.states, **{name: at_particles(alone, name) for name in names}}
         for name, values in batched.items():
@@ -433,41 +442,40 @@ def _spread(f):
     return lambda *args: np.broadcast_to(f(*args), args[1].shape).copy()
 
 
-# per case: coefficients, control, y0, and the shape its values take after
-# the cells axis, "M" and "N" standing for the batch and the particles
+# per case: coefficients, y0, and the shape their values take after the
+# cells axis, "M" and "N" standing for the batch and the particles; the
+# law-reading and state-dependent drifts are feedback controls plus a
+# term of their own
 SHAPE_CASES = {
-    "constant": (constant_coefficients(0.3, 0.8, 0.5), lambda t, x, m: 0.2, None, (1, 1)),
+    "constant": (constant_coefficients(0.3, 0.8, 0.5), None, (1, 1)),
     "law-reading": (
         SdeCoefficients(
-            drift=lambda t, x, y, m, a: a + 0.1,
-            sigma=lambda t, x, y, m, a: 0.5 + 0.1 * np.tanh(m.mean()),
-            sigma0=lambda t, x, y, m, a: 0.4 * np.cos(m.mean()),
+            drift=lambda t, x, y, m: -0.5 * m.mean() + 0.1,
+            sigma=lambda t, x, y, m: 0.5 + 0.1 * np.tanh(m.mean()),
+            sigma0=lambda t, x, y, m: 0.4 * np.cos(m.mean()),
             k=lambda t, y: 0.0,
             gamma=lambda t, y: 0.0,
             gamma0=lambda t, y: 0.0,
         ),
-        lambda t, x, m: -0.5 * m.mean(),
         None,
         ("M", 1),
     ),
     "factor-reading": (
         replace(
             FACTOR_READING,
-            drift=lambda t, x, y, m, a: 0.5 * y,
-            sigma=lambda t, x, y, m, a: 0.3 + 0.1 * y * y,
-            sigma0=lambda t, x, y, m, a: 0.2 * np.cos(y),
+            drift=lambda t, x, y, m: 0.5 * y,
+            sigma=lambda t, x, y, m: 0.3 + 0.1 * y * y,
+            sigma0=lambda t, x, y, m: 0.2 * np.cos(y),
         ),
-        None,
         0.3,
         ("M", 1),
     ),
     "state-dependent": (
         replace(
             LAW_READING,
-            drift=lambda t, x, y, m, a: a - 0.5 * x,
-            sigma=lambda t, x, y, m, a: 0.6 + 0.1 * np.cos(x),
+            drift=lambda t, x, y, m: np.tanh(x - m.mean()) - 0.5 * x,
+            sigma=lambda t, x, y, m: 0.6 + 0.1 * np.cos(x),
         ),
-        lambda t, x, m: np.tanh(x - m.mean()),
         None,
         ("M", "N"),
     ),
@@ -478,22 +486,18 @@ SHAPE_CASES = {
 def test_coefficient_values_keep_the_shape_the_coefficients_return(monkeypatch, case):
     # each value is stored at the broadcast of its steps' shapes with
     # (1, 1); broadcast to the particles it is, byte for byte, the value of
-    # a run whose coefficients and control write out every particle's value
-    coeffs, control, y0, shape = SHAPE_CASES[case]
+    # a run whose coefficients write out every particle's value
+    coeffs, y0, shape = SHAPE_CASES[case]
     reps, particles = 3, 5
     part = make_uniform_partition(1.0, 10)
     streams = [RngStream(9, 0).child(r) for r in range(reps)]
     full_coeffs = replace(
         coeffs, drift=_spread(coeffs.drift), sigma=_spread(coeffs.sigma), sigma0=_spread(coeffs.sigma0)
     )
-    full_control = None if control is None else _spread(control)
     set_window(monkeypatch, 3, reps, particles)
-    runs = [
-        sweep_windows(c, dirac_initial(0.1), particles, part, streams, a, y0)
-        for c, a in ((coeffs, control), (full_coeffs, full_control))
-    ]
+    runs = [sweep_windows(c, dirac_initial(0.1), particles, part, streams, y0) for c in (coeffs, full_coeffs)]
     assert [w.num_cells for w in runs[0]] == [3, 3, 3, 1]
-    names = ["drift_values", "sigma_values", "sigma0_values"] + ([] if control is None else ["control_values"])
+    names = ["drift_values", "sigma_values", "sigma0_values"]
     for kept, full in zip(*runs):
         assert kept.states.tobytes() == full.states.tobytes()
         expected = tuple({"M": reps, "N": particles}.get(axis, axis) for axis in shape)
@@ -504,18 +508,16 @@ def test_coefficient_values_keep_the_shape_the_coefficients_return(monkeypatch, 
 
 
 @pytest.mark.parametrize("value", [np.zeros(7), np.zeros((1, 1, 1))], ids=["other-N", "three-axes"])
-def test_a_control_value_that_does_not_fit_the_particles_is_refused(value):
-    # the coefficients ignore the control, so only its stored values see
-    # the shape; the window is refused whole, and the sweep with it
+def test_a_drift_value_that_does_not_fit_the_particles_is_refused(value):
+    # the Euler step writes the drift's value into the (1, 5) state row,
+    # so a value that does not broadcast to it fails at the step that
+    # returned it, and the sweep is refused from that step on
     part = make_uniform_partition(1.0, 4)
-
-    def control(t, x, m):
-        return value
-
-    sweep = Sweep(constant_coefficients(sigma=1.0), dirac_initial(0.0), 5, part, [RngStream(0, 0)], control)
-    with pytest.raises(InvalidArgumentError, match="does not broadcast"):
+    coeffs = replace(constant_coefficients(sigma=1.0), drift=lambda t, x, y, m: value)
+    sweep = Sweep(coeffs, dirac_initial(0.0), 5, part, [RngStream(0, 0)])
+    with pytest.raises(ValueError, match="broadcast"):
         simulate_ensemble(sweep)
-    with pytest.raises(InvalidArgumentError, match="failed at step 3"):
+    with pytest.raises(InvalidArgumentError, match="failed at step 0"):
         simulate_ensemble(sweep)
     assert sweep.next_cell == 0
 
@@ -526,9 +528,9 @@ def test_batched_blow_up_names_the_first_step_over_all_repetitions(monkeypatch):
     # 3, and from 0 never
     part = make_uniform_partition(8.0, 8)
     coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: 1e100 * x,
-        sigma=lambda t, x, y, m, a: 0.0,
-        sigma0=lambda t, x, y, m, a: 0.0,
+        drift=lambda t, x, y, m: 1e100 * x,
+        sigma=lambda t, x, y, m: 0.0,
+        sigma0=lambda t, x, y, m: 0.0,
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,

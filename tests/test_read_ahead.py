@@ -40,9 +40,9 @@ INITIAL = gaussian_quantile_initial(0.2, 0.5)
 # law- and factor-reading coefficients, so that a window reads the rows the
 # previous one handed on
 READING = SdeCoefficients(
-    drift=lambda t, x, y, m, a: 0.7 * (m.mean() - x) + (0.0 if y is None else 0.1 * y),
-    sigma=lambda t, x, y, m, a: 0.6,
-    sigma0=lambda t, x, y, m, a: 0.4 * np.cos(x),
+    drift=lambda t, x, y, m: 0.7 * (m.mean() - x) + (0.0 if y is None else 0.1 * y),
+    sigma=lambda t, x, y, m: 0.6,
+    sigma0=lambda t, x, y, m: 0.4 * np.cos(x),
     k=lambda t, y: 0.1,
     gamma=lambda t, y: 0.3,
     gamma0=lambda t, y: 0.5,
@@ -122,7 +122,7 @@ def test_a_window_that_raises_leaves_no_draw_pending(monkeypatch):
     set_window(monkeypatch, 4, 1, N_PARTICLES)
     calls = []
 
-    def sixth_call_fails(t, x, y, m, a):
+    def sixth_call_fails(t, x, y, m):
         calls.append(t)
         if len(calls) == 6:
             raise ZeroDivisionError("division by zero")

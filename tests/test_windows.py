@@ -59,9 +59,9 @@ SPLIT_BUDGETS = (5 * N_PARTICLES, N_PARTICLES)
 # measure-dependent drift, so every window must hand the right measure on,
 # and every repetition of a batch must see its own
 MEAN_REVERTING = SdeCoefficients(
-    drift=lambda t, x, y, m, a: 0.7 * (m.mean() - x),
-    sigma=lambda t, x, y, m, a: np.full_like(x, 0.6),
-    sigma0=lambda t, x, y, m, a: 0.4 * np.cos(x),
+    drift=lambda t, x, y, m: 0.7 * (m.mean() - x),
+    sigma=lambda t, x, y, m: np.full_like(x, 0.6),
+    sigma0=lambda t, x, y, m: 0.4 * np.cos(x),
     k=lambda t, y: 0.1,
     gamma=lambda t, y: 0.3,
     gamma0=lambda t, y: 0.5,
@@ -281,7 +281,7 @@ def test_a_finished_sweep_is_refused(monkeypatch):
         simulate_ensemble(sweep)
 
 
-@pytest.mark.parametrize("raiser", ["control", "sigma0"])
+@pytest.mark.parametrize("raiser", ["drift", "sigma0"])
 def test_a_sweep_whose_callable_raised_is_refused(monkeypatch, raiser):
     # the window has drawn its dW before the third call raises, so any
     # exception in it, not only a blow-up, ends the sweep at that step
@@ -293,13 +293,8 @@ def test_a_sweep_whose_callable_raised_is_refused(monkeypatch, raiser):
             raise ZeroDivisionError("division by zero")
         return 0.5
 
-    coeffs = constant_coefficients(sigma=1.0)
-    control = None
-    if raiser == "control":
-        control = third_call_fails
-    else:
-        coeffs = replace(coeffs, sigma0=third_call_fails)
-    sweep = Sweep(coeffs, dirac_initial(0.0), 4, make_uniform_partition(1.0, 8), [RNG], control=control)
+    coeffs = replace(constant_coefficients(sigma=1.0), **{raiser: third_call_fails})
+    sweep = Sweep(coeffs, dirac_initial(0.0), 4, make_uniform_partition(1.0, 8), [RNG])
     set_window(monkeypatch, 8, 1, 4)
     with pytest.raises(ZeroDivisionError):
         simulate_ensemble(sweep)
@@ -313,9 +308,9 @@ def test_a_sweep_that_blew_up_is_refused(monkeypatch):
     # the window that blew up has drawn its dW, so running it again would
     # rerun its cells on fresh draws
     coeffs = SdeCoefficients(
-        drift=lambda t, x, y, m, a: 1e100 * x,
-        sigma=lambda t, x, y, m, a: np.full_like(x, 1.0),
-        sigma0=lambda t, x, y, m, a: np.zeros_like(x),
+        drift=lambda t, x, y, m: 1e100 * x,
+        sigma=lambda t, x, y, m: np.full_like(x, 1.0),
+        sigma0=lambda t, x, y, m: np.zeros_like(x),
         k=lambda t, y: 0.0,
         gamma=lambda t, y: 0.0,
         gamma0=lambda t, y: 0.0,
